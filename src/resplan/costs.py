@@ -146,16 +146,19 @@ class CostBreakdown:
 
 
 def evaluate_assignment(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
-                        rates: RateMatrix, energy: EnergyParams) -> CostBreakdown:
+                        rates: RateMatrix, energy: EnergyParams,
+                        memory_mode: str = "inputs") -> CostBreakdown:
     """One-pass evaluation of every cost and reporting metric.
 
     Requires a resolved assignment whose drop vectors are bridgeable.
+    ``memory_mode`` picks what counts as resident memory (see
+    ``graph.memory_load``).
     """
     if not assign.is_resolved():
         raise ValueError("assignment is not resolved (some kept block lacks a unique host)")
     c = np.array([compute_load(b) for b in graph.blocks], dtype=float)
     m = np.array(
-        [memory_load(b, "inputs", graph.weight_bytes) for b in graph.blocks], dtype=float
+        [memory_load(b, memory_mode, graph.weight_bytes) for b in graph.blocks], dtype=float
     )
     bits = np.array([output_bits(b, graph.weight_bytes) for b in graph.blocks], dtype=float)
     return _evaluate_arrays(assign, graph, fleet, rates, energy, c, m, bits)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +32,9 @@ class ObjectiveWeights:
     accuracy_threshold: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "latency_ref", "accuracy_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
         if abs(self.alpha + self.beta - 1.0) > WEIGHT_SUM_TOL:

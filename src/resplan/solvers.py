@@ -18,7 +18,6 @@ for small instances and is the reference the GA is compared against.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -156,28 +155,72 @@ def decode(bits, n_requests: int, n_devices: int, n_blocks: int) -> Assignment:
     return Assignment(x, y)
 
 
-@dataclass(frozen=True)
-class _SetEntry:
-    """Precomputed per-drop-set data the fast evaluator needs."""
+# Cells per evaluation chunk: individuals x requests x devices x blocks.
+# Bounds the temporaries of one array pass whatever the fleet size.
+_CHUNK_CELLS = 1 << 19
 
-    drop: tuple[int, ...]
-    y: np.ndarray          # (M,) keep template
-    kept0: np.ndarray      # 0-based kept block indices
-    kept0_list: tuple[int, ...]
-    src0: np.ndarray       # 0-based sources of deduplicated transfers
-    dst0: np.ndarray       # 0-based destinations, sorted
-    starts: np.ndarray     # reduceat group starts, one group per fed block
-    tx_groups: tuple[tuple[int, tuple[int, ...]], ...]  # (dst0, srcs0) per fed block
-    accuracy: float
-    mask: int              # bit j-2 set when block j is dropped
-    size: int
+
+def _seqsum(a: np.ndarray) -> np.ndarray:
+    """Row sums added left to right, as a Python loop adds them.
+
+    ``np.sum`` adds pairwise, which can differ in the last bit; scores must
+    not depend on how candidates are batched.
+    """
+    return np.add.accumulate(a, axis=1)[:, -1]
+
+
+def _forward_repair(x: np.ndarray, kept: np.ndarray, rho: np.ndarray,
+                    e: np.ndarray, fix_device: int | None = None) -> np.ndarray:
+    """Hosts per (row, block) by the forward repair pass, for many rows at once.
+
+    ``x`` holds host offers shaped (..., N, M) and ``kept`` keep flags shaped
+    (..., M); each leading index is one request.  A kept block stays on the
+    previous kept block's device when that device is offered, otherwise it
+    takes the offered device with the best link from it (the fastest device
+    when there is no previous block); ties go to the lowest device id.  A
+    kept block with no offer goes to ``fix_device``, or raises UncoveredBlock
+    for the first such (row, block) when ``fix_device`` is None.  Dropped
+    blocks get host 0.
+    """
+    n, m = x.shape[-2:]
+    kept = kept.reshape(-1, m)
+    rows = kept.shape[0]
+    if fix_device is None:
+        gaps = kept & ~x.any(axis=-2).reshape(rows, m)
+        if gaps.any():
+            r, j = np.argwhere(gaps)[0]
+            raise UncoveredBlock(int(r), int(j) + 1)
+    pref = np.vstack([rho, e])  # row n ranks devices when no block came before
+    hosts = np.zeros((rows, m), dtype=np.intp)
+    prev = np.full(rows, n, dtype=np.intp)
+    at = np.arange(rows)
+    for j in range(m):
+        offer = x[..., j].reshape(rows, n) != 0
+        chosen = np.where(offer, pref[prev], -np.inf).argmax(axis=1)
+        stay = (prev < n) & offer[at, np.minimum(prev, n - 1)]
+        chosen[stay] = prev[stay]
+        if fix_device is not None:
+            chosen[~offer.any(axis=1)] = fix_device
+        hosts[:, j] = np.where(kept[:, j], chosen, 0)
+        prev = np.where(kept[:, j], chosen, prev)
+    return hosts
+
+
+def _placement(hosts: np.ndarray, kept: np.ndarray, n_devices: int) -> np.ndarray:
+    """x bits for resolved hosts: one host per kept block, none per dropped."""
+    x = np.zeros((kept.shape[0], n_devices, kept.shape[1]), dtype=np.uint8)
+    r, j = np.nonzero(kept)
+    x[r, hosts[r, j], j] = 1
+    return x
 
 
 class _Evaluator:
-    """Shared fast path: canonicalize raw chromosomes and score assignments.
+    """Canonicalize raw chromosomes and score candidates, a batch at a time.
 
-    Scores must agree with the public cost functions exactly; tests compare
-    the two on randomized instances.
+    Drop sets are indexed by their rank in ``drops`` (largest first, then best
+    accuracy, then lowest block ids).  Rows are (individual, request) pairs in
+    order.  Scores agree with the public cost functions and, bit for bit, with
+    a per-candidate loop: each sum runs in the same order.
     """
 
     def __init__(self, graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
@@ -194,6 +237,7 @@ class _Evaluator:
         self.weights = weights
         self.energy = energy
         self.penalty_weight = penalty_weight
+        self.memory_mode = memory_mode
 
         self.c = np.array([compute_load(b) for b in graph.blocks], dtype=float)
         self.m = np.array(
@@ -205,234 +249,121 @@ class _Evaluator:
         )
         self.e = fleet.mult_rates
         self.rho = rates.rho
+        # Same-device transfers divide by infinity and cost exactly zero.
+        self.rho_off = rates.rho.copy()
+        np.fill_diagonal(self.rho_off, np.inf)
         self.mem_caps = fleet.memory_caps
         self.comp_caps = fleet.compute_caps
         self.energy_caps = fleet.energy_caps
         self.fix_device = int(np.argmax(self.e))
-        self.droppable_mask = np.array([b.droppable for b in graph.blocks], dtype=bool)
 
-        # Scalar mirrors for the packed-bitmask fast path (small fleets only).
-        self._fast = self.n_devices <= 63 and self.n_blocks <= 64
-        self.e_list = self.e.tolist()
-        self.rho_rows = [row.tolist() for row in self.rho]
-        self.c_list = self.c.tolist()
-        self.m_list = self.m.tolist()
-        self.bits_list = self.bits.tolist()
-        self.mem_caps_list = self.mem_caps.tolist()
-        self.comp_caps_list = self.comp_caps.tolist()
-        self.energy_caps_list = self.energy_caps.tolist()
-        self._dev_w = (np.uint64(1) << np.arange(self.n_devices, dtype=np.uint64))
-        drop_w = np.zeros(self.n_blocks, dtype=np.uint64)
-        for j0 in range(1, self.n_blocks):
-            if self.droppable_mask[j0]:
-                drop_w[j0] = np.uint64(1) << np.uint64(j0 - 1)
-        self._drop_w = drop_w
-
-        self.entries = self._build_entries(profile, weights.accuracy_threshold)
-        if not self.entries:
+        self._build_entries(profile, weights.accuracy_threshold)
+        if not self.drops:
             raise InfeasibleInstance(
                 "no profiled drop set is both above the accuracy threshold and "
                 "bridgeable in this skip topology"
             )
 
     def _build_entries(self, profile, threshold):
-        entries = []
+        """Per drop set: keep flags, accuracy and the sources feeding each
+        block; plus the projection table over proposed-drop bitmasks."""
+        m = self.n_blocks
+        rows = []
         for ds in allowed_drop_sets(profile, threshold):
             drop = tuple(sorted(ds))
-            if any(not self.droppable_mask[j - 1] for j in drop):
+            if any(not self.graph.blocks[j - 1].droppable for j in drop):
                 continue  # profiled but not droppable in this graph
-            y = np.ones(self.n_blocks, dtype=np.uint8)
-            for j in drop:
-                y[j - 1] = 0
+            y = np.ones(m, dtype=np.uint8)
+            y[[j - 1 for j in drop]] = 0
             try:
                 edges = effective_edges(self.graph, y)
             except UnbridgeableDrop:
                 continue  # profiled but not executable under this topology
-            seen: set[tuple[int, int]] = set()
-            src0, dst0 = [], []
-            for e in sorted(edges, key=lambda e: (e.dst, e.src)):
-                if (e.src, e.dst) not in seen:
-                    seen.add((e.src, e.dst))
-                    src0.append(e.src - 1)
-                    dst0.append(e.dst - 1)
-            dst_arr = np.array(dst0, dtype=np.intp)
-            starts = np.flatnonzero(np.diff(dst_arr, prepend=-1) != 0)
-            groups: list[tuple[int, tuple[int, ...]]] = []
-            for s, d in zip(src0, dst0):
-                if groups and groups[-1][0] == d:
-                    groups[-1] = (d, groups[-1][1] + (s,))
-                else:
-                    groups.append((d, (s,)))
-            mask = 0
-            for j in drop:
-                mask |= 1 << (j - 2)
-            kept0 = np.flatnonzero(y).astype(np.intp)
-            entries.append(_SetEntry(
-                drop=drop,
-                y=y,
-                kept0=kept0,
-                kept0_list=tuple(int(j) for j in kept0),
-                src0=np.array(src0, dtype=np.intp),
-                dst0=dst_arr,
-                starts=starts,
-                tx_groups=tuple(groups),
-                accuracy=profile.accuracy_for(ds),
-                mask=mask,
-                size=len(drop),
-            ))
+            feeds = [sorted({ed.src - 1 for ed in edges if ed.dst - 1 == j})
+                     for j in range(m)]
+            rows.append((drop, y, feeds, profile.accuracy_for(ds)))
         # Largest subset first, then best accuracy, then lowest block ids, so
-        # a linear scan returns the canonical projection.
-        entries.sort(key=lambda t: (-t.size, -t.accuracy, t.drop))
-        return entries
+        # the first entry inside a proposed drop set is its projection.
+        rows.sort(key=lambda t: (-len(t[0]), -t[3], t[0]))
+        self.drops = [t[0] for t in rows]
+        self.keep = np.array([t[1] for t in rows], dtype=bool).reshape(-1, m)
+        self.acc = np.array([t[3] for t in rows], dtype=float)
+        # Sources per (entry, block, slot), ascending; spare slots name the
+        # block itself, a same-device transfer that costs zero.
+        width = max([len(f) for t in rows for f in t[2]] + [1])
+        self.src = np.tile(np.arange(m)[:, None], (len(rows), 1, width))
+        for k, (_d, _y, feeds, _a) in enumerate(rows):
+            for j, f in enumerate(feeds):
+                self.src[k, j, :len(f)] = f
+        # table[mask] is the projection of a proposed-drop mask over the
+        # blocks some drop set drops; the empty set is always allowed.
+        self.proj_cols = np.array(sorted({j - 1 for d in self.drops for j in d}),
+                                  dtype=np.intp)
+        bit = {j: 1 << k for k, j in enumerate(self.proj_cols.tolist())}
+        masks = np.array([sum(bit[j - 1] for j in d) for d in self.drops], dtype=np.int64)
+        proposed = np.arange(1 << self.proj_cols.size, dtype=np.int64)
+        fits = (masks[None, :] & ~proposed[:, None]) == 0
+        self.table = fits.argmax(axis=1) if self.drops else proposed[:0]
 
-    def project(self, y_raw: np.ndarray) -> _SetEntry:
-        """Largest allowed drop set that only drops blocks y_raw drops."""
-        proposed = int(((y_raw == 0) * self._drop_w).sum())
-        return self._project_mask(proposed)
+    def canonicalize(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Raw chromosomes (B, L) to (hosts (B*R, M), drop-set index (B*R,))."""
+        r, n, m = self.n_requests, self.n_devices, self.n_blocks
+        split = r * n * m
+        y = pop[:, split:].reshape(-1, m)
+        proposed = (y[:, self.proj_cols] == 0) @ (1 << np.arange(self.proj_cols.size))
+        ent = self.table[proposed]
+        x = pop[:, :split].reshape(-1, r, n, m)
+        hosts = _forward_repair(x, self.keep[ent], self.rho, self.e, self.fix_device)
+        return hosts, ent
 
-    def _project_mask(self, proposed: int) -> _SetEntry:
-        for entry in self.entries:
-            if entry.mask & ~proposed == 0:
-                return entry
-        raise AssertionError("the empty drop set should always be allowed")
+    def score(self, hosts: np.ndarray, ent: np.ndarray):
+        """Penalized score per candidate from its resolved rows.
 
-    def _resolve_masks(self, masks: list, entry: _SetEntry, fix_coverage: bool,
-                       request_index: int = 0) -> np.ndarray:
-        """Scalar twin of resolve; masks[j] packs column j's device bits."""
-        hosts = [0] * self.n_blocks
-        dvc = -1
-        for j in entry.kept0_list:
-            mask = masks[j]
-            if mask == 0:
-                if not fix_coverage:
-                    raise UncoveredBlock(request_index, j + 1)
-                chosen = self.fix_device
-            elif mask & (mask - 1) == 0:
-                chosen = mask.bit_length() - 1
-            elif dvc >= 0 and (mask >> dvc) & 1:
-                chosen = dvc
-            else:
-                row = self.rho_rows[dvc] if dvc >= 0 else self.e_list
-                best = -1.0
-                chosen = 0
-                mm = mask
-                while mm:
-                    d = (mm & -mm).bit_length() - 1
-                    if row[d] > best:
-                        best = row[d]
-                        chosen = d
-                    mm &= mm - 1
-            hosts[j] = chosen
-            dvc = chosen
-        return np.array(hosts, dtype=np.intp)
-
-    def resolve(self, x_r: np.ndarray, entry: _SetEntry,
-                fix_coverage: bool, request_index: int = 0) -> np.ndarray:
-        """Hosts per block for one request, via the forward repair pass."""
-        counts = x_r.sum(axis=0)
-        hosts = np.zeros(self.n_blocks, dtype=np.intp)
-        dvc = -1
-        for j in entry.kept0:
-            cnt = int(counts[j])
-            if cnt == 0:
-                if not fix_coverage:
-                    raise UncoveredBlock(request_index, int(j) + 1)
-                chosen = self.fix_device
-            elif cnt == 1:
-                chosen = int(np.argmax(x_r[:, j]))
-            else:
-                cand = np.flatnonzero(x_r[:, j])
-                if dvc >= 0 and x_r[dvc, j]:
-                    chosen = dvc
-                elif dvc >= 0:
-                    chosen = int(cand[np.argmax(self.rho[dvc, cand])])
-                else:
-                    chosen = int(cand[np.argmax(self.e[cand])])
-            hosts[j] = chosen
-            dvc = chosen
-        return hosts
-
-    def score(self, resolved: list[tuple[np.ndarray, _SetEntry]]):
-        """Penalized score for one candidate.
-
-        ``resolved`` holds one (hosts, entry) pair per request.  Returns
-        (penalized, objective, latency, feasible).
+        Returns arrays (penalized, objective, latency, feasible).
         """
-        n = self.n_devices
-        load = [0.0] * n
-        mem = [0.0] * n
-        tx_time = [0.0] * n
-        latency_tx = 0.0
-        acc_sum = 0.0
-        c, m, bits, rho = self.c_list, self.m_list, self.bits_list, self.rho_rows
-        for hosts, entry in resolved:
-            hl = hosts if isinstance(hosts, list) else hosts.tolist()
-            for j in entry.kept0_list:
-                d = hl[j]
-                load[d] += c[j]
-                mem[d] += m[j]
-            acc_sum += entry.accuracy
-            for dst, srcs in entry.tx_groups:
-                dh = hl[dst]
-                worst = 0.0
-                for s in srcs:
-                    sh = hl[s]
-                    if sh != dh:
-                        cost = bits[s] / rho[sh][dh]
-                        tx_time[sh] += cost
-                        if cost > worst:
-                            worst = cost
-                latency_tx += worst
-        latency = latency_tx
-        rel = 0.0
-        e, pc, pt = self.e_list, self.energy.p_compute, self.energy.p_transmit
-        for d in range(n):
-            ct = load[d] / e[d]
-            latency += ct
-            joules = pc * ct + pt * tx_time[d]
-            over = load[d] / self.comp_caps_list[d] - 1.0
-            if over > 0.0:
-                rel += over
-            over = mem[d] / self.mem_caps_list[d] - 1.0
-            if over > 0.0:
-                rel += over
-            over = joules / self.energy_caps_list[d] - 1.0
-            if over > 0.0:
-                rel += over
-        r = len(resolved)
-        acc = acc_sum / r if r else 1.0
+        r, n, m = self.n_requests, self.n_devices, self.n_blocks
+        b = hosts.shape[0] // r
+        kept = self.keep[ent]
+        # Sums per (candidate, device) bin, added in (request, block) order.
+        base = np.repeat(np.arange(b) * n, r * m).reshape(-1, m)
+        bins = (base + hosts).ravel()
+        load = np.bincount(bins, (kept * self.c).ravel(), b * n).reshape(b, n)
+        mem = np.bincount(bins, (kept * self.m).ravel(), b * n).reshape(b, n)
+        # Transfers per (request, block, source slot); the sender pays.
+        src = self.src[ent]
+        src_hosts = hosts[np.arange(hosts.shape[0])[:, None, None], src]
+        cost = self.bits[src] / self.rho_off[src_hosts, hosts[:, :, None]]
+        tx_time = np.bincount((base[:, :, None] + src_hosts).ravel(), cost.ravel(),
+                              b * n).reshape(b, n)
+        latency_tx = _seqsum(cost.max(axis=2).reshape(b, r * m))
+
+        ct = load / self.e
+        latency = _seqsum(np.column_stack([latency_tx, ct]))
+        joules = self.energy.p_compute * ct + self.energy.p_transmit * tx_time
+        over = np.stack([load / self.comp_caps - 1.0, mem / self.mem_caps - 1.0,
+                         joules / self.energy_caps - 1.0], axis=2)
+        rel = _seqsum(np.where(over > 0.0, over, 0.0).reshape(b, 3 * n))
+        acc = _seqsum(self.acc[ent].reshape(b, r)) / r
         wo = objective_value(latency, acc, r, self.weights)
         return wo + self.penalty_weight * rel, wo, latency, rel == 0.0
 
-    def canonicalize(self, bits: np.ndarray):
-        """Raw chromosome to a resolved per-request (hosts, entry) list."""
-        r_n_m = self.n_requests * self.n_devices * self.n_blocks
-        x = bits[:r_n_m].reshape(self.n_requests, self.n_devices, self.n_blocks)
-        y = bits[r_n_m:].reshape(self.n_requests, self.n_blocks)
-        resolved = []
-        if self._fast:
-            col_masks = (x * self._dev_w[:, None]).sum(axis=1)
-            proposed = ((y == 0) * self._drop_w).sum(axis=1)
-            for r in range(self.n_requests):
-                entry = self._project_mask(int(proposed[r]))
-                hosts = self._resolve_masks(col_masks[r].tolist(), entry,
-                                            fix_coverage=True, request_index=r)
-                resolved.append((hosts, entry))
-            return resolved
-        for r in range(self.n_requests):
-            entry = self.project(y[r])
-            hosts = self.resolve(x[r], entry, fix_coverage=True, request_index=r)
-            resolved.append((hosts, entry))
-        return resolved
+    def evaluate(self, pop: np.ndarray):
+        """Canonicalize and score a population in chunks of bounded size.
 
-    def to_assignment(self, resolved) -> Assignment:
-        r = len(resolved)
-        x = np.zeros((r, self.n_devices, self.n_blocks), dtype=np.uint8)
-        y = np.zeros((r, self.n_blocks), dtype=np.uint8)
-        for ri, (hosts, entry) in enumerate(resolved):
-            y[ri] = entry.y
-            x[ri, hosts[entry.kept0], entry.kept0] = 1
-        return Assignment(x, y)
+        Returns (penalized, objective, latency, feasible, hosts, ent).
+        """
+        per = self.n_requests * self.n_devices * self.n_blocks
+        step = max(1, _CHUNK_CELLS // per)
+        parts = []
+        for i in range(0, pop.shape[0], step):
+            hosts, ent = self.canonicalize(pop[i:i + step])
+            parts.append(self.score(hosts, ent) + (hosts, ent))
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+    def to_assignment(self, hosts: np.ndarray, ent: np.ndarray) -> Assignment:
+        kept = self.keep[ent]
+        return Assignment(_placement(hosts, kept, self.n_devices),
+                          kept.astype(np.uint8).reshape(-1, self.n_blocks))
 
 
 def repair_allocation(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
@@ -446,30 +377,9 @@ def repair_allocation(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
     host at all raise UncoveredBlock; already-resolved assignments come back
     unchanged, so the repair is idempotent.
     """
-    n, m = assign.n_devices, assign.n_blocks
-    rho = rates.rho
-    e = fleet.mult_rates
-    x_out = np.zeros_like(assign.x)
-    for r in range(assign.n_requests):
-        x_r = assign.x[r]
-        dvc = -1
-        for j in range(m):
-            if not assign.y[r, j]:
-                continue
-            cand = np.flatnonzero(x_r[:, j])
-            if cand.size == 0:
-                raise UncoveredBlock(r, j + 1)
-            if cand.size == 1:
-                chosen = int(cand[0])
-            elif dvc >= 0 and x_r[dvc, j]:
-                chosen = dvc
-            elif dvc >= 0:
-                chosen = int(cand[np.argmax(rho[dvc, cand])])
-            else:
-                chosen = int(cand[np.argmax(e[cand])])
-            x_out[r, chosen, j] = 1
-            dvc = chosen
-    return Assignment(x_out, assign.y)
+    kept = assign.y == 1
+    hosts = _forward_repair(assign.x, kept, rates.rho, fleet.mult_rates)
+    return Assignment(_placement(hosts, kept, assign.n_devices), assign.y)
 
 
 def _feasibility_certificate(evaluator: _Evaluator) -> str | None:
@@ -480,20 +390,19 @@ def _feasibility_certificate(evaluator: _Evaluator) -> str | None:
     device by itself.
     """
     ev = evaluator
-    r = max(ev.n_requests, 1)
     reasons = []
-    for entry in ev.entries:
-        k = entry.kept0
+    for drop, keep in zip(ev.drops, ev.keep):
+        k = np.flatnonzero(keep)
         total_m = ev.m[k].sum() * ev.n_requests
         total_c = ev.c[k].sum() * ev.n_requests
         if total_m > ev.mem_caps.sum():
             reasons.append(
-                f"drop {list(entry.drop)}: memory {total_m:.6g} B over fleet total"
+                f"drop {list(drop)}: memory {total_m:.6g} B over fleet total"
             )
             continue
         if total_c > ev.comp_caps.sum():
             reasons.append(
-                f"drop {list(entry.drop)}: compute {total_c:.6g} mults over fleet total"
+                f"drop {list(drop)}: compute {total_c:.6g} mults over fleet total"
             )
             continue
         bad = None
@@ -508,7 +417,7 @@ def _feasibility_certificate(evaluator: _Evaluator) -> str | None:
                 break
         if bad is None:
             return None
-        reasons.append(f"drop {list(entry.drop)}: block {bad} fits no device")
+        reasons.append(f"drop {list(drop)}: block {bad} fits no device")
     return "; ".join(reasons) if reasons else None
 
 
@@ -523,18 +432,20 @@ def _greedy_seed(ev: _Evaluator, length: int) -> np.ndarray:
     bits = np.zeros(length, dtype=np.uint8)
     x = bits[: r * n * m].reshape(r, n, m)
     bits[r * n * m:] = 1
-    comp_left = list(ev.comp_caps_list)
-    en_left = list(ev.energy_caps_list)
-    by_rate = sorted(range(n), key=lambda d: (-ev.e_list[d], d))
+    comp_left = ev.comp_caps.tolist()
+    en_left = ev.energy_caps.tolist()
+    e, c_list, bits_list = ev.e.tolist(), ev.c.tolist(), ev.bits.tolist()
+    rho = ev.rho.tolist()
+    by_rate = sorted(range(n), key=lambda d: (-e[d], d))
     pc, pt = ev.energy.p_compute, ev.energy.p_transmit
 
     def fits(d, c):
-        return comp_left[d] >= c and en_left[d] >= pc * c / ev.e_list[d]
+        return comp_left[d] >= c and en_left[d] >= pc * c / e[d]
 
     for req in range(r):
         dvc = -1
         for j in range(m):
-            c = ev.c_list[j]
+            c = c_list[j]
             if dvc >= 0 and fits(dvc, c):
                 chosen = dvc
             else:
@@ -542,31 +453,29 @@ def _greedy_seed(ev: _Evaluator, length: int) -> np.ndarray:
                 if chosen is None:
                     chosen = max(range(n), key=lambda d: comp_left[d])
                 if dvc >= 0 and chosen != dvc:
-                    en_left[dvc] -= pt * ev.bits_list[j - 1] / ev.rho_rows[dvc][chosen]
+                    en_left[dvc] -= pt * bits_list[j - 1] / rho[dvc][chosen]
             comp_left[chosen] -= c
-            en_left[chosen] -= pc * c / ev.e_list[chosen]
+            en_left[chosen] -= pc * c / e[chosen]
             x[req, chosen, j] = 1
             dvc = chosen
     return bits
 
 
-def _result_from_resolved(evaluator: _Evaluator, resolved, solver: str,
-                          generations: int, evaluations: int,
-                          history: tuple[float, ...], t0: float,
-                          memory_mode: str) -> SolveResult:
-    assign = evaluator.to_assignment(resolved)
-    bd = evaluate_assignment(assign, evaluator.graph, evaluator.fleet,
-                             evaluator.rates, evaluator.energy)
+def _result_from_resolved(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray,
+                          solver: str, generations: int, evaluations: int,
+                          history: tuple[float, ...], t0: float) -> SolveResult:
+    assign = ev.to_assignment(hosts, ent)
+    bd = evaluate_assignment(assign, ev.graph, ev.fleet, ev.rates, ev.energy,
+                             memory_mode=ev.memory_mode)
     report = check_constraints(
-        assign, evaluator.graph, evaluator.fleet, evaluator.rates,
-        evaluator.energy, evaluator.weights, evaluator.profile,
-        strict=True, memory_mode=memory_mode,
+        assign, ev.graph, ev.fleet, ev.rates, ev.energy, ev.weights, ev.profile,
+        strict=True, memory_mode=ev.memory_mode,
     )
     acc = report.accuracy if report.accuracy is not None else 0.0
     return SolveResult(
         assignment=assign,
         objective=objective_value(bd.total_latency, acc, assign.n_requests,
-                                  evaluator.weights),
+                                  ev.weights),
         accuracy=acc,
         feasible=report.feasible,
         report=report,
@@ -577,6 +486,11 @@ def _result_from_resolved(evaluator: _Evaluator, resolved, solver: str,
         history=history,
         wall_time_s=time.perf_counter() - t0,
     )
+
+
+def _no_requests(ev: _Evaluator, solver: str, t0: float) -> SolveResult:
+    empty = np.zeros((0, ev.n_blocks), dtype=np.intp)
+    return _result_from_resolved(ev, empty, empty[:, 0], solver, 0, 0, (), t0)
 
 
 def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
@@ -594,7 +508,7 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     ev = _Evaluator(graph, fleet, rates, profile, weights, energy, n_requests,
                     penalty_weight=config.penalty_weight, memory_mode=memory_mode)
     if n_requests == 0:
-        return _result_from_resolved(ev, [], "ga", 0, 0, (), t0, memory_mode)
+        return _no_requests(ev, "ga", t0)
     cert = _feasibility_certificate(ev)
     if cert is not None:
         raise InfeasibleInstance(cert)
@@ -603,8 +517,9 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     n, m, r = ev.n_devices, ev.n_blocks, n_requests
     length = chromosome_length(r, n, m)
     mutation = config.mutation_rate if config.mutation_rate is not None else 1.0 / length
+    size, elite = config.population_size, config.elite
 
-    pop = rng.integers(0, 2, size=(config.population_size, length), dtype=np.uint8)
+    pop = rng.integers(0, 2, size=(size, length), dtype=np.uint8)
     # Seed two sane individuals: keep everything on the fastest device, and a
     # greedy packing that respects per-device budgets.  The rest is random.
     seeded = np.zeros(length, dtype=np.uint8)
@@ -612,46 +527,36 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     x_view[:, ev.fix_device, :] = 1
     seeded[r * n * m:] = 1
     pop[0] = seeded
-    if config.population_size > 1:
-        pop[1] = _greedy_seed(ev, length)
-
-    def evaluate(bits):
-        resolved = ev.canonicalize(bits)
-        penalized, wo, latency, feasible = ev.score(resolved)
-        return penalized, wo, latency, feasible, resolved
+    pop[1] = _greedy_seed(ev, length)
 
     # Selection compares (penalized score, latency): latency only breaks
     # exact score ties.  That leaves weighted runs untouched but still pulls
-    # pure-accuracy runs toward co-located, low-transfer placements.
-    evaluations = 0
-    best = None  # ((penalized, not feasible, latency, order), resolved)
-    order = itertools.count()
-    scores = np.empty(config.population_size)
-    lats = np.empty(config.population_size)
-    for i in range(config.population_size):
-        penalized, wo, latency, feasible, resolved = evaluate(pop[i])
-        evaluations += 1
-        scores[i] = penalized
-        lats[i] = latency
-        key = (penalized, not feasible, latency, next(order))
+    # pure-accuracy runs toward co-located, low-transfer placements.  The
+    # best candidate so far keys on (penalized, infeasible, latency); the
+    # earliest evaluated wins a tie.
+    best = None
+
+    def evaluate(batch):
+        nonlocal best
+        pen, _wo, lat, feas, hosts, ent = ev.evaluate(batch)
+        i = np.lexsort((lat, ~feas, pen))[0]
+        key = (pen[i], not feas[i], lat[i])
         if best is None or key < best[0]:
-            best = (key, resolved)
+            best = (key, hosts[i * r:(i + 1) * r].copy(), ent[i * r:(i + 1) * r].copy())
+        return pen, lat
+
+    scores, lats = evaluate(pop)
     history = [float(scores.min())]
 
     def pick_parent():
-        picks = rng.integers(0, config.population_size, size=config.tournament_size)
+        picks = rng.integers(0, size, size=config.tournament_size)
         return pop[picks[np.lexsort((lats[picks], scores[picks]))[0]]]
 
     for _gen in range(config.generations):
         new_pop = np.empty_like(pop)
-        elite_idx = np.lexsort((lats, scores))[: config.elite]
-        new_pop[: config.elite] = pop[elite_idx]
-        new_scores = np.empty(config.population_size)
-        new_lats = np.empty(config.population_size)
-        new_scores[: config.elite] = scores[elite_idx]
-        new_lats[: config.elite] = lats[elite_idx]
-
-        for child_i in range(config.elite, config.population_size):
+        elite_idx = np.lexsort((lats, scores))[:elite]
+        new_pop[:elite] = pop[elite_idx]
+        for child_i in range(elite, size):
             p1 = pick_parent()
             p2 = pick_parent()
             if rng.random() < config.crossover_rate:
@@ -661,19 +566,16 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
                 child = p1.copy()
             flip = rng.random(length) < mutation
             child[flip] ^= 1
-            penalized, wo, latency, feasible, resolved = evaluate(child)
-            evaluations += 1
             new_pop[child_i] = child
-            new_scores[child_i] = penalized
-            new_lats[child_i] = latency
-            key = (penalized, not feasible, latency, next(order))
-            if key < best[0]:
-                best = (key, resolved)
-        pop, scores, lats = new_pop, new_scores, new_lats
+        pen, lat = evaluate(new_pop[elite:])
+        scores = np.concatenate([scores[elite_idx], pen])
+        lats = np.concatenate([lats[elite_idx], lat])
+        pop = new_pop
         history.append(float(scores.min()))
 
-    return _result_from_resolved(ev, best[1], "ga", config.generations,
-                                 evaluations, tuple(history), t0, memory_mode)
+    evaluations = size + config.generations * (size - elite)
+    return _result_from_resolved(ev, best[1], best[2], "ga", config.generations,
+                                 evaluations, tuple(history), t0)
 
 
 def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
@@ -684,42 +586,54 @@ def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     """Exhaustive search over per-request drop sets and placements.
 
     Only practical for toy instances; InstanceTooLarge names the candidate
-    count when the space exceeds the limit.  Returns the true optimum, or
-    raises InfeasibleInstance when the exhausted space holds no feasible
-    candidate.
+    count when the space exceeds the limit.  Candidates are numbered in
+    enumeration order (drop sets in projection order, then hosts with the
+    last kept block varying fastest, the last request fastest of all) and
+    streamed through the scorer in chunks.  Returns the true optimum, the
+    earliest candidate among equals, or raises InfeasibleInstance when the
+    exhausted space holds no feasible candidate.
     """
     t0 = time.perf_counter()
     ev = _Evaluator(graph, fleet, rates, profile, weights, energy, n_requests,
                     memory_mode=memory_mode)
     if n_requests == 0:
-        return _result_from_resolved(ev, [], "exact", 0, 0, (), t0, memory_mode)
+        return _no_requests(ev, "exact", t0)
 
-    n = ev.n_devices
-    per_request = sum(n ** entry.kept0.size for entry in ev.entries)
-    total = per_request ** n_requests
+    n, m, r = ev.n_devices, ev.n_blocks, n_requests
+    sizes = [n ** int(k) for k in ev.keep.sum(axis=1)]
+    per_request = sum(sizes)
+    total = per_request ** r
     if total > limits.max_candidates:
         raise InstanceTooLarge(total, limits.max_candidates)
 
-    options = []
-    for entry in ev.entries:
-        for combo in itertools.product(range(n), repeat=int(entry.kept0.size)):
-            hosts = np.zeros(ev.n_blocks, dtype=np.intp)
-            hosts[entry.kept0] = combo
-            options.append((hosts, entry))
-
-    evaluations = 0
+    offsets = np.cumsum([0] + sizes)
+    step = max(1, _CHUNK_CELLS // (r * n * m))
     best = None
-    for idx, picks in enumerate(itertools.product(options, repeat=n_requests)):
-        penalized, wo, latency, feasible = ev.score(list(picks))
-        evaluations += 1
-        if not feasible:
+    for start in range(0, total, step):
+        idx = np.arange(start, min(start + step, total), dtype=np.int64)
+        # Option per (candidate, request), the last request varying fastest.
+        opt = np.empty((idx.size, r), dtype=np.int64)
+        rest = idx
+        for q in reversed(range(r)):
+            rest, opt[:, q] = np.divmod(rest, per_request)
+        opt = opt.ravel()
+        ent = np.searchsorted(offsets, opt, side="right") - 1
+        rest = opt - offsets[ent]
+        keep = ev.keep[ent]
+        hosts = np.zeros((opt.size, m), dtype=np.intp)
+        for j in reversed(range(m)):
+            rest, digit = np.divmod(rest, np.where(keep[:, j], n, 1))
+            hosts[:, j] = digit
+        _pen, wo, lat, feas = ev.score(hosts, ent)
+        ok = np.flatnonzero(feas)
+        if ok.size == 0:
             continue
-        key = (wo, latency, idx)
+        i = ok[np.lexsort((lat[ok], wo[ok]))[0]]
+        key = (wo[i], lat[i])
         if best is None or key < best[0]:
-            best = (key, list(picks))
+            best = (key, hosts[i * r:(i + 1) * r], ent[i * r:(i + 1) * r])
     if best is None:
         raise InfeasibleInstance(
             f"exhausted {total} candidates without finding a feasible assignment"
         )
-    return _result_from_resolved(ev, best[1], "exact", 0, evaluations, (), t0,
-                                 memory_mode)
+    return _result_from_resolved(ev, best[1], best[2], "exact", 0, total, (), t0)

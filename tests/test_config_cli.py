@@ -326,6 +326,17 @@ class TestExitCodes:
         assert rc == 3
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override,field", [
+        ("weights.alpha=.nan", "alpha"),
+        ("weights.latency_ref_s=.inf", "latency_ref"),
+    ])
+    def test_non_finite_weights_exit_two(self, capsys, tmp_path, override, field):
+        rc = cli.main(["solve", "--requests", "1", "--set", override,
+                       "--output", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_internal_errors_exit_four(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("synthetic failure")

@@ -4,6 +4,8 @@ evaluator, and constraint reports with per-device margins."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,15 @@ class TestObjectiveWeights:
             ObjectiveWeights(0.5, 0.5, 0.0)
         with pytest.raises(ValueError, match="threshold"):
             ObjectiveWeights(0.5, 0.5, 1.0, accuracy_threshold=1.1)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "latency_ref",
+                                       "accuracy_threshold"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_rejected_by_name(self, field, bad):
+        kwargs = dict(alpha=0.5, beta=0.5, latency_ref=1.0, accuracy_threshold=0.5)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ObjectiveWeights(**kwargs)
 
 
 class TestLatencyReference:

@@ -1,7 +1,8 @@
-"""Solver tests: chromosome codec, the repair pass, the internal evaluator's
-packed fast path against its generic path, exhaustive search against the
-brute-force oracle, and the genetic solver's contracts (determinism, resolved
-output, profiled drop sets only, infeasibility certificates)."""
+"""Solver tests: chromosome codec, the repair pass, the batched evaluator
+(batch invariance and agreement with the oracles), exhaustive search against
+the brute-force oracle, and the genetic solver's contracts (determinism,
+resolved output, profiled drop sets only, infeasibility certificates, edge
+settings)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import pytest
 
 import helpers
 import oracles
+from resplan import solvers
+from resplan.config import build_scenario, load_config
 from resplan.costs import Assignment
 from resplan.errors import (
     InfeasibleInstance,
@@ -19,6 +22,7 @@ from resplan.errors import (
 )
 from resplan.fleet import DeviceSpec, EnergyParams, Fleet, RateMatrix
 from resplan.graph import BlockSpec, LayerSpec, ResNetGraph, SkipTopology
+from resplan.harness import run_round
 from resplan.objective import ObjectiveWeights
 from resplan.solvers import (
     ExactLimits,
@@ -179,59 +183,102 @@ class TestRepairAllocation:
         assert exc_info.value.block == 2
 
 
-class TestEvaluatorPaths:
-    def evaluator(self, rng, **kw):
-        graph, fleet, rates, profile, weights = small_problem(rng, **kw)
-        ev = _Evaluator(graph, fleet, rates, profile, weights, EnergyParams(),
-                        n_requests=2, penalty_weight=10.0)
-        return ev
+def oracle_penalized(ev, assign, memory_mode="inputs"):
+    """(objective, latency, penalized score, feasible) of one resolved
+    candidate from the oracles: the penalty adds the relative overrun of
+    every per-device budget."""
+    g, fleet, rho = ev.graph, ev.fleet, ev.rho.tolist()
+    x = assign.x.tolist()
+    y = assign.y.tolist()
+    wo = oracles.objective(g, fleet, rho, x, y, g.weight_bytes, ev.profile,
+                           ev.weights.alpha, ev.weights.beta,
+                           ev.weights.latency_ref)
+    latency = oracles.total_latency(g, fleet, rho, x, y, g.weight_bytes)
+    budgets = oracles.device_budgets(g, fleet, rho, x, y, g.weight_bytes,
+                                     memory_mode, ev.energy.p_compute,
+                                     ev.energy.p_transmit)
+    rel = 0.0
+    for (mem, mults, joules), d in zip(budgets, fleet.devices):
+        for use, cap in ((mults, d.compute_cap), (mem, d.memory_cap),
+                         (joules, d.energy_cap)):
+            rel += max(use / cap - 1.0, 0.0)
+    return wo, latency, wo + ev.penalty_weight * rel, rel == 0.0
 
-    def test_packed_path_matches_generic_path(self):
+
+class TestEvaluator:
+    def evaluator(self, rng, n_requests=2, **kw):
+        graph, fleet, rates, profile, weights = small_problem(rng, **kw)
+        return _Evaluator(graph, fleet, rates, profile, weights, EnergyParams(),
+                          n_requests=n_requests, penalty_weight=10.0)
+
+    def test_rows_score_the_same_alone_and_in_any_batch_or_chunk(self, monkeypatch):
         rng = np.random.default_rng(31)
         for _ in range(10):
-            ev = self.evaluator(rng)
-            assert ev._fast
-            length = chromosome_length(2, ev.n_devices, ev.n_blocks)
-            for _ in range(30):
-                bits = rng.integers(0, 2, size=length, dtype=np.uint8)
-                fast = ev.canonicalize(bits)
-                ev._fast = False
-                slow = ev.canonicalize(bits)
-                ev._fast = True
-                assert len(fast) == len(slow)
-                for (h_f, e_f), (h_s, e_s) in zip(fast, slow):
-                    np.testing.assert_array_equal(np.asarray(h_f), np.asarray(h_s))
-                    assert e_f.drop == e_s.drop
-                s_f = ev.score(fast)
-                s_s = ev.score(slow)
-                assert close(s_f[0], s_s[0])
-                assert s_f[3] == s_s[3]
+            r = int(rng.integers(1, 4))
+            ev = self.evaluator(rng, n_requests=r, cap_scale=1.0)
+            length = chromosome_length(r, ev.n_devices, ev.n_blocks)
+            pop = rng.integers(0, 2, size=(40, length), dtype=np.uint8)
+            whole = ev.evaluate(pop)
+            alone = [ev.evaluate(pop[i:i + 1]) for i in range(40)]
+            for got, want in zip(zip(*alone), whole):
+                np.testing.assert_array_equal(np.concatenate(got), want)
+            # Shuffled, in chunks of three individuals.
+            perm = rng.permutation(40)
+            rows = (perm[:, None] * r + np.arange(r)).ravel()
+            monkeypatch.setattr(solvers, "_CHUNK_CELLS",
+                                3 * r * ev.n_devices * ev.n_blocks)
+            chunked = ev.evaluate(pop[perm])
+            monkeypatch.undo()
+            for k, (got, want) in enumerate(zip(chunked, whole)):
+                np.testing.assert_array_equal(got, want[perm] if k < 4 else want[rows])
+
+    def test_exact_enumeration_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        for seed in range(4):
+            instance = tiny_exact_instance(seed)[:5]
+            try:
+                want = solve_exact(*instance, EnergyParams(), 1).as_dict()
+            except InfeasibleInstance:
+                continue
+            monkeypatch.setattr(solvers, "_CHUNK_CELLS", 1)
+            got = solve_exact(*instance, EnergyParams(), 1).as_dict()
+            monkeypatch.undo()
+            assert got == want
 
     def test_score_agrees_with_reference_costs(self):
         rng = np.random.default_rng(32)
-        for _ in range(15):
-            graph, fleet, rates, profile, weights = small_problem(
-                rng, cap_scale=1e9)
-            ev = _Evaluator(graph, fleet, rates, profile, weights,
-                            EnergyParams(), n_requests=2, penalty_weight=10.0)
+        for i in range(15):
+            ev = self.evaluator(rng, cap_scale=[1.0, 1e9][i % 2])
             length = chromosome_length(2, ev.n_devices, ev.n_blocks)
-            bits = rng.integers(0, 2, size=length, dtype=np.uint8)
-            resolved = ev.canonicalize(bits)
-            penalized, wo, latency, feasible = ev.score(resolved)
-            assign = ev.to_assignment(resolved)
-            x = [[list(assign.x[r, i]) for i in range(ev.n_devices)]
-                 for r in range(2)]
-            y = [list(assign.y[r]) for r in range(2)]
-            want = oracles.objective(graph, fleet, rates.rho, x, y,
-                                     graph.weight_bytes, profile,
-                                     weights.alpha, weights.beta,
-                                     weights.latency_ref)
-            assert close(wo, want)
-            assert close(latency,
-                         oracles.total_latency(graph, fleet, rates.rho, x, y,
-                                               graph.weight_bytes))
-            # Generous budgets: no penalty, so the two scores coincide.
-            assert feasible and close(penalized, wo)
+            bits = rng.integers(0, 2, size=(1, length), dtype=np.uint8)
+            hosts, ent = ev.canonicalize(bits)
+            penalized, wo, latency, feasible = (v[0] for v in ev.score(hosts, ent))
+            want = oracle_penalized(ev, ev.to_assignment(hosts, ent))
+            assert close(wo, want[0])
+            assert close(latency, want[1])
+            assert close(penalized, want[2])
+            assert feasible == want[3]
+
+    def test_large_fleet_scores_match_the_oracles(self):
+        rng = np.random.default_rng(33)
+        graph = helpers.random_graph(rng, n_blocks=5)
+        fleet = helpers.random_fleet(rng, 70, cap_scale=1e-2)
+        rates = helpers.random_rates(rng, 70)
+        profile = helpers.profile_for(graph, helpers.bridgeable_drop_sets(graph))
+        weights = ObjectiveWeights(0.5, 0.5, latency_ref=100.0)
+        ev = _Evaluator(graph, fleet, rates, profile, weights, EnergyParams(),
+                        n_requests=3, penalty_weight=10.0)
+        length = chromosome_length(3, 70, ev.n_blocks)
+        pop = rng.integers(0, 2, size=(20, length), dtype=np.uint8)
+        pen, wo, latency, feasible, hosts, ent = ev.evaluate(pop)
+        for i in range(20):
+            assign = ev.to_assignment(hosts[3 * i:3 * i + 3], ent[3 * i:3 * i + 3])
+            assert assign.is_resolved()
+            want = oracle_penalized(ev, assign)
+            assert close(wo[i], want[0])
+            assert close(latency[i], want[1])
+            assert close(pen[i], want[2])
+            assert feasible[i] == want[3]
+        assert 0 < feasible.sum() < 20  # both branches of the penalty ran
 
 
 def tiny_exact_instance(seed):
@@ -399,7 +446,7 @@ class TestGaSolver:
     def test_large_fleet_uses_the_generic_path(self):
         rng = np.random.default_rng(24)
         graph = helpers.random_graph(rng, n_blocks=3)
-        fleet = helpers.random_fleet(rng, 70, cap_scale=1e6)
+        fleet = helpers.random_fleet(rng, 70, cap_scale=1e-2)
         rates = helpers.random_rates(rng, 70)
         drop_sets = helpers.bridgeable_drop_sets(graph)
         profile = helpers.profile_for(graph, drop_sets)
@@ -408,6 +455,41 @@ class TestGaSolver:
                        config=self.ga(population_size=8, generations=2))
         assert res.assignment.is_resolved()
         assert np.isfinite(res.objective)
+
+
+    @pytest.mark.parametrize("kwargs", [
+        {"mutation_rate": 0.0},
+        {"mutation_rate": 1.0},
+        {"elite": 0},
+        {"elite": 5},
+        {"population_size": 2},
+        {"tournament_size": 1},
+        {"crossover_rate": 0.0},
+    ])
+    def test_edge_settings_complete(self, kwargs):
+        rng = np.random.default_rng(25)
+        graph, fleet, rates, profile, weights = small_problem(rng, cap_scale=1.0)
+        cfg = self.ga(**kwargs)
+        res = solve_ga(graph, fleet, rates, profile, weights, EnergyParams(), 2,
+                       config=cfg)
+        p, g, elite = cfg.population_size, cfg.generations, cfg.elite
+        assert res.evaluations == p + g * (p - elite)
+        assert len(res.history) == g + 1
+        assert res.assignment.is_resolved()
+        if elite >= 1:
+            assert all(b <= a for a, b in zip(res.history, res.history[1:]))
+
+
+class TestMemoryMode:
+    @pytest.mark.parametrize("mode", ["inputs", "weights", "both"])
+    def test_breakdown_memory_uses_the_configured_mode(self, mode):
+        scenario = build_scenario(load_config(
+            overrides=[f"model.memory_mode={mode}"]))
+        _record, res = run_round(scenario, 0)
+        np.testing.assert_allclose(
+            res.breakdown.memory_use,
+            scenario.fleet.memory_caps - res.report.memory_margin,
+            rtol=1e-12)
 
 
 class TestGreedySeed:
