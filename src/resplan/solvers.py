@@ -11,11 +11,20 @@ every evaluation runs a canonicalization pipeline:
 3. resolve blocks with several hosts by a forward pass that prefers the
    previous block's device and otherwise the best link from it.
 
+The GA works one generation at a time: it draws every tournament, crossover
+and mutation of a generation at once, then canonicalizes and scores all the
+children in array passes over their (individual, request) rows.  The
+projection is a table lookup on the proposed-drop bitmask, the repair one
+vectorized step per block, and the score gathers plus sums taken in the
+order a per-candidate loop would take them, so a candidate scores the same
+alone or in any batch.
+
 Budget overruns are handled softly, as relative-violation penalties on the
 objective.  ``solve_exact`` enumerates the same candidate space exhaustively
-for small instances and is the reference the GA is compared against.
+for small instances, decoding candidate numbers into hosts and streaming
+them through the same scorer in fixed-size chunks; it is the reference the
+GA is compared against.
 """
-
 from __future__ import annotations
 
 import time
@@ -155,9 +164,10 @@ def decode(bits, n_requests: int, n_devices: int, n_blocks: int) -> Assignment:
     return Assignment(x, y)
 
 
-# Cells per evaluation chunk: individuals x requests x devices x blocks.
-# Bounds the temporaries of one array pass whatever the fleet size.
-_CHUNK_CELLS = 1 << 19
+# Cells per chunk of work: individuals x requests x devices x blocks when
+# evaluating, individuals x chromosome bits in crossover.  Bounds the
+# temporaries of one array pass whatever the fleet size.
+_CHUNK_CELLS = 1 << 17
 
 
 def _seqsum(a: np.ndarray) -> np.ndarray:
@@ -179,8 +189,8 @@ def _forward_repair(x: np.ndarray, kept: np.ndarray, rho: np.ndarray,
     takes the offered device with the best link from it (the fastest device
     when there is no previous block); ties go to the lowest device id.  A
     kept block with no offer goes to ``fix_device``, or raises UncoveredBlock
-    for the first such (row, block) when ``fix_device`` is None.  Dropped
-    blocks get host 0.
+    for the first such (row, block) when ``fix_device`` is None.  A dropped
+    block repeats the previous kept block's host.
     """
     n, m = x.shape[-2:]
     kept = kept.reshape(-1, m)
@@ -190,20 +200,26 @@ def _forward_repair(x: np.ndarray, kept: np.ndarray, rho: np.ndarray,
         if gaps.any():
             r, j = np.argwhere(gaps)[0]
             raise UncoveredBlock(int(r), int(j) + 1)
-    pref = np.vstack([rho, e])  # row n ranks devices when no block came before
-    hosts = np.zeros((rows, m), dtype=np.intp)
+        fix_device = 0  # unused: every kept block has an offer
+    # pref[prev, d] ranks device d after a block on prev; row n ranks the
+    # first block's devices by speed.  Staying on prev ranks +inf.  Column n
+    # is always offered and ranks below every device, so it wins only when
+    # nothing is offered, and stands for fix_device.
+    pref = np.full((n + 1, n + 1), -1.0)
+    pref[:n, :n] = rho
+    np.fill_diagonal(pref[:n, :n], np.inf)
+    pref[n, :n] = e
+    device = np.append(np.arange(n), fix_device)
+    offers = np.ones((m, rows, n + 1), dtype=bool)
+    offers.reshape(m, *x.shape[:-2], n + 1)[..., :n] = np.moveaxis(x, -1, 0)
+    hosts = np.empty((m, rows), dtype=np.intp)
     prev = np.full(rows, n, dtype=np.intp)
-    at = np.arange(rows)
     for j in range(m):
-        offer = x[..., j].reshape(rows, n) != 0
-        chosen = np.where(offer, pref[prev], -np.inf).argmax(axis=1)
-        stay = (prev < n) & offer[at, np.minimum(prev, n - 1)]
-        chosen[stay] = prev[stay]
-        if fix_device is not None:
-            chosen[~offer.any(axis=1)] = fix_device
-        hosts[:, j] = np.where(kept[:, j], chosen, 0)
-        prev = np.where(kept[:, j], chosen, prev)
-    return hosts
+        rank = np.where(offers[j], np.take(pref, prev, axis=0), -np.inf)
+        best = rank.argmax(axis=1)
+        prev = np.where(kept[:, j], device[best], prev)
+        hosts[j] = prev
+    return hosts.T
 
 
 def _placement(hosts: np.ndarray, kept: np.ndarray, n_devices: int) -> np.ndarray:
@@ -258,11 +274,6 @@ class _Evaluator:
         self.fix_device = int(np.argmax(self.e))
 
         self._build_entries(profile, weights.accuracy_threshold)
-        if not self.drops:
-            raise InfeasibleInstance(
-                "no profiled drop set is both above the accuracy threshold and "
-                "bridgeable in this skip topology"
-            )
 
     def _build_entries(self, profile, threshold):
         """Per drop set: keep flags, accuracy and the sources feeding each
@@ -282,11 +293,16 @@ class _Evaluator:
             feeds = [sorted({ed.src - 1 for ed in edges if ed.dst - 1 == j})
                      for j in range(m)]
             rows.append((drop, y, feeds, profile.accuracy_for(ds)))
+        if not rows:
+            raise InfeasibleInstance(
+                "no profiled drop set is both above the accuracy threshold and "
+                "bridgeable in this skip topology"
+            )
         # Largest subset first, then best accuracy, then lowest block ids, so
         # the first entry inside a proposed drop set is its projection.
         rows.sort(key=lambda t: (-len(t[0]), -t[3], t[0]))
         self.drops = [t[0] for t in rows]
-        self.keep = np.array([t[1] for t in rows], dtype=bool).reshape(-1, m)
+        self.keep = np.array([t[1] for t in rows], dtype=bool)
         self.acc = np.array([t[3] for t in rows], dtype=float)
         # Sources per (entry, block, slot), ascending; spare slots name the
         # block itself, a same-device transfer that costs zero.
@@ -303,7 +319,7 @@ class _Evaluator:
         masks = np.array([sum(bit[j - 1] for j in d) for d in self.drops], dtype=np.int64)
         proposed = np.arange(1 << self.proj_cols.size, dtype=np.int64)
         fits = (masks[None, :] & ~proposed[:, None]) == 0
-        self.table = fits.argmax(axis=1) if self.drops else proposed[:0]
+        self.table = fits.argmax(axis=1)
 
     def canonicalize(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Raw chromosomes (B, L) to (hosts (B*R, M), drop-set index (B*R,))."""
@@ -493,6 +509,31 @@ def _no_requests(ev: _Evaluator, solver: str, t0: float) -> SolveResult:
     return _result_from_resolved(ev, empty, empty[:, 0], solver, 0, 0, (), t0)
 
 
+def _random_bits(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) array of fair 0/1 draws, eight bits per random byte."""
+    raw = np.frombuffer(rng.bytes(rows * -(-cols // 8)), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(rows, -1), axis=1, count=cols)
+
+
+def _flip_positions(rng: np.random.Generator, rate: float, size: int) -> np.ndarray:
+    """Indices where a Bernoulli(rate) draw over ``size`` bits comes up 1.
+
+    Drawn as geometric gaps between flips: about ``rate * size`` numbers
+    rather than one per bit.
+    """
+    if rate <= 0.0:
+        return np.zeros(0, dtype=np.int64)
+    expect = rate * size
+    parts, last = [], -1
+    while last < size:
+        gaps = rng.geometric(rate, size=int(expect + 4.0 * expect ** 0.5) + 8)
+        pos = last + np.cumsum(gaps)
+        parts.append(pos)
+        last = int(pos[-1])
+    pos = np.concatenate(parts)
+    return pos[pos < size]
+
+
 def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
              profile: AccuracyProfile, weights: ObjectiveWeights,
              energy: EnergyParams, n_requests: int,
@@ -548,29 +589,38 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     scores, lats = evaluate(pop)
     history = [float(scores.min())]
 
-    def pick_parent():
-        picks = rng.integers(0, size, size=config.tournament_size)
-        return pop[picks[np.lexsort((lats[picks], scores[picks]))[0]]]
-
+    spare = np.empty_like(pop)
     for _gen in range(config.generations):
-        new_pop = np.empty_like(pop)
-        elite_idx = np.lexsort((lats, scores))[:elite]
-        new_pop[:elite] = pop[elite_idx]
-        for child_i in range(elite, size):
-            p1 = pick_parent()
-            p2 = pick_parent()
-            if rng.random() < config.crossover_rate:
-                mask = rng.integers(0, 2, size=length, dtype=np.uint8)
-                child = np.where(mask, p1, p2).astype(np.uint8)
-            else:
-                child = p1.copy()
-            flip = rng.random(length) < mutation
-            child[flip] ^= 1
-            new_pop[child_i] = child
-        pen, lat = evaluate(new_pop[elite:])
-        scores = np.concatenate([scores[elite_idx], pen])
-        lats = np.concatenate([lats[elite_idx], lat])
-        pop = new_pop
+        # Dense rank of (score, latency): equal pairs share a rank, so argmin
+        # over a tournament's picks returns the first pick among equals.
+        order = np.lexsort((lats, scores))
+        s, lt = scores[order], lats[order]
+        rank = np.empty(size, dtype=np.intp)
+        rank[order] = np.cumsum(np.r_[True, (s[1:] != s[:-1]) | (lt[1:] != lt[:-1])])
+        n_kids = size - elite
+        picks = rng.integers(0, size, size=(n_kids, 2, config.tournament_size))
+        parents = np.take_along_axis(picks, rank[picks].argmin(axis=2)[..., None],
+                                     axis=2)[..., 0]
+        # Children are exchangeable, so the first n_cross cross over and the
+        # rest copy their first parent; uniform crossover takes each bit of
+        # a crossing child from either parent.
+        spare[:elite] = pop[order[:elite]]
+        kids = spare[elite:]
+        # mode="clip" writes straight into kids; "raise" would buffer a copy.
+        np.take(pop, parents[:, 0], axis=0, out=kids, mode="clip")
+        n_cross = rng.binomial(n_kids, config.crossover_rate)
+        step = max(1, _CHUNK_CELLS // length)
+        for lo in range(0, n_cross, step):
+            hi = min(lo + step, n_cross)
+            swap = pop[parents[lo:hi, 1]]
+            swap ^= kids[lo:hi]
+            swap &= _random_bits(rng, hi - lo, length)
+            kids[lo:hi] ^= swap
+        kids.reshape(-1)[_flip_positions(rng, mutation, kids.size)] ^= 1
+        pen, lat = evaluate(kids)
+        scores = np.concatenate([scores[order[:elite]], pen])
+        lats = np.concatenate([lats[order[:elite]], lat])
+        pop, spare = spare, pop
         history.append(float(scores.min()))
 
     evaluations = size + config.generations * (size - elite)

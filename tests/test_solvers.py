@@ -443,7 +443,7 @@ class TestGaSolver:
         assert res.evaluations == 0
         assert res.feasible
 
-    def test_large_fleet_uses_the_generic_path(self):
+    def test_large_fleet_solves_to_a_resolved_plan(self):
         rng = np.random.default_rng(24)
         graph = helpers.random_graph(rng, n_blocks=3)
         fleet = helpers.random_fleet(rng, 70, cap_scale=1e-2)
@@ -481,8 +481,9 @@ class TestGaSolver:
 
 
 class TestMemoryMode:
-    @pytest.mark.parametrize("mode", ["inputs", "weights", "both"])
-    def test_breakdown_memory_uses_the_configured_mode(self, mode):
+    @pytest.mark.parametrize("mode,device2_mb", [
+        ("inputs", 38.3), ("weights", 25.1), ("both", 63.5)])
+    def test_breakdown_memory_uses_the_configured_mode(self, mode, device2_mb):
         scenario = build_scenario(load_config(
             overrides=[f"model.memory_mode={mode}"]))
         _record, res = run_round(scenario, 0)
@@ -490,6 +491,7 @@ class TestMemoryMode:
             res.breakdown.memory_use,
             scenario.fleet.memory_caps - res.report.memory_margin,
             rtol=1e-12)
+        assert res.breakdown.memory_use[1] / 1e6 == pytest.approx(device2_mb, abs=0.05)
 
 
 class TestGreedySeed:
