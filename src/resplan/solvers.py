@@ -164,10 +164,9 @@ def decode(bits, n_requests: int, n_devices: int, n_blocks: int) -> Assignment:
     return Assignment(x, y)
 
 
-# Cells per chunk of work: individuals x requests x devices x blocks when
-# evaluating, individuals x chromosome bits in crossover.  Bounds the
-# temporaries of one array pass whatever the fleet size.
-_CHUNK_CELLS = 1 << 17
+# Cells per evaluation chunk: individuals x requests x devices x blocks.
+# Bounds the temporaries of one array pass whatever the fleet size.
+_CHUNK_CELLS = 1 << 16
 
 
 def _seqsum(a: np.ndarray) -> np.ndarray:
@@ -316,10 +315,11 @@ class _Evaluator:
         self.proj_cols = np.array(sorted({j - 1 for d in self.drops for j in d}),
                                   dtype=np.intp)
         bit = {j: 1 << k for k, j in enumerate(self.proj_cols.tolist())}
-        masks = np.array([sum(bit[j - 1] for j in d) for d in self.drops], dtype=np.int64)
-        proposed = np.arange(1 << self.proj_cols.size, dtype=np.int64)
-        fits = (masks[None, :] & ~proposed[:, None]) == 0
-        self.table = fits.argmax(axis=1)
+        unproposed = ~np.arange(1 << self.proj_cols.size)
+        self.table = np.zeros(unproposed.size, dtype=np.intp)
+        for k in reversed(range(len(self.drops))):  # earlier entries win
+            mask = sum(bit[j - 1] for j in self.drops[k])
+            self.table[(unproposed & mask) == 0] = k
 
     def canonicalize(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Raw chromosomes (B, L) to (hosts (B*R, M), drop-set index (B*R,))."""
@@ -363,16 +363,19 @@ class _Evaluator:
         wo = objective_value(latency, acc, r, self.weights)
         return wo + self.penalty_weight * rel, wo, latency, rel == 0.0
 
-    def evaluate(self, pop: np.ndarray):
-        """Canonicalize and score a population in chunks of bounded size.
+    def evaluate(self, packed: np.ndarray):
+        """Canonicalize and score a population of bit-packed chromosomes
+        (``np.packbits`` rows), unpacking one bounded chunk at a time.
 
         Returns (penalized, objective, latency, feasible, hosts, ent).
         """
-        per = self.n_requests * self.n_devices * self.n_blocks
-        step = max(1, _CHUNK_CELLS // per)
+        r, n, m = self.n_requests, self.n_devices, self.n_blocks
+        length = chromosome_length(r, n, m)
+        step = max(1, _CHUNK_CELLS // (r * n * m))
         parts = []
-        for i in range(0, pop.shape[0], step):
-            hosts, ent = self.canonicalize(pop[i:i + step])
+        for i in range(0, packed.shape[0], step):
+            pop = np.unpackbits(packed[i:i + step], axis=1, count=length)
+            hosts, ent = self.canonicalize(pop)
             parts.append(self.score(hosts, ent) + (hosts, ent))
         return tuple(np.concatenate(col) for col in zip(*parts))
 
@@ -509,12 +512,6 @@ def _no_requests(ev: _Evaluator, solver: str, t0: float) -> SolveResult:
     return _result_from_resolved(ev, empty, empty[:, 0], solver, 0, 0, (), t0)
 
 
-def _random_bits(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """A (rows, cols) array of fair 0/1 draws, eight bits per random byte."""
-    raw = np.frombuffer(rng.bytes(rows * -(-cols // 8)), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(rows, -1), axis=1, count=cols)
-
-
 def _flip_positions(rng: np.random.Generator, rate: float, size: int) -> np.ndarray:
     """Indices where a Bernoulli(rate) draw over ``size`` bits comes up 1.
 
@@ -560,15 +557,17 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     mutation = config.mutation_rate if config.mutation_rate is not None else 1.0 / length
     size, elite = config.population_size, config.elite
 
-    pop = rng.integers(0, 2, size=(size, length), dtype=np.uint8)
+    # Chromosomes are kept bit-packed (np.packbits rows, eight genes a byte);
+    # bits past ``length`` in the last byte are never read.
+    pop = rng.integers(0, 256, size=(size, -(-length // 8)), dtype=np.uint8)
     # Seed two sane individuals: keep everything on the fastest device, and a
     # greedy packing that respects per-device budgets.  The rest is random.
     seeded = np.zeros(length, dtype=np.uint8)
     x_view = seeded[: r * n * m].reshape(r, n, m)
     x_view[:, ev.fix_device, :] = 1
     seeded[r * n * m:] = 1
-    pop[0] = seeded
-    pop[1] = _greedy_seed(ev, length)
+    pop[0] = np.packbits(seeded)
+    pop[1] = np.packbits(_greedy_seed(ev, length))
 
     # Selection compares (penalized score, latency): latency only breaks
     # exact score ties.  That leaves weighted runs untouched but still pulls
@@ -603,25 +602,25 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
                                      axis=2)[..., 0]
         # Children are exchangeable, so the first n_cross cross over and the
         # rest copy their first parent; uniform crossover takes each bit of
-        # a crossing child from either parent.
+        # a crossing child from either parent, a random byte choosing eight.
         spare[:elite] = pop[order[:elite]]
         kids = spare[elite:]
-        # mode="clip" writes straight into kids; "raise" would buffer a copy.
-        np.take(pop, parents[:, 0], axis=0, out=kids, mode="clip")
+        kids[:] = pop[parents[:, 0]]
         n_cross = rng.binomial(n_kids, config.crossover_rate)
-        step = max(1, _CHUNK_CELLS // length)
-        for lo in range(0, n_cross, step):
-            hi = min(lo + step, n_cross)
-            swap = pop[parents[lo:hi, 1]]
-            swap ^= kids[lo:hi]
-            swap &= _random_bits(rng, hi - lo, length)
-            kids[lo:hi] ^= swap
-        kids.reshape(-1)[_flip_positions(rng, mutation, kids.size)] ^= 1
+        swap = pop[parents[:n_cross, 1]]
+        swap ^= kids[:n_cross]
+        swap &= rng.integers(0, 256, size=swap.shape, dtype=np.uint8)
+        kids[:n_cross] ^= swap
+        kid, gene = np.divmod(_flip_positions(rng, mutation, n_kids * length), length)
+        np.bitwise_xor.at(kids, (kid, gene >> 3), (128 >> (gene & 7)).astype(np.uint8))
         pen, lat = evaluate(kids)
         scores = np.concatenate([scores[order[:elite]], pen])
         lats = np.concatenate([lats[order[:elite]], lat])
         pop, spare = spare, pop
-        history.append(float(scores.min()))
+        # A stalled search repeats its best score; sharing the float object
+        # keeps a kept result's history small.
+        low = float(scores.min())
+        history.append(history[-1] if low == history[-1] else low)
 
     evaluations = size + config.generations * (size - elite)
     return _result_from_resolved(ev, best[1], best[2], "ga", config.generations,

@@ -217,7 +217,8 @@ class TestEvaluator:
             r = int(rng.integers(1, 4))
             ev = self.evaluator(rng, n_requests=r, cap_scale=1.0)
             length = chromosome_length(r, ev.n_devices, ev.n_blocks)
-            pop = rng.integers(0, 2, size=(40, length), dtype=np.uint8)
+            pop = np.packbits(rng.integers(0, 2, size=(40, length), dtype=np.uint8),
+                              axis=1)
             whole = ev.evaluate(pop)
             alone = [ev.evaluate(pop[i:i + 1]) for i in range(40)]
             for got, want in zip(zip(*alone), whole):
@@ -269,7 +270,7 @@ class TestEvaluator:
                         n_requests=3, penalty_weight=10.0)
         length = chromosome_length(3, 70, ev.n_blocks)
         pop = rng.integers(0, 2, size=(20, length), dtype=np.uint8)
-        pen, wo, latency, feasible, hosts, ent = ev.evaluate(pop)
+        pen, wo, latency, feasible, hosts, ent = ev.evaluate(np.packbits(pop, axis=1))
         for i in range(20):
             assign = ev.to_assignment(hosts[3 * i:3 * i + 3], ent[3 * i:3 * i + 3])
             assert assign.is_resolved()
