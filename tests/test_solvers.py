@@ -183,7 +183,7 @@ class TestRepairAllocation:
         assert exc_info.value.block == 2
 
 
-def oracle_penalized(ev, assign, memory_mode="inputs"):
+def oracle_penalized(ev, assign):
     """(objective, latency, penalized score, feasible) of one resolved
     candidate from the oracles: the penalty adds the relative overrun of
     every per-device budget."""
@@ -195,7 +195,7 @@ def oracle_penalized(ev, assign, memory_mode="inputs"):
                            ev.weights.latency_ref)
     latency = oracles.total_latency(g, fleet, rho, x, y, g.weight_bytes)
     budgets = oracles.device_budgets(g, fleet, rho, x, y, g.weight_bytes,
-                                     memory_mode, ev.energy.p_compute,
+                                     ev.memory_mode, ev.energy.p_compute,
                                      ev.energy.p_transmit)
     rel = 0.0
     for (mem, mults, joules), d in zip(budgets, fleet.devices):
