@@ -165,8 +165,10 @@ def decode(bits, n_requests: int, n_devices: int, n_blocks: int) -> Assignment:
 
 
 # Cells per evaluation chunk: individuals x requests x devices x blocks.
-# Bounds the temporaries of one array pass whatever the fleet size.
-_CHUNK_CELLS = 1 << 16
+# Bounds the temporaries of one array pass whatever the fleet size.  A
+# 100-individual generation on a 10-device fleet fits one chunk up to 7
+# requests, so a round's cost there grows with its request count alone.
+_CHUNK_CELLS = 1 << 17
 
 
 def _seqsum(a: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from resplan.errors import (
     LengthMismatch,
     UncoveredBlock,
 )
-from resplan.fleet import DeviceSpec, EnergyParams, Fleet, RateMatrix
+from resplan.fleet import DeviceSpec, EnergyParams, Fleet, RateMatrix, sample_rates
 from resplan.graph import BlockSpec, LayerSpec, ResNetGraph, SkipTopology
 from resplan.harness import run_round
 from resplan.objective import ObjectiveWeights
@@ -232,6 +232,21 @@ class TestEvaluator:
             monkeypatch.undo()
             for k, (got, want) in enumerate(zip(chunked, whole)):
                 np.testing.assert_array_equal(got, want[perm] if k < 4 else want[rows])
+
+    def test_default_fleet_generation_is_one_chunk_up_to_seven_requests(self, monkeypatch):
+        # Otherwise a round's cost jumps where a generation starts to split,
+        # and a pass costs more for seeds that draw more such rounds.
+        sc = build_scenario(load_config())
+        rates = sample_rates(sc.fleet.n_devices, rng=np.random.default_rng(0))
+        ev = _Evaluator(sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy,
+                        n_requests=7)
+        calls = []
+        canonicalize = ev.canonicalize
+        monkeypatch.setattr(ev, "canonicalize", lambda pop: calls.append(pop.shape[0])
+                            or canonicalize(pop))
+        length = chromosome_length(7, ev.n_devices, ev.n_blocks)
+        ev.evaluate(np.zeros((sc.ga.population_size, -(-length // 8)), dtype=np.uint8))
+        assert calls == [sc.ga.population_size]
 
     def test_exact_enumeration_does_not_depend_on_the_chunk_size(self, monkeypatch):
         for seed in range(4):
