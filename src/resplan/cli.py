@@ -267,6 +267,7 @@ def _keep_freed_heap() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
         return  # not glibc
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-2, 4 << 20)  # M_TOP_PAD: free top kept after a trim
     mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: smaller blocks use the heap
 
