@@ -15,7 +15,7 @@ from importlib import resources
 import yaml
 
 from .errors import ConfigError
-from .fleet import EnergyParams, two_tier_fleet
+from .fleet import EnergyParams, check_rate_bounds, two_tier_fleet
 from .graph import build_resnet50
 from .harness import SWEEP_KINDS, ScenarioConfig, SweepAxis
 from .objective import ObjectiveWeights, default_latency_ref
@@ -229,6 +229,7 @@ def build_scenario(cfg: dict) -> ScenarioConfig:
         net = cfg["network"]
         rate_lo = float(net["rate_lo_mbps"]) * MBPS
         rate_hi = float(net["rate_hi_mbps"]) * MBPS
+        check_rate_bounds(rate_lo, rate_hi)  # before the latency default reads rate_lo
 
         en = cfg["energy"]
         energy = EnergyParams(p_compute=float(en["p_compute_w"]),

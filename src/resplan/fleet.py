@@ -17,6 +17,20 @@ DEFAULT_P_COMPUTE = 8.0   # watts
 DEFAULT_P_TRANSMIT = 10.0 # watts
 
 
+def _check_positive(owner, names) -> None:
+    """Raise ValueError naming the first field that is not finite and > 0."""
+    for name in names:
+        if not 0 < getattr(owner, name) < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {getattr(owner, name)!r}")
+
+
+def check_rate_bounds(lo: float, hi: float) -> None:
+    """Raise ValueError, naming both bounds, unless 0 < lo <= hi < inf."""
+    if not 0 < lo <= hi < np.inf:
+        raise ValueError(f"need 0 < rate_lo <= rate_hi < inf, got rate_lo={lo!r}, "
+                         f"rate_hi={hi!r}")
+
+
 @dataclass(frozen=True)
 class DeviceSpec:
     """One device's budgets: memory and compute/energy per round, plus speed."""
@@ -30,9 +44,7 @@ class DeviceSpec:
     def __post_init__(self):
         if self.device_id < 1:
             raise ValueError("device_id must be >= 1")
-        for name in ("memory_cap", "compute_cap", "energy_cap", "mult_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        _check_positive(self, ("memory_cap", "compute_cap", "energy_cap", "mult_rate"))
 
 
 @dataclass(frozen=True)
@@ -122,8 +134,8 @@ class RateMatrix:
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("rho must be a square matrix")
         off = ~np.eye(rho.shape[0], dtype=bool)
-        if np.any(rho[off] <= 0):
-            raise ValueError("off-diagonal rates must be > 0")
+        if not np.all((rho[off] > 0) & (rho[off] < np.inf)):
+            raise ValueError("off-diagonal rates must be finite and > 0")
         rho = rho.copy()
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
@@ -153,16 +165,14 @@ class EnergyParams:
     p_transmit: float = DEFAULT_P_TRANSMIT
 
     def __post_init__(self):
-        if self.p_compute <= 0 or self.p_transmit <= 0:
-            raise ValueError("power draws must be > 0")
+        _check_positive(self, ("p_compute", "p_transmit"))
 
 
 def sample_rates(n_devices: int, lo: float = DEFAULT_RATE_LO, hi: float = DEFAULT_RATE_HI,
                  rng: np.random.Generator | None = None, symmetric: bool = True,
                  round_index: int = 0) -> RateMatrix:
     """Draw each pairwise rate uniformly from [lo, hi]; symmetric by default."""
-    if not 0 < lo <= hi:
-        raise ValueError("need 0 < lo <= hi")
+    check_rate_bounds(lo, hi)
     rng = np.random.default_rng() if rng is None else rng
     rho = rng.uniform(lo, hi, size=(n_devices, n_devices))
     if symmetric:

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InfeasibleInstance, InstanceTooLarge
-from .fleet import EnergyParams, Fleet, sample_rates, sample_requests
+from .fleet import EnergyParams, Fleet, check_rate_bounds, sample_rates, sample_requests
 from .graph import ResNetGraph
 from .objective import ObjectiveWeights
 from .profile import AccuracyProfile
@@ -60,8 +60,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.solver not in SOLVER_KINDS:
             raise ValueError(f"solver must be one of {SOLVER_KINDS}, got {self.solver!r}")
-        if not 0 < self.rate_lo <= self.rate_hi:
-            raise ValueError("need 0 < rate_lo <= rate_hi")
+        check_rate_bounds(self.rate_lo, self.rate_hi)
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if self.rounds < 0:
@@ -106,7 +105,8 @@ class ScenarioResult:
 @dataclass(frozen=True)
 class SweepAxis:
     """One swept parameter: weight pairs, an absolute request rate, or a
-    multiplier on the fleet's energy/compute/link budgets."""
+    multiplier on the fleet's energy budgets, compute budgets or compute
+    speed (``rate`` scales each device's ``mult_rate``)."""
 
     kind: str
     values: tuple

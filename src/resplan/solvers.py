@@ -9,13 +9,15 @@ every evaluation runs a canonicalization pipeline:
    never be violated by construction),
 2. give any kept-but-unhosted block to the fastest device,
 3. resolve blocks with several hosts by a forward pass that prefers the
-   previous block's device and otherwise the best link from it.
+   previous block's device and otherwise the best link from it.  Its choice
+   depends only on the previous device and the offered set, so it is read
+   from a table built once per round's rates, chunk by chunk of devices.
 
 The GA works one generation at a time: it draws every tournament, crossover
 and mutation of a generation at once, then canonicalizes and scores all the
 children in array passes over their (individual, request) rows.  The
 projection is a table lookup on the proposed-drop bitmask, the repair one
-vectorized step per block, and the score gathers plus sums taken in the
+table lookup per block, and the score gathers plus sums taken in the
 order a per-candidate loop would take them, so a candidate scores the same
 alone or in any batch.
 
@@ -180,47 +182,65 @@ def _seqsum(a: np.ndarray) -> np.ndarray:
     return np.add.accumulate(a, axis=1)[:, -1]
 
 
-def _forward_repair(x: np.ndarray, kept: np.ndarray, rho: np.ndarray,
-                    e: np.ndarray, fix_device: int | None = None) -> np.ndarray:
-    """Hosts per (row, block) by the forward repair pass, for many rows at once.
+class _RepairTable:
+    """The forward repair pass for one round's rates, as a lookup table.
 
-    ``x`` holds host offers shaped (..., N, M) and ``kept`` keep flags shaped
-    (..., M); each leading index is one request.  A kept block stays on the
-    previous kept block's device when that device is offered, otherwise it
-    takes the offered device with the best link from it (the fastest device
-    when there is no previous block); ties go to the lowest device id.  A
-    kept block with no offer goes to ``fix_device``, or raises UncoveredBlock
-    for the first such (row, block) when ``fix_device`` is None.  A dropped
-    block repeats the previous kept block's host.
+    A kept block stays on the previous kept block's device when that device
+    is offered, otherwise it takes the offered device with the best link from
+    it (the fastest device when there is no previous block); ties go to the
+    lowest device id.  A kept block with no offer goes to ``fix_device``; a
+    dropped block repeats the previous kept block's host.
+
+    Devices fall into chunks of ``width`` (one chunk up to 10 devices, else
+    at most 8).  ``table[p, c, s]`` is ``key << shift | d``: the device d the
+    rule takes after a block on p (N: none) from chunk c's offered bitmask
+    s, ranked by ``key`` from N (favourite) down to 1.  Key 0 and
+    ``fix_device`` answer an empty offer; s = 2**width, a dropped block,
+    answers p.  A block step is a gather, a max over chunks and a mask.
     """
-    n, m = x.shape[-2:]
-    kept = kept.reshape(-1, m)
-    rows = kept.shape[0]
-    if fix_device is None:
-        gaps = kept & ~x.any(axis=-2).reshape(rows, m)
-        if gaps.any():
-            r, j = np.argwhere(gaps)[0]
-            raise UncoveredBlock(int(r), int(j) + 1)
-        fix_device = 0  # unused: every kept block has an offer
-    # pref[prev, d] ranks device d after a block on prev; row n ranks the
-    # first block's devices by speed.  Staying on prev ranks +inf.  Column n
-    # is always offered and ranks below every device, so it wins only when
-    # nothing is offered, and stands for fix_device.
-    pref = np.full((n + 1, n + 1), -1.0)
-    pref[:n, :n] = rho
-    np.fill_diagonal(pref[:n, :n], np.inf)
-    pref[n, :n] = e
-    device = np.append(np.arange(n), fix_device)
-    offers = np.ones((m, rows, n + 1), dtype=bool)
-    offers.reshape(m, *x.shape[:-2], n + 1)[..., :n] = np.moveaxis(x, -1, 0)
-    hosts = np.empty((m, rows), dtype=np.intp)
-    prev = np.full(rows, n, dtype=np.intp)
-    for j in range(m):
-        rank = np.where(offers[j], np.take(pref, prev, axis=0), -np.inf)
-        best = rank.argmax(axis=1)
-        prev = np.where(kept[:, j], device[best], prev)
-        hosts[j] = prev
-    return hosts.T
+
+    def __init__(self, rho: np.ndarray, e: np.ndarray, fix_device: int):
+        n = e.size
+        chunks = 1 if n <= 10 else -(-n // 8)
+        self.width = w = -(-n // chunks)
+        self.shift = n.bit_length()
+        pref = np.vstack([rho, e])
+        pref[np.arange(n), np.arange(n)] = np.inf  # staying ranks first
+        key = np.empty((n + 1, n), dtype=np.intp)
+        np.put_along_axis(key, np.argsort(-pref, axis=1, kind="stable"),
+                          np.arange(n, 0, -1)[None], axis=1)
+        dtype = np.min_scalar_type(n << self.shift | n)
+        code = np.zeros((n + 1, chunks * w), dtype=dtype)
+        code[:, :n] = key << self.shift | np.arange(n)
+        code = code.reshape(n + 1, chunks, w)
+        self.table = np.empty((n + 1, chunks, (1 << w) + 1), dtype=dtype)
+        self.table[:, :, 0] = fix_device
+        for k in range(w):  # masks with top bit k: best of the rest or device k
+            np.maximum(self.table[:, :, :1 << k], code[:, :, k, None],
+                       out=self.table[:, :, 1 << k:2 << k])
+        self.table[:, :, 1 << w] = np.arange(n + 1)[:, None]
+
+    def hosts(self, x: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """Hosts (rows, M) for offers ``x`` shaped (..., N, M), one request
+        per leading index, and keep flags ``kept`` shaped (rows, M)."""
+        n, m = x.shape[-2:]
+        rows = kept.shape[0]
+        w, chunks, span = self.width, self.table.shape[1], self.table.shape[2]
+        bit = np.exp2(np.arange(w, dtype=np.float32))
+        offers = np.empty((chunks, rows, m), dtype=np.intp)
+        for c in range(chunks):
+            part = x[..., c * w:(c + 1) * w, :]
+            offers[c] = (bit[:part.shape[-2]] @ part).reshape(rows, m)
+        np.copyto(offers, 1 << w, where=~kept)
+        offers += np.arange(0, chunks * span, span)[:, None, None]
+        flat = self.table.reshape(-1)
+        stride, mask = chunks * span, (1 << self.shift) - 1
+        hosts = np.empty((m, rows), dtype=np.intp)
+        prev = np.full(rows, n * stride, dtype=np.intp)
+        for j in range(m):
+            hosts[j] = flat.take(offers[:, :, j] + prev).max(axis=0) & mask
+            prev = hosts[j] * stride
+        return hosts.T
 
 
 def _placement(hosts: np.ndarray, kept: np.ndarray, n_devices: int) -> np.ndarray:
@@ -273,6 +293,7 @@ class _Evaluator:
         self.comp_caps = fleet.compute_caps
         self.energy_caps = fleet.energy_caps
         self.fix_device = int(np.argmax(self.e))
+        self.repair = _RepairTable(self.rho, self.e, self.fix_device)
 
         self._build_entries(profile, weights.accuracy_threshold)
 
@@ -330,8 +351,7 @@ class _Evaluator:
         y = pop[:, split:].reshape(-1, m)
         proposed = (y[:, self.proj_cols] == 0) @ (1 << np.arange(self.proj_cols.size))
         ent = self.table[proposed]
-        x = pop[:, :split].reshape(-1, r, n, m)
-        hosts = _forward_repair(x, self.keep[ent], self.rho, self.e, self.fix_device)
+        hosts = self.repair.hosts(pop[:, :split].reshape(-1, r, n, m), self.keep[ent])
         return hosts, ent
 
     def score(self, hosts: np.ndarray, ent: np.ndarray):
@@ -399,8 +419,13 @@ def repair_allocation(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
     unchanged, so the repair is idempotent.
     """
     kept = assign.y == 1
-    hosts = _forward_repair(assign.x, kept, rates.rho, fleet.mult_rates)
-    return Assignment(_placement(hosts, kept, assign.n_devices), assign.y)
+    gaps = kept & ~assign.x.any(axis=1)
+    if gaps.any():
+        r, j = np.argwhere(gaps)[0]
+        raise UncoveredBlock(int(r), int(j) + 1)
+    table = _RepairTable(rates.rho, fleet.mult_rates, 0)  # 0: never used
+    return Assignment(_placement(table.hosts(assign.x, kept), kept, assign.n_devices),
+                      assign.y)
 
 
 def _feasibility_certificate(evaluator: _Evaluator) -> str | None:

@@ -126,6 +126,33 @@ def total_latency(graph, fleet, rho, x, y, b) -> float:
     return comp + tx
 
 
+def forward_repair(x_r, keep, rho, mult_rates, fix_device):
+    """Host per block for one request's offers x_r[device][block], by the
+    forward repair rule: a kept block stays on the previous kept block's
+    device when it is offered; otherwise it takes the offered device with
+    the fastest link from that device, or the fastest device when no block
+    came before, the lowest id winning a tie; with no offer at all it goes
+    to fix_device.  A dropped block repeats the previous kept block's host
+    (None before the first kept block)."""
+    n_dev = len(mult_rates)
+    hosts = []
+    prev = None
+    for j in range(len(keep)):
+        if keep[j]:
+            offered = [i for i in range(n_dev) if x_r[i][j]]
+            if not offered:
+                prev = fix_device
+            elif prev is None or prev not in offered:
+                best = None
+                for i in offered:
+                    speed = mult_rates[i] if prev is None else rho[prev][i]
+                    if best is None or speed > best[0]:
+                        best = (speed, i)
+                prev = best[1]
+        hosts.append(prev)
+    return hosts
+
+
 def hosts_of(x_r, m, n_dev):
     """Host index per block for one request (first set bit wins)."""
     hosts = []

@@ -337,6 +337,23 @@ class TestExitCodes:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("override,field", [
+        ("fleet.energy_j=.nan", "energy_cap"),
+        ("fleet.memory_mb=.nan", "memory_cap"),
+        ("energy.p_compute_w=.nan", "p_compute"),
+        ("network.rate_hi_mbps=.inf", "rate_hi=inf"),
+        ("network.rate_lo_mbps=.nan", "rate_lo=nan"),
+    ])
+    def test_non_finite_fleet_energy_and_rates_exit_two(self, capsys, tmp_path,
+                                                        override, field):
+        rc = cli.main(["solve", "--requests", "1", "--set", override,
+                       "--output", str(tmp_path / "x.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "latency_ref" not in err
+        assert not (tmp_path / "x.json").exists()
+
     def test_internal_errors_exit_four(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("synthetic failure")

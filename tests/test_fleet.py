@@ -37,6 +37,18 @@ class TestDeviceAndFleet:
         with pytest.raises(ValueError, match="device_id"):
             DeviceSpec(0, 1.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_budgets_and_powers_by_name(self, bad):
+        for field in ("memory_cap", "compute_cap", "energy_cap", "mult_rate"):
+            kwargs = dict(device_id=1, memory_cap=1.0, compute_cap=1.0,
+                          energy_cap=1.0, mult_rate=1.0)
+            kwargs[field] = bad
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                DeviceSpec(**kwargs)
+        for field in ("p_compute", "p_transmit"):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                EnergyParams(**{field: bad})
+
     def test_ids_must_be_contiguous_from_one(self):
         d1 = DeviceSpec(1, 1.0, 1.0, 1.0, 1.0)
         d3 = DeviceSpec(3, 1.0, 1.0, 1.0, 1.0)
@@ -83,6 +95,13 @@ class TestRateMatrix:
         with pytest.raises(ValueError, match="off-diagonal"):
             RateMatrix(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_offdiagonal(self, bad):
+        rho = np.ones((3, 3))
+        rho[2, 0] = bad
+        with pytest.raises(ValueError, match="off-diagonal rates must be finite"):
+            RateMatrix(rho)
+
     def test_diagonal_is_ignored_and_matrix_frozen(self):
         rho = np.full((2, 2), 5.0)
         np.fill_diagonal(rho, 0.0)
@@ -117,6 +136,10 @@ class TestSamplers:
             sample_rates(2, 0.0, 1.0)
         with pytest.raises(ValueError):
             sample_rates(2, 2.0, 1.0)
+        with pytest.raises(ValueError, match="rate_hi=inf"):
+            sample_rates(2, 1.0, np.inf)
+        with pytest.raises(ValueError, match="rate_lo=nan"):
+            sample_rates(2, np.nan, 1.0)
 
     def test_requests_follow_the_configured_mean(self):
         rng = np.random.default_rng(12)

@@ -183,6 +183,39 @@ class TestRepairAllocation:
         assert exc_info.value.block == 2
 
 
+class TestRepairTable:
+    @pytest.mark.parametrize("n_dev", [1, 2, 7, 8, 9, 10, 16, 17, 70, 130])
+    def test_matches_the_reference_loop(self, n_dev):
+        # Rates and speeds come from a few round values, so link and speed
+        # ties are common; offer densities run from mostly empty to full.
+        rng = np.random.default_rng(n_dev)
+        m = 17
+        for _ in range(4):
+            rho = rng.integers(1, 4, size=(n_dev, n_dev)).astype(float)
+            np.fill_diagonal(rho, 0.0)
+            e = rng.integers(1, 3, size=n_dev).astype(float)
+            fix = int(rng.integers(n_dev))
+            table = solvers._RepairTable(rho, e, fix)
+            x = (rng.random((3, 8, n_dev, m)) < rng.uniform(0.0, 0.6)).astype(np.uint8)
+            x[0, 0] = 0                                   # nothing offered at all
+            x[0, 1] = 1                                   # everything offered
+            x[1, :, :, 5] = 0                             # one block never offered
+            kept = rng.random((24, m)) < 0.7
+            kept[:, 0] = True
+            got = table.hosts(x, kept)
+            rows = x.reshape(-1, n_dev, m).tolist()
+            for row in range(24):
+                want = oracles.forward_repair(rows[row], kept[row].tolist(),
+                                              rho.tolist(), e.tolist(), fix)
+                assert got[row].tolist() == want, row
+
+    def test_large_fleet_table_stays_small(self):
+        rng = np.random.default_rng(0)
+        rho = rng.uniform(1.0, 2.0, size=(70, 70))
+        table = solvers._RepairTable(rho, rng.uniform(1.0, 2.0, size=70), 0)
+        assert table.table.nbytes < 0.4e6
+
+
 def oracle_penalized(ev, assign):
     """(objective, latency, penalized score, feasible) of one resolved
     candidate from the oracles: the penalty adds the relative overrun of
