@@ -61,8 +61,8 @@ class ScenarioConfig:
         if self.solver not in SOLVER_KINDS:
             raise ValueError(f"solver must be one of {SOLVER_KINDS}, got {self.solver!r}")
         check_rate_bounds(self.rate_lo, self.rate_hi)
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
 
@@ -122,13 +122,15 @@ class SweepAxis:
                 pair = tuple(float(w) for w in v)
                 if len(pair) != 2:
                     raise ValueError(f"weights sweep values are (alpha, beta) pairs, got {v!r}")
+                if not np.isfinite(pair).all():
+                    raise ValueError(f"weights sweep values must be finite, got {v!r}")
                 vals.append(pair)
             else:
                 f = float(v)
-                if f <= 0 and self.kind != "lam":
-                    raise ValueError(f"{self.kind} sweep values must be > 0, got {v!r}")
-                if f < 0:
-                    raise ValueError(f"lam sweep values must be >= 0, got {v!r}")
+                if not (0 < f < np.inf or self.kind == "lam" and f == 0):
+                    bound = ">= 0" if self.kind == "lam" else "> 0"
+                    raise ValueError(f"{self.kind} sweep values must be finite and {bound}, "
+                                     f"got {v!r}")
                 vals.append(f)
         object.__setattr__(self, "values", tuple(vals))
 

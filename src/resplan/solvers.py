@@ -14,12 +14,14 @@ every evaluation runs a canonicalization pipeline:
    from a table built once per round's rates, chunk by chunk of devices.
 
 The GA works one generation at a time: it draws every tournament, crossover
-and mutation of a generation at once, then canonicalizes and scores all the
-children in array passes over their (individual, request) rows.  The
-projection is a table lookup on the proposed-drop bitmask, the repair one
-table lookup per block, and the score gathers plus sums taken in the
-order a per-candidate loop would take them, so a candidate scores the same
-alone or in any batch.
+and mutation of a generation at once, then canonicalizes all the children in
+array passes over their (individual, request) rows.  The projection is a
+table lookup on the proposed-drop bitmask, the repair one table lookup per
+block.  Most children repeat a placement (hosts plus drop sets) that another
+child of the same generation also reached, so each distinct placement is
+scored once and its scores are shared.  The score is gathers plus sums taken
+in the order a per-candidate loop would take them, so a candidate scores the
+same alone or in any batch, and sharing changes no result.
 
 Budget overruns are handled softly, as relative-violation penalties on the
 objective.  ``solve_exact`` enumerates the same candidate space exhaustively
@@ -72,8 +74,9 @@ class GaConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.tournament_size < 1:
             raise ValueError("tournament_size must be >= 1")
-        if self.penalty_weight <= 0:
-            raise ValueError("penalty_weight must be > 0")
+        if not 0 < self.penalty_weight < np.inf:
+            raise ValueError(
+                f"penalty_weight must be finite and > 0, got {self.penalty_weight!r}")
         if not 0 <= self.elite < self.population_size:
             raise ValueError("elite must be >= 0 and below population_size")
 
@@ -389,17 +392,32 @@ class _Evaluator:
         """Canonicalize and score a population of bit-packed chromosomes
         (``np.packbits`` rows), unpacking one bounded chunk at a time.
 
+        Individuals that canonicalize to the same placement (hosts and drop
+        sets) are scored once and share the result; scores do not depend on
+        the batch, so this changes no output.
+
         Returns (penalized, objective, latency, feasible, hosts, ent).
         """
         r, n, m = self.n_requests, self.n_devices, self.n_blocks
         length = chromosome_length(r, n, m)
         step = max(1, _CHUNK_CELLS // (r * n * m))
+        b = packed.shape[0]
+        parts = [self.canonicalize(np.unpackbits(packed[i:i + step], axis=1, count=length))
+                 for i in range(0, b, step)]
+        hosts, ent = (np.concatenate(col) for col in zip(*parts))
+        # One key row per individual, compared as a single opaque value.
+        key = np.empty((b, r * (m + 1)),
+                       dtype=np.min_scalar_type(max(n - 1, len(self.drops) - 1)))
+        key[:, :r * m] = hosts.reshape(b, r * m)
+        key[:, r * m:] = ent.reshape(b, r)
+        _, first, inverse = np.unique(
+            key.view(np.dtype((np.void, key.strides[0]))).ravel(),
+            return_index=True, return_inverse=True)
         parts = []
-        for i in range(0, packed.shape[0], step):
-            pop = np.unpackbits(packed[i:i + step], axis=1, count=length)
-            hosts, ent = self.canonicalize(pop)
-            parts.append(self.score(hosts, ent) + (hosts, ent))
-        return tuple(np.concatenate(col) for col in zip(*parts))
+        for i in range(0, first.size, step):
+            rows = (first[i:i + step, None] * r + np.arange(r)).ravel()
+            parts.append(self.score(hosts[rows], ent[rows]))
+        return tuple(np.concatenate(col)[inverse] for col in zip(*parts)) + (hosts, ent)
 
     def to_assignment(self, hosts: np.ndarray, ent: np.ndarray) -> Assignment:
         kept = self.keep[ent]

@@ -354,6 +354,32 @@ class TestExitCodes:
         assert "latency_ref" not in err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("override,field", [
+        ("solver.penalty_weight=.nan", "penalty_weight"),
+        ("solver.penalty_weight=.inf", "penalty_weight"),
+        ("scenario.lam=.nan", "lam"),
+        ("scenario.lam=.inf", "lam"),
+    ])
+    def test_non_finite_penalty_and_arrival_rate_exit_two(self, capsys, tmp_path,
+                                                          override, field):
+        rc = cli.main(["solve", "--requests", "1", "--set", override,
+                       "--output", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("axis,values", [
+        ("energy", "[.nan]"), ("rate", "[.inf]"), ("lam", "[1.0, .inf]"),
+        ("weights", "[[.nan, 0.5]]"),
+    ])
+    def test_non_finite_sweep_values_exit_two(self, capsys, tmp_path, axis, values):
+        rc = cli.main(["sweep", "--set", f"sweep.axis={axis}",
+                       "--set", f"sweep.values={values}",
+                       "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{axis} sweep values must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_internal_errors_exit_four(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("synthetic failure")

@@ -188,6 +188,21 @@ class TestSweep:
         assert SweepAxis(kind="lam", values=(0.0, 2.0)).labels() == (
             "lambda0", "lambda2")
 
+    @pytest.mark.parametrize("kind,value", [
+        ("energy", math.nan), ("rate", math.inf), ("compute", -math.inf),
+        ("lam", math.inf), ("lam", math.nan), ("weights", (math.nan, 0.5)),
+        ("weights", (0.5, math.inf)),
+    ])
+    def test_axis_rejects_non_finite_values_by_kind(self, kind, value):
+        with pytest.raises(ValueError, match=f"{kind} sweep values must be finite"):
+            SweepAxis(kind=kind, values=(1.0, value) if kind != "weights" else (value,))
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_scenario_rejects_a_non_finite_or_negative_rate(self, lam):
+        config = scenario()
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            replace(config, lam=lam)
+
 
 class TestCsvCells:
     def test_record_rows_follow_the_column_schema(self):

@@ -266,6 +266,45 @@ class TestEvaluator:
             for k, (got, want) in enumerate(zip(chunked, whole)):
                 np.testing.assert_array_equal(got, want[perm] if k < 4 else want[rows])
 
+    @pytest.mark.parametrize("chunk", [None, 2])
+    def test_each_distinct_placement_is_scored_once(self, monkeypatch, chunk):
+        rng = np.random.default_rng(34)
+        r = 2
+        ev = self.evaluator(rng, n_requests=r, n_blocks=7, cap_scale=1.0)
+        n, m = ev.n_devices, ev.n_blocks
+        length = chromosome_length(r, n, m)
+        base = rng.integers(0, 2, size=(12, length), dtype=np.uint8)
+        _, ent = ev.canonicalize(base)
+        dropped = ~ev.keep[ent].reshape(12, r, m)
+        some = np.flatnonzero(dropped.any(axis=(1, 2)))
+        assert some.size >= 3
+        # Variants differ from their original only in dropped blocks' x bits.
+        variants = base[some].copy()
+        x = variants[:, :r * n * m].reshape(-1, r, n, m)
+        x ^= dropped[some][:, :, None, :]
+        assert (variants != base[some]).any(axis=1).all()
+        pop = np.concatenate([base, base[[0, 0, 5]], variants])
+
+        score, seen = ev.score, []
+
+        def counted(hosts, ent):
+            seen.extend(zip(map(bytes, hosts.reshape(-1, r * m)),
+                            map(bytes, ent.reshape(-1, r))))
+            return score(hosts, ent)
+
+        monkeypatch.setattr(ev, "score", counted)
+        if chunk:  # originals and their copies fall in different chunks
+            monkeypatch.setattr(solvers, "_CHUNK_CELLS", chunk * r * n * m)
+        got = ev.evaluate(np.packbits(pop, axis=1))
+        alone = [ev.canonicalize(pop[i:i + 1]) for i in range(pop.shape[0])]
+        distinct = {(bytes(h), bytes(e)) for h, e in alone}
+        assert len(distinct) <= 12
+        assert len(seen) == len(set(seen)) == len(distinct)
+        assert set(seen) == distinct
+        want = [score(h, e) + (h, e) for h, e in alone]
+        for g, w in zip(got, zip(*want)):
+            np.testing.assert_array_equal(g, np.concatenate(w))
+
     def test_default_fleet_generation_is_one_chunk_up_to_seven_requests(self, monkeypatch):
         # Otherwise a round's cost jumps where a generation starts to split,
         # and a pass costs more for seeds that draw more such rounds.
@@ -398,10 +437,12 @@ class TestGaConfig:
             {"tournament_size": 0},
             {"penalty_weight": 0.0},
             {"elite": 100},
+            {"penalty_weight": float("nan")},
+            {"penalty_weight": float("inf")},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             GaConfig(**kwargs)
 
 
