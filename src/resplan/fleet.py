@@ -184,6 +184,11 @@ def sample_rates(n_devices: int, lo: float = DEFAULT_RATE_LO, hi: float = DEFAUL
     return RateMatrix(rho=rho, round_index=round_index)
 
 
+# The largest arrival rate numpy's Poisson sampler draws from; above it
+# ``Generator.poisson`` refuses the value ("lam value too large").
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
 def sample_requests(lam: float, rng: np.random.Generator | None = None,
                     round_index: int = 0) -> RequestBatch:
     """Poisson-distributed request count for one round."""

@@ -14,9 +14,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InfeasibleInstance, InstanceTooLarge
-from .fleet import EnergyParams, Fleet, check_rate_bounds, sample_rates, sample_requests
+from .fleet import (
+    POISSON_LAM_MAX,
+    EnergyParams,
+    Fleet,
+    check_rate_bounds,
+    sample_rates,
+    sample_requests,
+)
 from .graph import ResNetGraph
-from .objective import ObjectiveWeights
+from .objective import WEIGHT_SUM_TOL, ObjectiveWeights
 from .profile import AccuracyProfile
 from .solvers import ExactLimits, GaConfig, SolveResult, solve_exact, solve_ga
 
@@ -63,6 +70,9 @@ class ScenarioConfig:
         check_rate_bounds(self.rate_lo, self.rate_hi)
         if not 0 <= self.lam < np.inf:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
+        if self.lam > POISSON_LAM_MAX:
+            raise ValueError(f"lam must be <= {POISSON_LAM_MAX:.6g}, the largest rate "
+                             f"the Poisson sampler draws from, got {self.lam!r}")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
 
@@ -124,6 +134,9 @@ class SweepAxis:
                     raise ValueError(f"weights sweep values are (alpha, beta) pairs, got {v!r}")
                 if not np.isfinite(pair).all():
                     raise ValueError(f"weights sweep values must be finite, got {v!r}")
+                if min(pair) < 0 or abs(sum(pair) - 1.0) > WEIGHT_SUM_TOL:
+                    raise ValueError("weights sweep values must be >= 0 and sum to 1, "
+                                     f"got {v!r}")
                 vals.append(pair)
             else:
                 f = float(v)
@@ -131,6 +144,9 @@ class SweepAxis:
                     bound = ">= 0" if self.kind == "lam" else "> 0"
                     raise ValueError(f"{self.kind} sweep values must be finite and {bound}, "
                                      f"got {v!r}")
+                if self.kind == "lam" and f > POISSON_LAM_MAX:
+                    raise ValueError(f"lam sweep values must be <= {POISSON_LAM_MAX:.6g}, "
+                                     f"the largest rate the Poisson sampler draws from, got {v!r}")
                 vals.append(f)
         object.__setattr__(self, "values", tuple(vals))
 

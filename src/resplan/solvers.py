@@ -16,12 +16,17 @@ every evaluation runs a canonicalization pipeline:
 The GA works one generation at a time: it draws every tournament, crossover
 and mutation of a generation at once, then canonicalizes all the children in
 array passes over their (individual, request) rows.  The projection is a
-table lookup on the proposed-drop bitmask, the repair one table lookup per
-block.  Most children repeat a placement (hosts plus drop sets) that another
-child of the same generation also reached, so each distinct placement is
-scored once and its scores are shared.  The score is gathers plus sums taken
-in the order a per-candidate loop would take them, so a candidate scores the
-same alone or in any batch, and sharing changes no result.
+table lookup on the kept-block bitmask, the repair one table lookup per
+block (an add and a gather on fleets of up to 10 devices).  Most children
+repeat a placement (hosts plus drop sets) that another child of the same
+generation also reached, so each distinct placement is scored once and its
+scores are shared.  The score is gathers from per-drop-set arrays plus sums
+taken in the order a per-candidate loop would take them, so a candidate
+scores the same alone or in any batch, and sharing changes no result.  A
+generation on the default fleet has only a few hundred rows, so its cost is
+mostly a fixed price per numpy call: the hot paths keep their call count
+low (``take`` over fancy indexing, preallocated outputs, no joins of a
+single chunk).
 
 Budget overruns are handled softly, as relative-violation penalties on the
 objective.  ``solve_exact`` enumerates the same candidate space exhaustively
@@ -195,11 +200,14 @@ class _RepairTable:
     dropped block repeats the previous kept block's host.
 
     Devices fall into chunks of ``width`` (one chunk up to 10 devices, else
-    at most 8).  ``table[p, c, s]`` is ``key << shift | d``: the device d the
-    rule takes after a block on p (N: none) from chunk c's offered bitmask
-    s, ranked by ``key`` from N (favourite) down to 1.  Key 0 and
-    ``fix_device`` answer an empty offer; s = 2**width, a dropped block,
-    answers p.  A block step is a gather, a max over chunks and a mask.
+    at most 8), and ``table[p, c, s]`` answers a block after one on p (N:
+    none) from chunk c's offered bitmask s.  With several chunks it is
+    ``key << shift | d``: the device d the rule takes from that chunk,
+    ranked by ``key`` from N (favourite) down to 1, so a block step is a
+    gather, a max over chunks and a mask.  One chunk compares no keys, so
+    there it holds d's row offset ``d * span`` (intp) and a block step is an
+    add and a gather.  Key 0 and ``fix_device`` answer an empty offer; s =
+    2**width, a dropped block, answers p.
     """
 
     def __init__(self, rho: np.ndarray, e: np.ndarray, fix_device: int):
@@ -207,6 +215,9 @@ class _RepairTable:
         chunks = 1 if n <= 10 else -(-n // 8)
         self.width = w = -(-n // chunks)
         self.shift = n.bit_length()
+        # offer_bits @ x: each chunk's offered bitmask (exact in float32).
+        self.offer_bits = np.zeros((chunks, n), dtype=np.float32)
+        self.offer_bits[np.arange(n) // w, np.arange(n)] = np.exp2(np.arange(n) % w)
         pref = np.vstack([rho, e])
         pref[np.arange(n), np.arange(n)] = np.inf  # staying ranks first
         key = np.empty((n + 1, n), dtype=np.intp)
@@ -222,6 +233,9 @@ class _RepairTable:
             np.maximum(self.table[:, :, :1 << k], code[:, :, k, None],
                        out=self.table[:, :, 1 << k:2 << k])
         self.table[:, :, 1 << w] = np.arange(n + 1)[:, None]
+        if chunks == 1:
+            device = self.table & ((1 << self.shift) - 1)
+            self.table = device.astype(np.intp) * self.table.shape[2]
 
     def hosts(self, x: np.ndarray, kept: np.ndarray) -> np.ndarray:
         """Hosts (rows, M) for offers ``x`` shaped (..., N, M), one request
@@ -229,21 +243,51 @@ class _RepairTable:
         n, m = x.shape[-2:]
         rows = kept.shape[0]
         w, chunks, span = self.width, self.table.shape[1], self.table.shape[2]
-        bit = np.exp2(np.arange(w, dtype=np.float32))
-        offers = np.empty((chunks, rows, m), dtype=np.intp)
-        for c in range(chunks):
-            part = x[..., c * w:(c + 1) * w, :]
-            offers[c] = (bit[:part.shape[-2]] @ part).reshape(rows, m)
-        np.copyto(offers, 1 << w, where=~kept)
-        offers += np.arange(0, chunks * span, span)[:, None, None]
+        # Table indices per (block, chunk, row), each block step's contiguous.
+        offers = np.empty((m, chunks, rows), dtype=np.intp)
+        offers[:] = (self.offer_bits @ x).reshape(rows, chunks, m).transpose(2, 1, 0)
+        np.copyto(offers, 1 << w, where=~kept.T[:, None])
+        offers += np.arange(0, chunks * span, span)[:, None]
         flat = self.table.reshape(-1)
-        stride, mask = chunks * span, (1 << self.shift) - 1
-        hosts = np.empty((m, rows), dtype=np.intp)
-        prev = np.full(rows, n * stride, dtype=np.intp)
-        for j in range(m):
-            hosts[j] = flat.take(offers[:, :, j] + prev).max(axis=0) & mask
-            prev = hosts[j] * stride
-        return hosts.T
+        stride = chunks * span
+        # at[j] is the row offset (host * stride) of block j - 1.
+        at = np.empty((m + 1, rows), dtype=np.intp)
+        at[0] = n * stride
+        idx = np.empty((chunks, rows), dtype=np.intp)
+        if chunks == 1:
+            for j in range(m):
+                np.add(offers[j, 0], at[j], out=idx[0])
+                flat.take(idx[0], out=at[j + 1], mode="clip")
+        else:
+            codes = np.empty((chunks, rows), dtype=flat.dtype)
+            mask = (1 << self.shift) - 1
+            for j in range(m):
+                np.add(offers[j], at[j], out=idx)
+                flat.take(idx, out=codes, mode="clip")
+                np.bitwise_and(codes.max(axis=0), mask, out=at[j + 1])
+                at[j + 1] *= stride
+        return np.floor_divide(at[1:].T, stride, out=np.empty((rows, m), dtype=np.intp))
+
+
+def _stacked(parts: list) -> tuple:
+    """Per-chunk result tuples joined column by column; one chunk as is."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True, return_inverse=True)[1:]``: the
+    first index of each distinct key, in key order, and each key's rank
+    among them, without ``np.unique``'s per-call overhead."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    new[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(keys.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def _placement(hosts: np.ndarray, kept: np.ndarray, n_devices: int) -> np.ndarray:
@@ -290,8 +334,10 @@ class _Evaluator:
         self.e = fleet.mult_rates
         self.rho = rates.rho
         # Same-device transfers divide by infinity and cost exactly zero.
-        self.rho_off = rates.rho.copy()
-        np.fill_diagonal(self.rho_off, np.inf)
+        # Flat, indexed by sender * N + receiver.
+        rho_off = rates.rho.copy()
+        np.fill_diagonal(rho_off, np.inf)
+        self.rho_off = rho_off.ravel()
         self.mem_caps = fleet.memory_caps
         self.comp_caps = fleet.compute_caps
         self.energy_caps = fleet.energy_caps
@@ -299,6 +345,11 @@ class _Evaluator:
         self.repair = _RepairTable(self.rho, self.e, self.fix_device)
 
         self._build_entries(profile, weights.accuracy_threshold)
+        # Per drop set: the loads its kept blocks place and the bits each
+        # source slot sends; score gathers these by drop-set index.
+        self.kept_c = self.keep * self.c
+        self.kept_m = self.keep * self.m
+        self.src_bits = self.bits[self.src]
 
     def _build_entries(self, profile, threshold):
         """Per drop set: keep flags, accuracy and the sources feeding each
@@ -336,25 +387,27 @@ class _Evaluator:
         for k, (_d, _y, feeds, _a) in enumerate(rows):
             for j, f in enumerate(feeds):
                 self.src[k, j, :len(f)] = f
-        # table[mask] is the projection of a proposed-drop mask over the
-        # blocks some drop set drops; the empty set is always allowed.
+        # table[mask] projects a keep mask over the blocks some drop set drops
+        # (bit k: block proj_cols[k] kept): the first entry that drops no
+        # kept block.  The empty drop set is always allowed.
         self.proj_cols = np.array(sorted({j - 1 for d in self.drops for j in d}),
                                   dtype=np.intp)
+        self.proj_bits = np.exp2(np.arange(self.proj_cols.size, dtype=np.float32))
         bit = {j: 1 << k for k, j in enumerate(self.proj_cols.tolist())}
-        unproposed = ~np.arange(1 << self.proj_cols.size)
-        self.table = np.zeros(unproposed.size, dtype=np.intp)
+        kept = np.arange(1 << self.proj_cols.size)
+        self.table = np.zeros(kept.size, dtype=np.intp)
         for k in reversed(range(len(self.drops))):  # earlier entries win
             mask = sum(bit[j - 1] for j in self.drops[k])
-            self.table[(unproposed & mask) == 0] = k
+            self.table[(kept & mask) == 0] = k
 
     def canonicalize(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Raw chromosomes (B, L) to (hosts (B*R, M), drop-set index (B*R,))."""
         r, n, m = self.n_requests, self.n_devices, self.n_blocks
         split = r * n * m
-        y = pop[:, split:].reshape(-1, m)
-        proposed = (y[:, self.proj_cols] == 0) @ (1 << np.arange(self.proj_cols.size))
-        ent = self.table[proposed]
-        hosts = self.repair.hosts(pop[:, :split].reshape(-1, r, n, m), self.keep[ent])
+        y = pop[:, split:].reshape(-1, m).take(self.proj_cols, axis=1)
+        ent = self.table.take((y @ self.proj_bits).astype(np.intp))
+        hosts = self.repair.hosts(pop[:, :split].reshape(-1, r, n, m),
+                                  self.keep.take(ent, axis=0))
         return hosts, ent
 
     def score(self, hosts: np.ndarray, ent: np.ndarray):
@@ -363,28 +416,33 @@ class _Evaluator:
         Returns arrays (penalized, objective, latency, feasible).
         """
         r, n, m = self.n_requests, self.n_devices, self.n_blocks
-        b = hosts.shape[0] // r
-        kept = self.keep[ent]
+        rows = hosts.shape[0]
+        b = rows // r
         # Sums per (candidate, device) bin, added in (request, block) order.
-        base = np.repeat(np.arange(b) * n, r * m).reshape(-1, m)
-        bins = (base + hosts).ravel()
-        load = np.bincount(bins, (kept * self.c).ravel(), b * n).reshape(b, n)
-        mem = np.bincount(bins, (kept * self.m).ravel(), b * n).reshape(b, n)
+        base = np.arange(0, b * n, n)[:, None]
+        bins = (hosts.reshape(b, r * m) + base).ravel()
+        load = np.bincount(bins, self.kept_c.take(ent, axis=0).ravel(), b * n).reshape(b, n)
+        mem = np.bincount(bins, self.kept_m.take(ent, axis=0).ravel(), b * n).reshape(b, n)
         # Transfers per (request, block, source slot); the sender pays.
-        src = self.src[ent]
-        src_hosts = hosts[np.arange(hosts.shape[0])[:, None, None], src]
-        cost = self.bits[src] / self.rho_off[src_hosts, hosts[:, :, None]]
-        tx_time = np.bincount((base[:, :, None] + src_hosts).ravel(), cost.ravel(),
+        src_hosts = hosts.reshape(-1).take(
+            self.src.take(ent, axis=0) + np.arange(0, rows * m, m)[:, None, None])
+        cost = self.src_bits.take(ent, axis=0) / self.rho_off.take(
+            src_hosts * n + hosts[:, :, None])
+        tx_time = np.bincount((src_hosts.reshape(b, -1) + base).ravel(), cost.ravel(),
                               b * n).reshape(b, n)
-        latency_tx = _seqsum(cost.max(axis=2).reshape(b, r * m))
 
-        ct = load / self.e
-        latency = _seqsum(np.column_stack([latency_tx, ct]))
+        times = np.empty((b, n + 1))
+        times[:, 0] = _seqsum(cost.max(axis=2).reshape(b, r * m))
+        ct = np.divide(load, self.e, out=times[:, 1:])
+        latency = _seqsum(times)
         joules = self.energy.p_compute * ct + self.energy.p_transmit * tx_time
-        over = np.stack([load / self.comp_caps - 1.0, mem / self.mem_caps - 1.0,
-                         joules / self.energy_caps - 1.0], axis=2)
+        over = np.empty((b, n, 3))
+        np.divide(load, self.comp_caps, out=over[:, :, 0])
+        np.divide(mem, self.mem_caps, out=over[:, :, 1])
+        np.divide(joules, self.energy_caps, out=over[:, :, 2])
+        over -= 1.0
         rel = _seqsum(np.where(over > 0.0, over, 0.0).reshape(b, 3 * n))
-        acc = _seqsum(self.acc[ent].reshape(b, r)) / r
+        acc = _seqsum(self.acc.take(ent).reshape(b, r)) / r
         wo = objective_value(latency, acc, r, self.weights)
         return wo + self.penalty_weight * rel, wo, latency, rel == 0.0
 
@@ -402,25 +460,24 @@ class _Evaluator:
         length = chromosome_length(r, n, m)
         step = max(1, _CHUNK_CELLS // (r * n * m))
         b = packed.shape[0]
-        parts = [self.canonicalize(np.unpackbits(packed[i:i + step], axis=1, count=length))
-                 for i in range(0, b, step)]
-        hosts, ent = (np.concatenate(col) for col in zip(*parts))
+        hosts, ent = _stacked([
+            self.canonicalize(np.unpackbits(packed[i:i + step], axis=1, count=length))
+            for i in range(0, b, step)])
         # One key row per individual, compared as a single opaque value.
         key = np.empty((b, r * (m + 1)),
                        dtype=np.min_scalar_type(max(n - 1, len(self.drops) - 1)))
         key[:, :r * m] = hosts.reshape(b, r * m)
         key[:, r * m:] = ent.reshape(b, r)
-        _, first, inverse = np.unique(
-            key.view(np.dtype((np.void, key.strides[0]))).ravel(),
-            return_index=True, return_inverse=True)
-        parts = []
-        for i in range(0, first.size, step):
-            rows = (first[i:i + step, None] * r + np.arange(r)).ravel()
-            parts.append(self.score(hosts[rows], ent[rows]))
-        return tuple(np.concatenate(col)[inverse] for col in zip(*parts)) + (hosts, ent)
+        first, inverse = _distinct(key.view(np.dtype((np.void, key.strides[0]))).ravel())
+        per_hosts, per_ent = hosts.reshape(b, r * m), ent.reshape(b, r)
+        scores = _stacked([
+            self.score(per_hosts.take(some, axis=0).reshape(-1, m),
+                       per_ent.take(some, axis=0).reshape(-1))
+            for some in (first[i:i + step] for i in range(0, first.size, step))])
+        return tuple(col.take(inverse) for col in scores) + (hosts, ent)
 
     def to_assignment(self, hosts: np.ndarray, ent: np.ndarray) -> Assignment:
-        kept = self.keep[ent]
+        kept = self.keep.take(ent, axis=0)
         return Assignment(_placement(hosts, kept, self.n_devices),
                           kept.astype(np.uint8).reshape(-1, self.n_blocks))
 
@@ -567,12 +624,13 @@ def _flip_positions(rng: np.random.Generator, rate: float, size: int) -> np.ndar
         return np.zeros(0, dtype=np.int64)
     expect = rate * size
     parts, last = [], -1
-    while last < size:
+    while last < size:  # one draw almost always reaches past the end
         gaps = rng.geometric(rate, size=int(expect + 4.0 * expect ** 0.5) + 8)
         pos = last + np.cumsum(gaps)
         parts.append(pos)
         last = int(pos[-1])
-    pos = np.concatenate(parts)
+    if len(parts) > 1:
+        pos = np.concatenate(parts)
     return pos[pos < size]
 
 
@@ -634,33 +692,36 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     history = [float(scores.min())]
 
     spare = np.empty_like(pop)
+    n_kids, tour = size - elite, config.tournament_size
+    rank = np.empty(size, dtype=np.intp)
+    # Flat index of the first pick of each (child, parent) tournament.
+    slot = np.arange(0, n_kids * 2 * tour, tour).reshape(n_kids, 2)
     for _gen in range(config.generations):
         # Dense rank of (score, latency): equal pairs share a rank, so argmin
         # over a tournament's picks returns the first pick among equals.
         order = np.lexsort((lats, scores))
-        s, lt = scores[order], lats[order]
-        rank = np.empty(size, dtype=np.intp)
-        rank[order] = np.cumsum(np.r_[True, (s[1:] != s[:-1]) | (lt[1:] != lt[:-1])])
-        n_kids = size - elite
-        picks = rng.integers(0, size, size=(n_kids, 2, config.tournament_size))
-        parents = np.take_along_axis(picks, rank[picks].argmin(axis=2)[..., None],
-                                     axis=2)[..., 0]
+        s, lt = scores.take(order), lats.take(order)
+        rank[order[0]] = 0
+        rank[order[1:]] = np.cumsum((s[1:] != s[:-1]) | (lt[1:] != lt[:-1]))
+        picks = rng.integers(0, size, size=(n_kids, 2, tour))
+        parents = picks.reshape(-1).take(slot + rank.take(picks).argmin(axis=2))
         # Children are exchangeable, so the first n_cross cross over and the
         # rest copy their first parent; uniform crossover takes each bit of
         # a crossing child from either parent, a random byte choosing eight.
-        spare[:elite] = pop[order[:elite]]
+        top = order[:elite]
+        spare[:elite] = pop.take(top, axis=0)
         kids = spare[elite:]
-        kids[:] = pop[parents[:, 0]]
+        kids[:] = pop.take(parents[:, 0], axis=0)
         n_cross = rng.binomial(n_kids, config.crossover_rate)
-        swap = pop[parents[:n_cross, 1]]
+        swap = pop.take(parents[:n_cross, 1], axis=0)
         swap ^= kids[:n_cross]
         swap &= rng.integers(0, 256, size=swap.shape, dtype=np.uint8)
         kids[:n_cross] ^= swap
         kid, gene = np.divmod(_flip_positions(rng, mutation, n_kids * length), length)
         np.bitwise_xor.at(kids, (kid, gene >> 3), (128 >> (gene & 7)).astype(np.uint8))
         pen, lat = evaluate(kids)
-        scores = np.concatenate([scores[order[:elite]], pen])
-        lats = np.concatenate([lats[order[:elite]], lat])
+        scores = np.concatenate([scores.take(top), pen])
+        lats = np.concatenate([lats.take(top), lat])
         pop, spare = spare, pop
         # A stalled search repeats its best score; sharing the float object
         # keeps a kept result's history small.

@@ -380,6 +380,31 @@ class TestExitCodes:
         assert f"{axis} sweep values must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("values", ["[[-1, 0.5]]", "[[0.5, -0.5]]", "[[0.3, 0.3]]"])
+    def test_negative_or_unnormalized_sweep_weights_exit_two(self, capsys, tmp_path,
+                                                             values):
+        rc = cli.main(["sweep", "--set", "sweep.axis=weights",
+                       "--set", f"sweep.values={values}",
+                       "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "weights sweep values must be >= 0 and sum to 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args,field", [
+        (["solve", "--set", "scenario.lam=1e300"], "lam must be <="),
+        (["solve", "--set", "scenario.lam=9.3e18", "--requests", "1"], "lam must be <="),
+        (["sweep", "--set", "sweep.axis=lam", "--set", "sweep.values=[1e300]"],
+         "lam sweep values must be <="),
+    ])
+    def test_arrival_rate_over_the_poisson_ceiling_exits_two(self, capsys, tmp_path,
+                                                              args, field):
+        out = ["--output", str(tmp_path / "x.json")] if args[0] == "solve" else [
+            "--output-dir", str(tmp_path / "out")]
+        rc = cli.main(args + out)
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists() and not (tmp_path / "out").exists()
+
     def test_internal_errors_exit_four(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("synthetic failure")

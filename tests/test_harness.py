@@ -197,6 +197,25 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"{kind} sweep values must be finite"):
             SweepAxis(kind=kind, values=(1.0, value) if kind != "weights" else (value,))
 
+    @pytest.mark.parametrize("pair", [(-1.0, 0.5), (0.5, -0.1), (0.3, 0.3)])
+    def test_axis_rejects_negative_or_unnormalized_weights(self, pair):
+        with pytest.raises(ValueError, match="weights sweep values must be >= 0 and sum to 1"):
+            SweepAxis(kind="weights", values=((0.5, 0.5), pair))
+
+    def test_arrival_rates_stop_at_the_poisson_ceiling(self):
+        # numpy's Poisson sampler draws from 9.2e18 and refuses 9.3e18.
+        np.random.default_rng(0).poisson(9.2e18)
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(9.3e18)
+        config = scenario()
+        assert replace(config, lam=9.2e18).lam == 9.2e18
+        assert SweepAxis(kind="lam", values=(9.2e18,)).values == (9.2e18,)
+        for lam in (9.3e18, 1e300):
+            with pytest.raises(ValueError, match="lam must be <= 9.22337e"):
+                replace(config, lam=lam)
+            with pytest.raises(ValueError, match="lam sweep values must be <= 9.22337e"):
+                SweepAxis(kind="lam", values=(1.0, lam))
+
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
     def test_scenario_rejects_a_non_finite_or_negative_rate(self, lam):
         config = scenario()

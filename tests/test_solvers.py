@@ -184,7 +184,9 @@ class TestRepairAllocation:
 
 
 class TestRepairTable:
-    @pytest.mark.parametrize("n_dev", [1, 2, 7, 8, 9, 10, 16, 17, 70, 130])
+    # Up to 10 devices the table is one chunk of row offsets; 11 is the
+    # smallest fleet of several chunks, which compare key|device codes.
+    @pytest.mark.parametrize("n_dev", [1, 2, 7, 8, 9, 10, 11, 16, 17, 70, 130])
     def test_matches_the_reference_loop(self, n_dev):
         # Rates and speeds come from a few round values, so link and speed
         # ties are common; offer densities run from mostly empty to full.
@@ -214,6 +216,13 @@ class TestRepairTable:
         rho = rng.uniform(1.0, 2.0, size=(70, 70))
         table = solvers._RepairTable(rho, rng.uniform(1.0, 2.0, size=70), 0)
         assert table.table.nbytes < 0.4e6
+
+    def test_default_fleet_table_stays_small(self):
+        rng = np.random.default_rng(0)
+        rho = rng.uniform(1.0, 2.0, size=(10, 10))
+        table = solvers._RepairTable(rho, rng.uniform(1.0, 2.0, size=10), 0)
+        assert table.table.shape[1] == 1
+        assert table.table.nbytes < 0.1e6
 
 
 def oracle_penalized(ev, assign):
@@ -265,6 +274,17 @@ class TestEvaluator:
             monkeypatch.undo()
             for k, (got, want) in enumerate(zip(chunked, whole)):
                 np.testing.assert_array_equal(got, want[perm] if k < 4 else want[rows])
+
+    @pytest.mark.parametrize("width", [1, 3, 18])
+    def test_distinct_keys_match_numpy_unique(self, width):
+        rng = np.random.default_rng(width)
+        for size in (1, 2, 7, 99):
+            rows = rng.integers(0, 3, size=(size, width), dtype=np.uint8)
+            keys = rows.view(np.dtype((np.void, width))).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            got_first, got_inverse = solvers._distinct(keys)
+            np.testing.assert_array_equal(got_first, first)
+            np.testing.assert_array_equal(got_inverse, inverse.ravel())
 
     @pytest.mark.parametrize("chunk", [None, 2])
     def test_each_distinct_placement_is_scored_once(self, monkeypatch, chunk):
