@@ -9,6 +9,7 @@ an experiment.
 from __future__ import annotations
 
 import copy
+import operator
 from dataclasses import replace
 from importlib import resources
 
@@ -192,6 +193,19 @@ def _as_list(value, name: str) -> list[float]:
     return out
 
 
+def _as_int(value, name: str) -> int:
+    """An integer key's value.  A float counts only when it is integral; a
+    boolean, a string or a fraction is an error that names the key."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def default_profile() -> AccuracyProfile:
     """The packaged synthetic profile."""
     path = resources.files("resplan").joinpath("data/synthetic_default.yaml")
@@ -210,15 +224,16 @@ def build_scenario(cfg: dict) -> ScenarioConfig:
     """Turn a normalized config dict into runnable scenario objects."""
     try:
         model = cfg["model"]
-        graph = build_resnet50(int(model["input_side"]))
-        if int(model["weight_bytes"]) != graph.weight_bytes:
-            graph = replace(graph, weight_bytes=int(model["weight_bytes"]))
+        graph = build_resnet50(_as_int(model["input_side"], "model.input_side"))
+        weight_bytes = _as_int(model["weight_bytes"], "model.weight_bytes")
+        if weight_bytes != graph.weight_bytes:
+            graph = replace(graph, weight_bytes=weight_bytes)
         if model["memory_mode"] not in ("inputs", "weights", "both"):
             raise ConfigError(f"model.memory_mode {model['memory_mode']!r} unknown")
 
         f = cfg["fleet"]
         fleet = two_tier_fleet(
-            int(f["devices"]),
+            _as_int(f["devices"], "fleet.devices"),
             [v * MB for v in _as_list(f["memory_mb"], "fleet.memory_mb")],
             [v * GMULTS for v in _as_list(f["compute_gmults"], "fleet.compute_gmults")],
             _as_list(f["energy_j"], "fleet.energy_j"),
@@ -253,21 +268,21 @@ def build_scenario(cfg: dict) -> ScenarioConfig:
             accuracy_threshold=float(w["accuracy_threshold"]),
         )
 
-        s = cfg["solver"]
+        s, sc = cfg["solver"], cfg["scenario"]
         if s["kind"] not in ("ga", "exact"):
             raise ConfigError(f"solver.kind {s['kind']!r} unknown")
+        seed = _as_int(sc["seed"], "scenario.seed")
         ga = GaConfig(
-            population_size=int(s["population_size"]),
-            generations=int(s["generations"]),
+            population_size=_as_int(s["population_size"], "solver.population_size"),
+            generations=_as_int(s["generations"], "solver.generations"),
             crossover_rate=float(s["crossover_rate"]),
             mutation_rate=None if s["mutation_rate"] is None else float(s["mutation_rate"]),
-            tournament_size=int(s["tournament_size"]),
+            tournament_size=_as_int(s["tournament_size"], "solver.tournament_size"),
             penalty_weight=float(s["penalty_weight"]),
-            elite=int(s["elite"]),
-            seed=int(cfg["scenario"]["seed"]),
+            elite=_as_int(s["elite"], "solver.elite"),
+            seed=seed,
         )
 
-        sc = cfg["scenario"]
         return ScenarioConfig(
             graph=graph,
             fleet=fleet,
@@ -277,11 +292,12 @@ def build_scenario(cfg: dict) -> ScenarioConfig:
             rate_lo=rate_lo,
             rate_hi=rate_hi,
             lam=float(sc["lam"]),
-            rounds=int(sc["rounds"]),
-            seed=int(sc["seed"]),
+            rounds=_as_int(sc["rounds"], "scenario.rounds"),
+            seed=seed,
             solver=str(s["kind"]),
             ga=ga,
-            exact_limits=ExactLimits(max_candidates=int(s["max_candidates"])),
+            exact_limits=ExactLimits(
+                max_candidates=_as_int(s["max_candidates"], "solver.max_candidates")),
             memory_mode=str(model["memory_mode"]),
             label=str(cfg["label"]),
         )

@@ -154,7 +154,7 @@ class SweepAxis:
         if self.kind == "weights":
             return tuple(f"alpha{a:g}_beta{b:g}" for a, b in self.values)
         prefix = {"energy": "energy_x", "compute": "compute_x",
-                  "rate": "rate_x", "lam": "lambda"}[self.kind]
+                  "rate": "speed_x", "lam": "lambda"}[self.kind]
         return tuple(f"{prefix}{v:g}" for v in self.values)
 
 

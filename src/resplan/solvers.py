@@ -17,7 +17,11 @@ The GA works one generation at a time: it draws every tournament, crossover
 and mutation of a generation at once, then canonicalizes all the children in
 array passes over their (individual, request) rows.  The projection is a
 table lookup on the kept-block bitmask, the repair one table lookup per
-block (an add and a gather on fleets of up to 10 devices).  Most children
+block (an add and a gather on fleets of up to 10 devices).  Only the
+repair's table columns (each row's offered bitmask per block, read from the
+row's N x M placement bits) grow with the fleet, so only they are built in
+bounded chunks; the 17-step block pass then runs once over the whole
+generation, on a large fleet too.  Most children
 repeat a placement (hosts plus drop sets) that another child of the same
 generation also reached, so each distinct placement is scored once and its
 scores are shared.  The score is gathers from per-drop-set arrays plus sums
@@ -174,10 +178,14 @@ def decode(bits, n_requests: int, n_devices: int, n_blocks: int) -> Assignment:
     return Assignment(x, y)
 
 
-# Cells per evaluation chunk: individuals x requests x devices x blocks.
-# Bounds the temporaries of one array pass whatever the fleet size.  A
-# 100-individual generation on a 10-device fleet fits one chunk up to 7
-# requests, so a round's cost there grows with its request count alone.
+# Cells per array pass, bounding its temporaries whatever the fleet size.
+# Unpacking chromosomes, building the repair's table columns and scoring
+# (about 16 arrays of N floats per individual) count individuals x requests
+# x devices x blocks cells.  A 100-individual generation on a 10-device
+# fleet fits one such chunk up to 7 requests, so a round's cost there grows
+# with its request count alone.  The repair's block pass counts rows x
+# blocks x device chunks, far fewer: one pass covers a 100-individual
+# generation up to 77 requests on 10 devices and up to 8 on 70.
 _CHUNK_CELLS = 1 << 17
 
 
@@ -208,6 +216,13 @@ class _RepairTable:
     there it holds d's row offset ``d * span`` (intp) and a block step is an
     add and a gather.  Key 0 and ``fix_device`` answer an empty offer; s =
     2**width, a dropped block, answers p.
+
+    ``hosts`` runs in two steps.  ``columns`` turns offers and keep flags
+    into table indices, M x chunks per row; its temporaries grow with
+    rows x N x M, so a caller with many rows builds them chunk by chunk
+    into one buffer.  ``walk`` then runs the block pass over every row at
+    once, bounded by ``_CHUNK_CELLS`` of its own cells: its fixed cost of
+    about 90 numpy calls is paid once, not once per chunk.
     """
 
     def __init__(self, rho: np.ndarray, e: np.ndarray, fix_device: int):
@@ -240,19 +255,42 @@ class _RepairTable:
     def hosts(self, x: np.ndarray, kept: np.ndarray) -> np.ndarray:
         """Hosts (rows, M) for offers ``x`` shaped (..., N, M), one request
         per leading index, and keep flags ``kept`` shaped (rows, M)."""
-        n, m = x.shape[-2:]
-        rows = kept.shape[0]
-        w, chunks, span = self.width, self.table.shape[1], self.table.shape[2]
-        # Table indices per (block, chunk, row), each block step's contiguous.
-        offers = np.empty((m, chunks, rows), dtype=np.intp)
-        offers[:] = (self.offer_bits @ x).reshape(rows, chunks, m).transpose(2, 1, 0)
-        np.copyto(offers, 1 << w, where=~kept.T[:, None])
-        offers += np.arange(0, chunks * span, span)[:, None]
+        return self.walk(self.columns(x, kept))
+
+    def columns(self, x: np.ndarray, kept: np.ndarray, out: np.ndarray | None = None):
+        """Table indices (M, chunks, rows) for ``hosts``' arguments, each
+        block step's contiguous; written to ``out`` when given."""
+        m = x.shape[-1]
+        rows, chunks, span = kept.shape[0], self.table.shape[1], self.table.shape[2]
+        # Each chunk's offered bitmask, or 2**width for a dropped block, plus
+        # the chunk's offset; all exact in float32.
+        cols = (self.offer_bits @ x).reshape(rows, chunks, m)
+        np.copyto(cols, 1 << self.width, where=~kept[:, None])
+        cols += np.arange(0, chunks * span, span, dtype=np.float32)[:, None]
+        if out is None:
+            out = np.empty((m, chunks, rows), dtype=np.intp)
+        out[:] = cols.transpose(2, 1, 0)
+        return out
+
+    def walk(self, offers: np.ndarray) -> np.ndarray:
+        """Hosts (rows, M) from table indices shaped (M, chunks, rows), in
+        block passes over at most ``_CHUNK_CELLS`` of those cells."""
+        m, chunks, rows = offers.shape
+        out = np.empty((rows, m), dtype=np.intp)
+        step = max(1, _CHUNK_CELLS // (m * chunks))
+        for lo in range(0, rows, step):
+            self._block_pass(offers[:, :, lo:lo + step], out[lo:lo + step])
+        return out
+
+    def _block_pass(self, offers: np.ndarray, out: np.ndarray) -> None:
+        """The forward pass, one block step at a time, over all given rows."""
+        m, chunks, rows = offers.shape
         flat = self.table.reshape(-1)
-        stride = chunks * span
-        # at[j] is the row offset (host * stride) of block j - 1.
+        stride = chunks * self.table.shape[2]
+        # at[j] is the row offset (host * stride) of block j - 1; the last
+        # row answers the first block, which has no previous one.
         at = np.empty((m + 1, rows), dtype=np.intp)
-        at[0] = n * stride
+        at[0] = (self.table.shape[0] - 1) * stride
         idx = np.empty((chunks, rows), dtype=np.intp)
         if chunks == 1:
             for j in range(m):
@@ -266,7 +304,7 @@ class _RepairTable:
                 flat.take(idx, out=codes, mode="clip")
                 np.bitwise_and(codes.max(axis=0), mask, out=at[j + 1])
                 at[j + 1] *= stride
-        return np.floor_divide(at[1:].T, stride, out=np.empty((rows, m), dtype=np.intp))
+        np.floor_divide(at[1:].T, stride, out=out)
 
 
 def _stacked(parts: list) -> tuple:
@@ -402,13 +440,18 @@ class _Evaluator:
 
     def canonicalize(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Raw chromosomes (B, L) to (hosts (B*R, M), drop-set index (B*R,))."""
+        ent = np.empty(pop.shape[0] * self.n_requests, dtype=np.intp)
+        return self.repair.walk(self._columns(pop, ent)), ent
+
+    def _columns(self, pop: np.ndarray, ent: np.ndarray, out: np.ndarray | None = None):
+        """Project raw chromosomes (B, L) onto drop sets, into ``ent``, and
+        return their repair table columns (written to ``out`` when given)."""
         r, n, m = self.n_requests, self.n_devices, self.n_blocks
         split = r * n * m
         y = pop[:, split:].reshape(-1, m).take(self.proj_cols, axis=1)
-        ent = self.table.take((y @ self.proj_bits).astype(np.intp))
-        hosts = self.repair.hosts(pop[:, :split].reshape(-1, r, n, m),
-                                  self.keep.take(ent, axis=0))
-        return hosts, ent
+        self.table.take((y @ self.proj_bits).astype(np.intp), out=ent)
+        return self.repair.columns(pop[:, :split].reshape(-1, r, n, m),
+                                   self.keep.take(ent, axis=0), out)
 
     def score(self, hosts: np.ndarray, ent: np.ndarray):
         """Penalized score per candidate from its resolved rows.
@@ -460,9 +503,20 @@ class _Evaluator:
         length = chromosome_length(r, n, m)
         step = max(1, _CHUNK_CELLS // (r * n * m))
         b = packed.shape[0]
-        hosts, ent = _stacked([
-            self.canonicalize(np.unpackbits(packed[i:i + step], axis=1, count=length))
-            for i in range(0, b, step)])
+        # Only the table columns grow with N: unpack and build them chunk by
+        # chunk into one buffer, then walk every row at once.  Several chunks
+        # store the smallest dtype that holds a table index; one keeps intp,
+        # which the block steps add to the row offsets fastest.
+        table = self.repair.table
+        ent = np.empty(b * r, dtype=np.intp)
+        offers = np.empty((m, table.shape[1], b * r), dtype=np.intp if b <= step else
+                          np.min_scalar_type(table.shape[1] * table.shape[2]))
+        for i in range(0, b, step):
+            rows = slice(i * r, (i + step) * r)
+            self._columns(np.unpackbits(packed[i:i + step], axis=1, count=length),
+                          ent[rows], offers[:, :, rows])
+        hosts = self.repair.walk(offers)
+        del offers  # not held while scoring
         # One key row per individual, compared as a single opaque value.
         key = np.empty((b, r * (m + 1)),
                        dtype=np.min_scalar_type(max(n - 1, len(self.drops) - 1)))

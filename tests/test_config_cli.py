@@ -146,6 +146,22 @@ class TestBuildScenario:
         with pytest.raises(ConfigError):
             build_scenario(load_config({"fleet": {"energy_j": [0.0]}}))
 
+    @pytest.mark.parametrize("key", [
+        "fleet.devices", "solver.population_size", "solver.generations",
+        "solver.tournament_size", "solver.elite", "solver.max_candidates",
+        "scenario.rounds", "scenario.seed", "model.input_side", "model.weight_bytes",
+    ])
+    @pytest.mark.parametrize("value", [True, 2.5, "1e2", math.nan, math.inf])
+    def test_integer_keys_reject_booleans_and_fractions(self, key, value):
+        section, leaf = key.split(".")
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            build_scenario(load_config({section: {leaf: value}}))
+
+    def test_integer_keys_take_integral_floats(self):
+        sc = build_scenario(load_config({"fleet": {"devices": 6.0},
+                                         "solver": {"population_size": 50.0}}))
+        assert sc.fleet.n_devices == 6 and sc.ga.population_size == 50
+
     def test_memory_mode_flows_to_the_scenario(self):
         sc = build_scenario(load_config({"model": {"memory_mode": "weights"}}))
         assert sc.memory_mode == "weights"
@@ -404,6 +420,17 @@ class TestExitCodes:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists() and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override", [
+        "solver.population_size=2.5", "fleet.devices=10.9", "solver.generations=3.7",
+        "fleet.devices=true", "solver.population_size=1e2", "scenario.rounds=2.5",
+    ])
+    def test_non_integer_counts_exit_two(self, capsys, tmp_path, override):
+        rc = cli.main(["solve", "--requests", "1", "--set", override,
+                       "--output", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert f"{override.partition('=')[0]} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_internal_errors_exit_four(self, capsys, monkeypatch):
         def boom(args):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from resplan.errors import UnbridgeableDrop
 from resplan.graph import (
@@ -278,6 +280,50 @@ class TestEffectiveEdges:
                 else:
                     got = {(e.src, e.dst, e.kind) for e in effective_edges(graph, keep)}
                     assert got == set(expected)
+
+
+@st.composite
+def chain_and_keep(draw):
+    """A skip topology over 2-12 blocks and a keep vector it can bridge.
+
+    A block is droppable when some skip edge spans it or it is the last one.
+    The keep vector walks from the stem: each next kept block is the next
+    block or the far end of a skip edge, and the walk may stop once every
+    block left is droppable.
+    """
+    m = draw(st.integers(2, 12))
+    max_skip = draw(st.integers(1, 4))
+    spans = [(dst, src) for dst in range(2, m + 1)
+             for src in range(max(1, dst - max_skip), dst)]
+    edges = draw(st.sets(st.sampled_from(spans)))
+    droppable = [1 < j and (j == m or any(src < j < dst for dst, src in edges))
+                 for j in range(1, m + 1)]
+    layer = LayerSpec("conv", 1, 2, 2, 2, 8)
+    blocks = (BlockSpec(1, 1, "stem", (layer,), False, 8),) + tuple(
+        BlockSpec(j, 2, "identity_block", (layer,), droppable[j - 1], 8)
+        for j in range(2, m + 1))
+    graph = ResNetGraph(blocks, SkipTopology(frozenset(edges), max_skip=max_skip))
+    keep = [1] + [0] * (m - 1)
+    j = 1
+    while j < m:
+        steps = sorted({j + 1} | {dst for dst, src in edges if src == j})
+        if all(droppable[j:]):
+            steps.append(None)
+        j = draw(st.sampled_from(steps))
+        if j is None:
+            break
+        keep[j - 1] = 1
+    return graph, keep
+
+
+class TestChainForm:
+    @given(chain_and_keep())
+    def test_each_kept_block_is_fed_by_the_previous_kept_block_alone(self, case):
+        graph, keep = case
+        edges = effective_edges(graph, keep)
+        kept = [j + 1 for j, k in enumerate(keep) if k]
+        for prev, block in zip(kept, kept[1:]):
+            assert {e.src for e in edges if e.dst == block} == {prev}
 
 
 def helpers_random_graph(rng):

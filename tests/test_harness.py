@@ -187,6 +187,9 @@ class TestSweep:
         assert axis.labels() == ("alpha1_beta0", "alpha0.5_beta0.5")
         assert SweepAxis(kind="lam", values=(0.0, 2.0)).labels() == (
             "lambda0", "lambda2")
+        # The rate axis scales compute speed, not link rates.
+        assert SweepAxis(kind="rate", values=(0.5, 2.0)).labels() == (
+            "speed_x0.5", "speed_x2")
 
     @pytest.mark.parametrize("kind,value", [
         ("energy", math.nan), ("rate", math.inf), ("compute", -math.inf),

@@ -325,20 +325,47 @@ class TestEvaluator:
         for g, w in zip(got, zip(*want)):
             np.testing.assert_array_equal(g, np.concatenate(w))
 
-    def test_default_fleet_generation_is_one_chunk_up_to_seven_requests(self, monkeypatch):
+    @pytest.mark.parametrize("devices,requests", [(10, 7), (70, 3)])
+    def test_a_generation_is_one_repair_block_pass(self, monkeypatch, devices, requests):
         # Otherwise a round's cost jumps where a generation starts to split,
-        # and a pass costs more for seeds that draw more such rounds.
-        sc = build_scenario(load_config())
-        rates = sample_rates(sc.fleet.n_devices, rng=np.random.default_rng(0))
+        # and a pass costs more for seeds that draw more such rounds.  On 70
+        # devices the table columns are built in several chunks, but the
+        # block pass still runs once over every row.
+        sc = build_scenario(load_config({"fleet": {"devices": devices}}))
+        rates = sample_rates(devices, rng=np.random.default_rng(0))
         ev = _Evaluator(sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy,
-                        n_requests=7)
-        calls = []
-        canonicalize = ev.canonicalize
-        monkeypatch.setattr(ev, "canonicalize", lambda pop: calls.append(pop.shape[0])
-                            or canonicalize(pop))
-        length = chromosome_length(7, ev.n_devices, ev.n_blocks)
-        ev.evaluate(np.zeros((sc.ga.population_size, -(-length // 8)), dtype=np.uint8))
-        assert calls == [sc.ga.population_size]
+                        n_requests=requests)
+        passes = []
+        block_pass = ev.repair._block_pass
+        monkeypatch.setattr(ev.repair, "_block_pass", lambda offers, out: passes.append(
+            offers.shape[2]) or block_pass(offers, out))
+        length = chromosome_length(requests, devices, ev.n_blocks)
+        size = sc.ga.population_size
+        ev.evaluate(np.zeros((size, -(-length // 8)), dtype=np.uint8))
+        assert passes == [size * requests]
+
+    def test_several_offer_chunks_score_as_each_individual_alone(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        r = 3
+        graph = helpers.random_graph(rng, n_blocks=7)
+        fleet = helpers.random_fleet(rng, 70, cap_scale=1e-2)
+        rates = helpers.random_rates(rng, 70)
+        profile = helpers.profile_for(graph, helpers.bridgeable_drop_sets(graph))
+        weights = ObjectiveWeights(0.5, 0.5, latency_ref=100.0)
+        ev = _Evaluator(graph, fleet, rates, profile, weights, EnergyParams(),
+                        n_requests=r, penalty_weight=10.0)
+        length = chromosome_length(r, 70, ev.n_blocks)
+        size = 2 * solvers._CHUNK_CELLS // (r * 70 * ev.n_blocks) + 1  # three chunks
+        pop = np.packbits(rng.integers(0, 2, size=(size, length), dtype=np.uint8), axis=1)
+        walks = []
+        walk = ev.repair.walk
+        monkeypatch.setattr(ev.repair, "walk", lambda offers: walks.append(offers.dtype)
+                            or walk(offers))
+        whole = ev.evaluate(pop)
+        assert walks == [np.uint16]
+        alone = [ev.evaluate(pop[i:i + 1]) for i in range(size)]
+        for got, want in zip(zip(*alone), whole):
+            np.testing.assert_array_equal(np.concatenate(got), want)
 
     def test_exact_enumeration_does_not_depend_on_the_chunk_size(self, monkeypatch):
         for seed in range(4):
