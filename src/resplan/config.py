@@ -21,6 +21,7 @@ from .graph import build_resnet50
 from .harness import SWEEP_KINDS, ScenarioConfig, SweepAxis
 from .objective import ObjectiveWeights, default_latency_ref
 from .profile import AccuracyProfile, load_profile
+from . import solvers
 from .solvers import ExactLimits, GaConfig
 
 MB = 1e6          # bytes per (decimal) megabyte
@@ -232,8 +233,12 @@ def build_scenario(cfg: dict) -> ScenarioConfig:
             raise ConfigError(f"model.memory_mode {model['memory_mode']!r} unknown")
 
         f = cfg["fleet"]
+        n_devices = _as_int(f["devices"], "fleet.devices")
+        if (size := solvers.round_bytes(n_devices)) > solvers.MEMORY_BOUND:
+            raise ConfigError(f"fleet.devices={n_devices} needs {size:.3g} bytes of arrays "
+                              f"a round, over the {solvers.MEMORY_BOUND}-byte bound")
         fleet = two_tier_fleet(
-            _as_int(f["devices"], "fleet.devices"),
+            n_devices,
             [v * MB for v in _as_list(f["memory_mb"], "fleet.memory_mb")],
             [v * GMULTS for v in _as_list(f["compute_gmults"], "fleet.compute_gmults")],
             _as_list(f["energy_j"], "fleet.energy_j"),

@@ -2,11 +2,11 @@
 
 Conventions, fixed here and relied on everywhere:
 
-* Latency: for each request, every kept block pays the cost of its incoming
-  transfers; when both a direct and a skip edge feed the same block, the
-  block pays the larger of the two (the transfers overlap).  Same-device
-  transfers cost zero.  Device compute times are added on top; there is no
-  queueing or compute/transfer overlap model.
+* Latency: for each request, every kept block but the first pays for the
+  one transfer into it, from the previous kept block (the chain form: a skip
+  edge carries data only across dropped blocks).  Same-device transfers cost
+  zero.  Device compute times are added on top; there is no queueing or
+  compute/transfer overlap model.
 * Energy and shared data: each physical transfer is counted exactly once; a
   span-1 skip edge that coincides with a direct edge is the same bytes on the
   same wire.  Transmission energy is charged to the sending device.
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .fleet import DeviceSpec, EnergyParams, Fleet, RateMatrix
-from .graph import BlockSpec, Edge, ResNetGraph, compute_load, effective_edges, memory_load, output_bits
+from .graph import BlockSpec, Edge, ResNetGraph, block_arrays, compute_load, effective_edges
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def comp_latency(device: DeviceSpec, block: BlockSpec) -> float:
 def device_comp_time(assign: Assignment, device: DeviceSpec, graph: ResNetGraph) -> float:
     """Total seconds the device spends computing its assigned, kept blocks."""
     i = device.device_id - 1
-    c = np.array([compute_load(b) for b in graph.blocks], dtype=float)
+    c = block_arrays(graph)[0]
     load = float(np.einsum("rm,rm,m->", assign.x[:, i, :], assign.y, c))
     return load / device.mult_rate
 
@@ -110,25 +110,16 @@ def skip_tx_latency(k_bits_source: float, rho: float, theta: int) -> float:
 
 def _request_transfer_costs(edges: Sequence[Edge], hosts: np.ndarray,
                             bits: np.ndarray, rho: np.ndarray):
-    """Per-request transfer accounting shared by the cost functions.
-
-    Returns (block_in_cost, transfers) where block_in_cost maps dst block ->
-    incoming latency (max over its incoming edges) and transfers is the
-    deduplicated physical list [(src, dst, seconds, bits)] with zero-cost
-    entries for co-located endpoints.
-    """
-    block_in: dict[int, float] = {}
-    transfers: list[tuple[int, int, float, float]] = []
-    seen: set[tuple[int, int]] = set()
+    """One request's physical transfers [(src, dst, seconds, bits)] in block
+    order, one into each kept block but the first; co-located endpoints
+    cost zero seconds."""
+    transfers: dict[tuple[int, int], tuple[int, int, float, float]] = {}
     for e in edges:
         hs = int(hosts[e.src - 1])
         hd = int(hosts[e.dst - 1])
         cost = 0.0 if hs == hd else float(bits[e.src - 1]) / rho[hs, hd]
-        block_in[e.dst] = max(block_in.get(e.dst, 0.0), cost)
-        if (e.src, e.dst) not in seen:
-            seen.add((e.src, e.dst))
-            transfers.append((e.src, e.dst, cost, float(bits[e.src - 1])))
-    return block_in, transfers
+        transfers[e.src, e.dst] = (e.src, e.dst, cost, float(bits[e.src - 1]))
+    return list(transfers.values())
 
 
 @dataclass(frozen=True)
@@ -156,12 +147,8 @@ def evaluate_assignment(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
     """
     if not assign.is_resolved():
         raise ValueError("assignment is not resolved (some kept block lacks a unique host)")
-    c = np.array([compute_load(b) for b in graph.blocks], dtype=float)
-    m = np.array(
-        [memory_load(b, memory_mode, graph.weight_bytes) for b in graph.blocks], dtype=float
-    )
-    bits = np.array([output_bits(b, graph.weight_bytes) for b in graph.blocks], dtype=float)
-    return _evaluate_arrays(assign, graph, fleet, rates, energy, c, m, bits)
+    return _evaluate_arrays(assign, graph, fleet, rates, energy,
+                            *block_arrays(graph, memory_mode))
 
 
 def _evaluate_arrays(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
@@ -181,8 +168,8 @@ def _evaluate_arrays(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
     for r in range(assign.n_requests):
         edges = effective_edges(graph, assign.y[r])
         hosts = assign.hosts(r)
-        block_in, transfers = _request_transfer_costs(edges, hosts, bits, rates.rho)
-        latency_tx += sum(block_in.values())
+        transfers = _request_transfer_costs(edges, hosts, bits, rates.rho)
+        latency_tx += sum(t[2] for t in transfers)
         for src, _dst, secs, k_bits in transfers:
             if secs > 0.0:
                 tx_time[hosts[src - 1]] += secs
@@ -214,14 +201,13 @@ def device_energy(assign: Assignment, device: DeviceSpec, graph: ResNetGraph,
     if not assign.is_resolved():
         raise ValueError("assignment is not resolved (some kept block lacks a unique host)")
     i = device.device_id - 1
-    c = np.array([compute_load(b) for b in graph.blocks], dtype=float)
-    bits = np.array([output_bits(b, graph.weight_bytes) for b in graph.blocks], dtype=float)
+    c, _m, bits = block_arrays(graph)
     comp_secs = float(np.einsum("rm,rm,m->", assign.x[:, i, :], assign.y, c)) / device.mult_rate
     tx_secs = 0.0
     for r in range(assign.n_requests):
         edges = effective_edges(graph, assign.y[r])
         hosts = assign.hosts(r)
-        _, transfers = _request_transfer_costs(edges, hosts, bits, rates.rho)
+        transfers = _request_transfer_costs(edges, hosts, bits, rates.rho)
         for src, _dst, secs, _k in transfers:
             if secs > 0.0 and hosts[src - 1] == i:
                 tx_secs += secs
@@ -230,17 +216,17 @@ def device_energy(assign: Assignment, device: DeviceSpec, graph: ResNetGraph,
 
 def shared_data(assign: Assignment, graph: ResNetGraph, rates: RateMatrix) -> float:
     """Total bits crossing device boundaries to serve all requests."""
-    bits = np.array([output_bits(b, graph.weight_bytes) for b in graph.blocks], dtype=float)
+    bits = block_arrays(graph)[2]
     total = 0.0
     for r in range(assign.n_requests):
         edges = effective_edges(graph, assign.y[r])
         hosts = assign.hosts(r)
-        _, transfers = _request_transfer_costs(edges, hosts, bits, rates.rho)
+        transfers = _request_transfer_costs(edges, hosts, bits, rates.rho)
         total += sum(k for _s, _d, secs, k in transfers if secs > 0.0)
     return total
 
 
 def total_computation(assign: Assignment, graph: ResNetGraph) -> float:
     """Multiplications actually executed: x- and y-gated block loads."""
-    c = np.array([compute_load(b) for b in graph.blocks], dtype=float)
+    c = block_arrays(graph)[0]
     return float(np.einsum("rim,rm,m->", assign.x, assign.y, c))

@@ -46,12 +46,12 @@ class LengthMismatch(ResplanError):
 
 
 class InstanceTooLarge(ResplanError):
-    """Exhaustive enumeration would exceed the configured evaluation budget."""
+    """An instance would exceed a solver's evaluation or memory budget."""
 
-    def __init__(self, size: int, limit: int):
+    def __init__(self, size: int, limit: int, what: str = "enumeration size"):
         self.size = size
         self.limit = limit
-        super().__init__(f"enumeration size {size} exceeds limit {limit}")
+        super().__init__(f"{what} {size} exceeds limit {limit}")
 
 
 class InfeasibleInstance(ResplanError):

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import UnbridgeableDrop
 
 LAYER_KINDS = ("conv", "pool", "fc")
@@ -227,6 +229,15 @@ def output_bits(block: BlockSpec, b: int = DEFAULT_WEIGHT_BYTES) -> int:
     if b <= 0:
         raise ValueError("b must be > 0")
     return block.out_elements * b * 8
+
+
+def block_arrays(graph: ResNetGraph, memory_mode: str = "inputs"):
+    """Per block, as float arrays: multiplications, resident bytes in
+    ``memory_mode`` and output bits."""
+    b, blocks = graph.weight_bytes, graph.blocks
+    return (np.array([compute_load(k) for k in blocks], dtype=float),
+            np.array([memory_load(k, memory_mode, b) for k in blocks], dtype=float),
+            np.array([output_bits(k, b) for k in blocks], dtype=float))
 
 
 def effective_edges(graph: ResNetGraph, keep: Sequence[int]) -> list[Edge]:

@@ -11,7 +11,7 @@ import numpy as np
 from .costs import Assignment, CostBreakdown, evaluate_assignment
 from .errors import UnprofiledDropSet
 from .fleet import DEFAULT_RATE_LO, EnergyParams, Fleet, RateMatrix
-from .graph import ResNetGraph, compute_load, memory_load, output_bits
+from .graph import ResNetGraph, block_arrays, compute_load, output_bits
 from .profile import AccuracyProfile, g_lookup
 
 WEIGHT_SUM_TOL = 1e-9
@@ -151,10 +151,7 @@ def check_constraints(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
             )
     coverage_ok = not violations
 
-    mem_vec = np.array(
-        [memory_load(b, memory_mode, graph.weight_bytes) for b in graph.blocks], dtype=float
-    )
-    bd = _breakdown_for_report(assign, graph, fleet, rates, energy, mem_vec, coverage_ok)
+    bd = _breakdown_for_report(assign, graph, fleet, rates, energy, memory_mode, coverage_ok)
 
     memory_margin = fleet.memory_caps - bd.memory_use
     compute_margin = fleet.compute_caps - bd.compute_use
@@ -194,11 +191,10 @@ def check_constraints(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
     )
 
 
-def _breakdown_for_report(assign, graph, fleet, rates, energy, mem_vec, resolved_ok):
+def _breakdown_for_report(assign, graph, fleet, rates, energy, memory_mode, resolved_ok):
     from .costs import _evaluate_arrays  # shared one-pass evaluator
 
-    c = np.array([compute_load(b) for b in graph.blocks], dtype=float)
-    bits = np.array([output_bits(b, graph.weight_bytes) for b in graph.blocks], dtype=float)
+    c, mem_vec, bits = block_arrays(graph, memory_mode)
     if resolved_ok and assign.is_resolved():
         return _evaluate_arrays(assign, graph, fleet, rates, energy, c, mem_vec, bits)
     # Multi-host or uncovered candidates: charge every listed host for its

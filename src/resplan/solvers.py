@@ -21,22 +21,26 @@ block (an add and a gather on fleets of up to 10 devices).  Only the
 repair's table columns (each row's offered bitmask per block, read from the
 row's N x M placement bits) grow with the fleet, so only they are built in
 bounded chunks; the 17-step block pass then runs once over the whole
-generation, on a large fleet too.  Most children
-repeat a placement (hosts plus drop sets) that another child of the same
-generation also reached, so each distinct placement is scored once and its
-scores are shared.  The score is gathers from per-drop-set arrays plus sums
-taken in the order a per-candidate loop would take them, so a candidate
-scores the same alone or in any batch, and sharing changes no result.  A
-generation on the default fleet has only a few hundred rows, so its cost is
-mostly a fixed price per numpy call: the hot paths keep their call count
-low (``take`` over fancy indexing, preallocated outputs, no joins of a
-single chunk).
+generation, on a large fleet too.  Each distinct placement (hosts plus
+drop sets) of a generation is scored once and its scores are shared.
+
+The score walks each request's chain of kept blocks, each fed by the
+previous kept block alone.  Its ordered sums (latency, overruns, accuracy)
+lay their terms out block-major, (terms, candidates), and reduce over the
+outer axis, so each candidate's terms are added left to right as a
+per-candidate loop adds them; a lone candidate is accumulated, since numpy
+would sum its one column pairwise.  A candidate thus scores the same alone
+or in any batch, and sharing changes no result.  A generation on the default
+fleet has only a few hundred rows, so its cost is mostly a fixed price per
+numpy call: the hot paths keep their call count low (``take`` over fancy
+indexing, preallocated outputs, no joins of a single chunk).
 
 Budget overruns are handled softly, as relative-violation penalties on the
 objective.  ``solve_exact`` enumerates the same candidate space exhaustively
 for small instances, decoding candidate numbers into hosts and streaming
 them through the same scorer in fixed-size chunks; it is the reference the
-GA is compared against.
+GA is compared against.  Both first run a necessary-condition feasibility
+certificate.
 """
 from __future__ import annotations
 
@@ -54,7 +58,7 @@ from .errors import (
     UncoveredBlock,
 )
 from .fleet import EnergyParams, Fleet, RateMatrix
-from .graph import ResNetGraph, compute_load, effective_edges, memory_load, output_bits
+from .graph import ResNetGraph, block_arrays, effective_edges
 from .objective import FeasibilityReport, ObjectiveWeights, check_constraints, objective_value
 from .profile import AccuracyProfile, allowed_drop_sets
 
@@ -188,14 +192,26 @@ def decode(bits, n_requests: int, n_devices: int, n_blocks: int) -> Assignment:
 # generation up to 77 requests on 10 devices and up to 8 on 70.
 _CHUNK_CELLS = 1 << 17
 
+# The most bytes a round's per-fleet arrays, or a GA population, may take.
+MEMORY_BOUND = 1 << 30
 
-def _seqsum(a: np.ndarray) -> np.ndarray:
-    """Row sums added left to right, as a Python loop adds them.
 
-    ``np.sum`` adds pairwise, which can differ in the last bit; scores must
-    not depend on how candidates are batched.
-    """
-    return np.add.accumulate(a, axis=1)[:, -1]
+def round_bytes(n_devices: int) -> int:
+    """At most the bytes of a round's largest arrays on N devices, eight an
+    entry: the N x N link rates and the repair table, which holds 2**10 + 1
+    entries per previous device on one chunk, else 2**8 + 1 per chunk of 8."""
+    n = max(n_devices, 0)
+    return 8 * (n * n + (n + 1) * (1025 + 257 * -(-n // 8)))
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Column sums of block-major ``terms`` (terms, candidates), each added
+    top to bottom as a per-candidate loop adds it: a reduce over the outer
+    axis adds row after row.  numpy sums a lone column pairwise, which can
+    differ in the last bit, so one candidate is accumulated instead."""
+    if terms.shape[1] == 1:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0)
 
 
 class _RepairTable:
@@ -341,8 +357,11 @@ class _Evaluator:
 
     Drop sets are indexed by their rank in ``drops`` (largest first, then best
     accuracy, then lowest block ids).  Rows are (individual, request) pairs in
-    order.  Scores agree with the public cost functions and, bit for bit, with
-    a per-candidate loop: each sum runs in the same order.
+    order.  ``src[k, j]`` is the block feeding block j under drop set k.
+    Scores agree with the public cost functions and, bit for bit, with a
+    per-candidate loop: per-device loads are bincounts in (request, block)
+    order, and the other sums are ``_ordered_sum`` over block-major terms,
+    one candidate accumulated alone.
     """
 
     def __init__(self, graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
@@ -361,14 +380,7 @@ class _Evaluator:
         self.penalty_weight = penalty_weight
         self.memory_mode = memory_mode
 
-        self.c = np.array([compute_load(b) for b in graph.blocks], dtype=float)
-        self.m = np.array(
-            [memory_load(b, memory_mode, graph.weight_bytes) for b in graph.blocks],
-            dtype=float,
-        )
-        self.bits = np.array(
-            [output_bits(b, graph.weight_bytes) for b in graph.blocks], dtype=float
-        )
+        self.c, self.m, self.bits = block_arrays(graph, memory_mode)
         self.e = fleet.mult_rates
         self.rho = rates.rho
         # Same-device transfers divide by infinity and cost exactly zero.
@@ -379,18 +391,20 @@ class _Evaluator:
         self.mem_caps = fleet.memory_caps
         self.comp_caps = fleet.compute_caps
         self.energy_caps = fleet.energy_caps
+        # Per device: the compute, memory and energy caps, in penalty order.
+        self.caps = np.stack([self.comp_caps, self.mem_caps, self.energy_caps], 1)[:, :, None]
         self.fix_device = int(np.argmax(self.e))
         self.repair = _RepairTable(self.rho, self.e, self.fix_device)
 
         self._build_entries(profile, weights.accuracy_threshold)
         # Per drop set: the loads its kept blocks place and the bits each
-        # source slot sends; score gathers these by drop-set index.
+        # block receives; score gathers these by drop-set index.
         self.kept_c = self.keep * self.c
         self.kept_m = self.keep * self.m
         self.src_bits = self.bits[self.src]
 
     def _build_entries(self, profile, threshold):
-        """Per drop set: keep flags, accuracy and the sources feeding each
+        """Per drop set: keep flags, accuracy and the block feeding each
         block; plus the projection table over proposed-drop bitmasks."""
         m = self.n_blocks
         rows = []
@@ -400,13 +414,15 @@ class _Evaluator:
                 continue  # profiled but not droppable in this graph
             y = np.ones(m, dtype=np.uint8)
             y[[j - 1 for j in drop]] = 0
+            # The chain form: each kept block but the first is fed by the
+            # previous kept block alone; others name themselves (zero cost).
+            src = np.arange(m)
             try:
-                edges = effective_edges(self.graph, y)
+                for ed in effective_edges(self.graph, y):
+                    src[ed.dst - 1] = ed.src - 1
             except UnbridgeableDrop:
                 continue  # profiled but not executable under this topology
-            feeds = [sorted({ed.src - 1 for ed in edges if ed.dst - 1 == j})
-                     for j in range(m)]
-            rows.append((drop, y, feeds, profile.accuracy_for(ds)))
+            rows.append((drop, y, src, profile.accuracy_for(ds)))
         if not rows:
             raise InfeasibleInstance(
                 "no profiled drop set is both above the accuracy threshold and "
@@ -417,14 +433,8 @@ class _Evaluator:
         rows.sort(key=lambda t: (-len(t[0]), -t[3], t[0]))
         self.drops = [t[0] for t in rows]
         self.keep = np.array([t[1] for t in rows], dtype=bool)
+        self.src = np.array([t[2] for t in rows])
         self.acc = np.array([t[3] for t in rows], dtype=float)
-        # Sources per (entry, block, slot), ascending; spare slots name the
-        # block itself, a same-device transfer that costs zero.
-        width = max([len(f) for t in rows for f in t[2]] + [1])
-        self.src = np.tile(np.arange(m)[:, None], (len(rows), 1, width))
-        for k, (_d, _y, feeds, _a) in enumerate(rows):
-            for j, f in enumerate(feeds):
-                self.src[k, j, :len(f)] = f
         # table[mask] projects a keep mask over the blocks some drop set drops
         # (bit k: block proj_cols[k] kept): the first entry that drops no
         # kept block.  The empty drop set is always allowed.
@@ -466,26 +476,24 @@ class _Evaluator:
         bins = (hosts.reshape(b, r * m) + base).ravel()
         load = np.bincount(bins, self.kept_c.take(ent, axis=0).ravel(), b * n).reshape(b, n)
         mem = np.bincount(bins, self.kept_m.take(ent, axis=0).ravel(), b * n).reshape(b, n)
-        # Transfers per (request, block, source slot); the sender pays.
+        # Transfers per (request, block) from the previous kept block; the
+        # sender pays.
         src_hosts = hosts.reshape(-1).take(
-            self.src.take(ent, axis=0) + np.arange(0, rows * m, m)[:, None, None])
-        cost = self.src_bits.take(ent, axis=0) / self.rho_off.take(
-            src_hosts * n + hosts[:, :, None])
+            self.src.take(ent, axis=0) + np.arange(0, rows * m, m)[:, None])
+        cost = self.src_bits.take(ent, axis=0) / self.rho_off.take(src_hosts * n + hosts)
         tx_time = np.bincount((src_hosts.reshape(b, -1) + base).ravel(), cost.ravel(),
                               b * n).reshape(b, n)
 
-        times = np.empty((b, n + 1))
-        times[:, 0] = _seqsum(cost.max(axis=2).reshape(b, r * m))
-        ct = np.divide(load, self.e, out=times[:, 1:])
-        latency = _seqsum(times)
-        joules = self.energy.p_compute * ct + self.energy.p_transmit * tx_time
-        over = np.empty((b, n, 3))
-        np.divide(load, self.comp_caps, out=over[:, :, 0])
-        np.divide(mem, self.mem_caps, out=over[:, :, 1])
-        np.divide(joules, self.energy_caps, out=over[:, :, 2])
-        over -= 1.0
-        rel = _seqsum(np.where(over > 0.0, over, 0.0).reshape(b, 3 * n))
-        acc = _seqsum(self.acc.take(ent).reshape(b, r)) / r
+        # Latency: the transfers in (request, block) order, then each
+        # device's compute time, as one block-major ordered sum.
+        terms = np.empty((r * m + n, b))
+        terms[:r * m] = cost.reshape(b, r * m).T
+        ct = np.divide(load.T, self.e[:, None], out=terms[r * m:])
+        latency = _ordered_sum(terms)
+        joules = self.energy.p_compute * ct + self.energy.p_transmit * tx_time.T
+        over = np.stack([load.T, mem.T, joules], axis=1) / self.caps - 1.0
+        rel = _ordered_sum(np.where(over > 0.0, over, 0.0).reshape(3 * n, b))
+        acc = _ordered_sum(self.acc.take(ent.reshape(b, r).T)) / r
         wo = objective_value(latency, acc, r, self.weights)
         return wo + self.penalty_weight * rel, wo, latency, rel == 0.0
 
@@ -557,43 +565,32 @@ def repair_allocation(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
                       assign.y)
 
 
-def _feasibility_certificate(evaluator: _Evaluator) -> str | None:
-    """A reason no candidate can satisfy the budgets, or None.
+def _feasibility_certificate(evaluator: _Evaluator) -> None:
+    """Raise InfeasibleInstance, with a reason per drop set, when no
+    candidate can satisfy the budgets.
 
     Checks necessary conditions only: some allowed drop set must fit the
     fleet in aggregate, and every block it keeps must fit on at least one
     device by itself.
     """
     ev = evaluator
+    # Per block: whether some device holds it by itself.
+    alone = ((ev.m[:, None] <= ev.mem_caps) & (ev.c[:, None] <= ev.comp_caps)
+             & (ev.energy.p_compute * ev.c[:, None] / ev.e <= ev.energy_caps)).any(axis=1)
     reasons = []
     for drop, keep in zip(ev.drops, ev.keep):
-        k = np.flatnonzero(keep)
-        total_m = ev.m[k].sum() * ev.n_requests
-        total_c = ev.c[k].sum() * ev.n_requests
+        total_m = ev.m[keep].sum() * ev.n_requests
+        total_c = ev.c[keep].sum() * ev.n_requests
+        bad = np.flatnonzero(keep & ~alone)
         if total_m > ev.mem_caps.sum():
-            reasons.append(
-                f"drop {list(drop)}: memory {total_m:.6g} B over fleet total"
-            )
-            continue
-        if total_c > ev.comp_caps.sum():
-            reasons.append(
-                f"drop {list(drop)}: compute {total_c:.6g} mults over fleet total"
-            )
-            continue
-        bad = None
-        for j in k:
-            fits = (
-                (ev.m[j] <= ev.mem_caps)
-                & (ev.c[j] <= ev.comp_caps)
-                & (ev.energy.p_compute * ev.c[j] / ev.e <= ev.energy_caps)
-            )
-            if not fits.any():
-                bad = int(j) + 1
-                break
-        if bad is None:
-            return None
-        reasons.append(f"drop {list(drop)}: block {bad} fits no device")
-    return "; ".join(reasons) if reasons else None
+            reasons.append(f"drop {list(drop)}: memory {total_m:.6g} B over fleet total")
+        elif total_c > ev.comp_caps.sum():
+            reasons.append(f"drop {list(drop)}: compute {total_c:.6g} mults over fleet total")
+        elif bad.size:
+            reasons.append(f"drop {list(drop)}: block {bad[0] + 1} fits no device")
+        else:
+            return
+    raise InfeasibleInstance("; ".join(reasons))
 
 
 def _greedy_seed(ev: _Evaluator, length: int) -> np.ndarray:
@@ -696,21 +693,23 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     """Genetic search for the lowest-objective feasible assignment.
 
     Deterministic for a fixed config seed.  Raises InfeasibleInstance when a
-    necessary-condition check proves no candidate can fit the budgets;
-    otherwise always returns its best candidate, flagged feasible or not.
+    necessary-condition check proves no candidate can fit the budgets, and
+    InstanceTooLarge when the population (one byte a gene) would exceed
+    ``MEMORY_BOUND``; otherwise always returns its best candidate, flagged
+    feasible or not.
     """
     t0 = time.perf_counter()
     ev = _Evaluator(graph, fleet, rates, profile, weights, energy, n_requests,
                     penalty_weight=config.penalty_weight, memory_mode=memory_mode)
     if n_requests == 0:
         return _no_requests(ev, "ga", t0)
-    cert = _feasibility_certificate(ev)
-    if cert is not None:
-        raise InfeasibleInstance(cert)
+    _feasibility_certificate(ev)
 
     rng = np.random.default_rng(config.seed)
     n, m, r = ev.n_devices, ev.n_blocks, n_requests
     length = chromosome_length(r, n, m)
+    if (need := config.population_size * length) > MEMORY_BOUND:
+        raise InstanceTooLarge(need, MEMORY_BOUND, "GA population bytes")
     mutation = config.mutation_rate if config.mutation_rate is not None else 1.0 / length
     size, elite = config.population_size, config.elite
 
@@ -800,7 +799,7 @@ def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     last kept block varying fastest, the last request fastest of all) and
     streamed through the scorer in chunks.  Returns the true optimum, the
     earliest candidate among equals, or raises InfeasibleInstance when the
-    exhausted space holds no feasible candidate.
+    certificate rules every candidate out or none in the space is feasible.
     """
     t0 = time.perf_counter()
     ev = _Evaluator(graph, fleet, rates, profile, weights, energy, n_requests,
@@ -814,6 +813,7 @@ def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     total = per_request ** r
     if total > limits.max_candidates:
         raise InstanceTooLarge(total, limits.max_candidates)
+    _feasibility_certificate(ev)
 
     offsets = np.cumsum([0] + sizes)
     step = max(1, _CHUNK_CELLS // (r * n * m))

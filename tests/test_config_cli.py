@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from resplan import cli
+from resplan import cli, solvers
 from resplan.config import (
     DEFAULTS,
     PRESET_NAMES,
@@ -430,6 +430,19 @@ class TestExitCodes:
                        "--output", str(tmp_path / "x.json")])
         assert rc == 2
         assert f"{override.partition('=')[0]} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_fleet_over_the_memory_bound_exits_two(self, capsys, tmp_path, monkeypatch):
+        # A per-round array bound that 11 devices meet and 12 do not.
+        assert solvers.round_bytes(11) < solvers.round_bytes(12)
+        monkeypatch.setattr(solvers, "MEMORY_BOUND", solvers.round_bytes(12) - 1)
+        assert build_scenario(load_config({"fleet": {"devices": 11}})).fleet.n_devices == 11
+        with pytest.raises(ConfigError, match="fleet.devices=12 needs"):
+            build_scenario(load_config({"fleet": {"devices": 12}}))
+        rc = cli.main(["solve", "--requests", "1", "--set", "fleet.devices=12",
+                       "--output", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "fleet.devices=12 needs" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
     def test_internal_errors_exit_four(self, capsys, monkeypatch):

@@ -367,6 +367,21 @@ class TestEvaluator:
         for got, want in zip(zip(*alone), whole):
             np.testing.assert_array_equal(np.concatenate(got), want)
 
+    def test_ordered_sum_adds_each_column_left_to_right(self):
+        # Magnitudes spread over 16 decades, so pairwise and left-to-right
+        # sums differ in the last bit; a single column takes its own path.
+        rng = np.random.default_rng(36)
+        for b in (1, 2, 3):
+            for k in range(1, 52):
+                terms = rng.standard_normal((k, b)) * 10.0 ** rng.integers(-8, 9, (k, b))
+                want = []
+                for c in range(b):
+                    total = float(terms[0, c])
+                    for t in terms[1:, c].tolist():
+                        total += t
+                    want.append(total)
+                np.testing.assert_array_equal(solvers._ordered_sum(terms), want)
+
     def test_exact_enumeration_does_not_depend_on_the_chunk_size(self, monkeypatch):
         for seed in range(4):
             instance = tiny_exact_instance(seed)[:5]
@@ -454,6 +469,56 @@ class TestExactSolver:
             assert close(got.objective, want[0])
             both_feasible += 1
         assert both_feasible >= 4  # the caps are tight but not hopeless
+
+    def test_small_chunks_keep_the_earliest_optimum(self, monkeypatch):
+        # Two identical devices and abundant budgets: a plan on one device
+        # ties exactly with its mirror on the other, and chunks of three
+        # candidates put the two in different chunks.
+        rng = np.random.default_rng(37)
+        graph = helpers.random_graph(rng, n_blocks=9)
+        profile = helpers.profile_for(graph, helpers.bridgeable_drop_sets(graph))
+        fleet = Fleet(tuple(DeviceSpec(i + 1, 1e12, 1e12, 1e12, 1e5) for i in range(2)))
+        rates = RateMatrix(np.array([[0.0, 1e3], [1e3, 0.0]]))
+        weights = ObjectiveWeights(0.5, 0.5, latency_ref=100.0)
+        args = (graph, fleet, rates, profile, weights, EnergyParams(), 1)
+        want = solve_exact(*args)
+        seen, score = [], _Evaluator.score
+
+        def recorded(ev, hosts, ent):
+            out = score(ev, hosts, ent)
+            seen.append((ev, hosts, ent) + out)
+            return out
+
+        monkeypatch.setattr(_Evaluator, "score", recorded)
+        monkeypatch.setattr(solvers, "_CHUNK_CELLS", 3 * 2 * graph.n_blocks)
+        got = solve_exact(*args)
+        assert got.as_dict() == want.as_dict()
+        assert max(len(c[2]) for c in seen) == 3
+        chunk = np.concatenate([np.full(len(c[2]), i) for i, c in enumerate(seen)])
+        hosts, ent, _pen, wo, lat, feas = (np.concatenate([c[k] for c in seen])
+                                           for k in range(1, 7))
+        best = min(zip(wo[feas], lat[feas]))
+        ties = np.flatnonzero(feas & (wo == best[0]) & (lat == best[1]))
+        assert np.unique(chunk[ties]).size >= 2
+        first = seen[0][0].to_assignment(hosts[ties[:1]], ent[ties[:1]])
+        np.testing.assert_array_equal(got.assignment.x, first.x)
+        np.testing.assert_array_equal(got.assignment.y, first.y)
+        assert (got.assignment.hosts(0)[got.assignment.y[0] == 1] == 0).all()
+
+    def test_certificate_rejects_before_scoring(self, monkeypatch, resnet50,
+                                                shipped_profile):
+        fleet = Fleet((
+            DeviceSpec(1, 1e12, 1e12, 0.01, 1.4e9),
+            DeviceSpec(2, 1e12, 1e12, 0.01, 2.8e9),
+        ))
+        rates = helpers.random_rates(np.random.default_rng(2), 2)
+        weights = ObjectiveWeights(0.5, 0.5, latency_ref=10.0, accuracy_threshold=0.8)
+        calls = []
+        monkeypatch.setattr(_Evaluator, "score", lambda *a: calls.append(a))
+        with pytest.raises(InfeasibleInstance, match="block 1 fits no device"):
+            solve_exact(resnet50, fleet, rates, shipped_profile, weights, EnergyParams(),
+                        1, limits=ExactLimits(max_candidates=1_179_648))
+        assert calls == []
 
     def test_instance_too_large_names_the_size(self):
         rng = np.random.default_rng(3)
@@ -570,6 +635,19 @@ class TestGaSolver:
         with pytest.raises(InfeasibleInstance, match="memory"):
             solve_ga(resnet50, fleet, rates, shipped_profile, weights,
                      EnergyParams(), 1, config=self.ga())
+
+    def test_population_over_the_memory_bound_is_too_large(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        problem = small_problem(rng) + (EnergyParams(), 2)
+        cfg = self.ga(generations=0)
+        size = cfg.population_size * chromosome_length(2, problem[1].n_devices,
+                                                       problem[0].n_blocks)
+        monkeypatch.setattr(solvers, "MEMORY_BOUND", size - 1)
+        with pytest.raises(InstanceTooLarge, match="GA population bytes") as exc_info:
+            solve_ga(*problem, config=cfg)
+        assert (exc_info.value.size, exc_info.value.limit) == (size, size - 1)
+        monkeypatch.setattr(solvers, "MEMORY_BOUND", size)
+        assert solve_ga(*problem, config=cfg).evaluations == cfg.population_size
 
     def test_zero_requests_short_circuit(self):
         rng = np.random.default_rng(23)
