@@ -59,7 +59,6 @@ from .objective import (
     accuracy_term,
     check_constraints,
     default_latency_ref,
-    objective,
 )
 from .profile import (
     AccuracyProfile,

@@ -22,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fleet import DeviceSpec, EnergyParams, Fleet, RateMatrix
-from .graph import BlockSpec, Edge, ResNetGraph, block_arrays, compute_load, effective_edges
+from .fleet import EnergyParams, Fleet, RateMatrix
+from .graph import Edge, ResNetGraph, block_arrays, effective_edges
 
 
 @dataclass(frozen=True)
@@ -79,33 +79,6 @@ class Assignment:
         """Host device index (0-based) per block for request r; only kept
         blocks are meaningful."""
         return np.argmax(self.x[r], axis=0)
-
-
-def comp_latency(device: DeviceSpec, block: BlockSpec) -> float:
-    """Seconds for one device to compute one block: load over rate."""
-    return compute_load(block) / device.mult_rate
-
-
-def device_comp_time(assign: Assignment, device: DeviceSpec, graph: ResNetGraph) -> float:
-    """Total seconds the device spends computing its assigned, kept blocks."""
-    i = device.device_id - 1
-    c = block_arrays(graph)[0]
-    load = float(np.einsum("rm,rm,m->", assign.x[:, i, :], assign.y, c))
-    return load / device.mult_rate
-
-
-def direct_tx_latency(k_bits: float, rho: float) -> float:
-    """Seconds to push k_bits over a link of rho bits/s."""
-    if rho <= 0:
-        raise ValueError("rho must be > 0")
-    return k_bits / rho
-
-
-def skip_tx_latency(k_bits_source: float, rho: float, theta: int) -> float:
-    """Seconds for a skip transfer; zero when the skip edge does not exist."""
-    if not theta:
-        return 0.0
-    return direct_tx_latency(k_bits_source, rho)
 
 
 def _request_transfer_costs(edges: Sequence[Edge], hosts: np.ndarray,
@@ -186,47 +159,3 @@ def _evaluate_arrays(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
         shared_bits=float(shared),
         total_mults=float(np.einsum("rim,m->", gated, c)),
     )
-
-
-def total_latency(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
-                  rates: RateMatrix) -> float:
-    """Transfer plus compute seconds over all requests (no overlap model)."""
-    bd = evaluate_assignment(assign, graph, fleet, rates, EnergyParams())
-    return bd.total_latency
-
-
-def device_energy(assign: Assignment, device: DeviceSpec, graph: ResNetGraph,
-                  rates: RateMatrix, energy: EnergyParams) -> float:
-    """Joules one device spends computing and sending; sender pays transfers."""
-    if not assign.is_resolved():
-        raise ValueError("assignment is not resolved (some kept block lacks a unique host)")
-    i = device.device_id - 1
-    c, _m, bits = block_arrays(graph)
-    comp_secs = float(np.einsum("rm,rm,m->", assign.x[:, i, :], assign.y, c)) / device.mult_rate
-    tx_secs = 0.0
-    for r in range(assign.n_requests):
-        edges = effective_edges(graph, assign.y[r])
-        hosts = assign.hosts(r)
-        transfers = _request_transfer_costs(edges, hosts, bits, rates.rho)
-        for src, _dst, secs, _k in transfers:
-            if secs > 0.0 and hosts[src - 1] == i:
-                tx_secs += secs
-    return energy.p_compute * comp_secs + energy.p_transmit * tx_secs
-
-
-def shared_data(assign: Assignment, graph: ResNetGraph, rates: RateMatrix) -> float:
-    """Total bits crossing device boundaries to serve all requests."""
-    bits = block_arrays(graph)[2]
-    total = 0.0
-    for r in range(assign.n_requests):
-        edges = effective_edges(graph, assign.y[r])
-        hosts = assign.hosts(r)
-        transfers = _request_transfer_costs(edges, hosts, bits, rates.rho)
-        total += sum(k for _s, _d, secs, k in transfers if secs > 0.0)
-    return total
-
-
-def total_computation(assign: Assignment, graph: ResNetGraph) -> float:
-    """Multiplications actually executed: x- and y-gated block loads."""
-    c = block_arrays(graph)[0]
-    return float(np.einsum("rim,rm,m->", assign.x, assign.y, c))

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import Assignment, CostBreakdown, evaluate_assignment
+from .costs import Assignment, CostBreakdown
 from .errors import UnprofiledDropSet
 from .fleet import DEFAULT_RATE_LO, EnergyParams, Fleet, RateMatrix
 from .graph import ResNetGraph, block_arrays, compute_load, output_bits
@@ -82,15 +82,6 @@ def objective_value(latency: float, accuracy: float, n_requests: int,
     else:
         lat_term = latency / (n_requests * weights.latency_ref)
     return weights.alpha * lat_term + weights.beta * (1.0 - accuracy)
-
-
-def objective(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
-              rates: RateMatrix, weights: ObjectiveWeights,
-              profile: AccuracyProfile) -> float:
-    """Weighted sum of normalized total latency and mean accuracy loss."""
-    acc = accuracy_term(assign, profile)
-    bd = evaluate_assignment(assign, graph, fleet, rates, EnergyParams())
-    return objective_value(bd.total_latency, acc, assign.n_requests, weights)
 
 
 @dataclass(frozen=True)

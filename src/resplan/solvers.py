@@ -37,10 +37,12 @@ indexing, preallocated outputs, no joins of a single chunk).
 
 Budget overruns are handled softly, as relative-violation penalties on the
 objective.  ``solve_exact`` enumerates the same candidate space exhaustively
-for small instances, decoding candidate numbers into hosts and streaming
-them through the same scorer in fixed-size chunks; it is the reference the
-GA is compared against.  Both first run a necessary-condition feasibility
-certificate.
+for small instances, the reference the GA is compared against.  It grows
+the candidates as a prefix tree along each request's chain, extending the
+partial sums one kept block at a time, and scores its leaves in bounded
+batches through ``_Evaluator._finish``, the last step of ``score``: the
+cost model is written once.  Both solvers first run a necessary-condition
+feasibility certificate.
 """
 from __future__ import annotations
 
@@ -185,7 +187,8 @@ def decode(bits, n_requests: int, n_devices: int, n_blocks: int) -> Assignment:
 # Cells per array pass, bounding its temporaries whatever the fleet size.
 # Unpacking chromosomes, building the repair's table columns and scoring
 # (about 16 arrays of N floats per individual) count individuals x requests
-# x devices x blocks cells.  A 100-individual generation on a 10-device
+# x devices x blocks cells, and so does a batch of the exact solver's tree
+# leaves (2 + 3N floats each).  A 100-individual generation on a 10-device
 # fleet fits one such chunk up to 7 requests, so a round's cost there grows
 # with its request count alone.  The repair's block pass counts rows x
 # blocks x device chunks, far fewer: one pass covers a 100-individual
@@ -484,17 +487,25 @@ class _Evaluator:
         tx_time = np.bincount((src_hosts.reshape(b, -1) + base).ravel(), cost.ravel(),
                               b * n).reshape(b, n)
 
-        # Latency: the transfers in (request, block) order, then each
-        # device's compute time, as one block-major ordered sum.
         terms = np.empty((r * m + n, b))
         terms[:r * m] = cost.reshape(b, r * m).T
-        ct = np.divide(load.T, self.e[:, None], out=terms[r * m:])
+        acc = _ordered_sum(self.acc.take(ent.reshape(b, r).T))
+        return self._finish(terms, load, mem, tx_time, acc)
+
+    def _finish(self, terms, load, mem, tx_time, acc):
+        """Scores of b candidates from their sums; ``score`` and the exact
+        solver's prefix tree both end here.  ``terms`` (k + N, b) holds k
+        transfer terms (or their partial sum) in (request, block) order and
+        N free rows; latency adds the terms, then each device's compute
+        time.  ``load``, ``mem``, ``tx_time``: (b, N); ``acc``: (b,).
+        """
+        n, r = self.n_devices, self.n_requests
+        ct = np.divide(load.T, self.e[:, None], out=terms[-n:])
         latency = _ordered_sum(terms)
         joules = self.energy.p_compute * ct + self.energy.p_transmit * tx_time.T
         over = np.stack([load.T, mem.T, joules], axis=1) / self.caps - 1.0
-        rel = _ordered_sum(np.where(over > 0.0, over, 0.0).reshape(3 * n, b))
-        acc = _ordered_sum(self.acc.take(ent.reshape(b, r).T)) / r
-        wo = objective_value(latency, acc, r, self.weights)
+        rel = _ordered_sum(np.where(over > 0.0, over, 0.0).reshape(3 * n, -1))
+        wo = objective_value(latency, acc / r, r, self.weights)
         return wo + self.penalty_weight * rel, wo, latency, rel == 0.0
 
     def evaluate(self, packed: np.ndarray):
@@ -786,6 +797,76 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
                                  evaluations, tuple(history), t0)
 
 
+def _tree_scores(ev: _Evaluator, batch: int):
+    """Score every exact-solver candidate, grown as a prefix tree along
+    each request's chain of kept blocks; yields (penalized, objective,
+    latency, feasible, candidate number) per batch of leaves.
+
+    A node is a partial candidate.  Its state column holds the transfer
+    latency, the summed accuracy and each device's load, memory and
+    transmit time, all summed so far.  Each request branches over the drop
+    sets at its first block; a kept block copies every node once per host
+    h, adds its load and memory on h and its transfer from the previous kept
+    block to the latency and the sender's transmit time.  Each sum grows in
+    (request, block) order from 0.0, as in ``score``, whose extra terms are
+    zeros, so each leaf scores bit for bit as ``score`` would.  A frontier
+    is (rows, L, F): segment s holds F nodes on host ``last[s]``, so each
+    array pass runs over contiguous nodes.  It grows breadth-first while it
+    fits ``batch`` nodes (at least N), then slice by slice, each slice's
+    leaves fitting a batch.
+    """
+    r, n = ev.n_requests, ev.n_devices
+    kept = [np.flatnonzero(k) for k in ev.keep]
+    sizes = [n ** k.size for k in kept]
+    per_request, offsets = sum(sizes), np.cumsum([0] + sizes)
+    width = 2 + 3 * n  # rows 2 + 3h to 4 + 3h: device h's load, memory, transmit
+    hosts = np.arange(n)
+    adds = np.stack([ev.c, ev.m], axis=1)[:, :, None, None]
+    seconds = ev.bits[:, None, None] / ev.rho_off.reshape(n, n).T  # [block, receiver, sender]
+
+    def place(state, last, num, d, i):
+        """Kept block i of drop set d on each host h: children (rows, h, L, F)."""
+        k = kept[d]
+        child = np.repeat(state[:, None], n, axis=1)
+        for h in range(n):
+            child[2 + 3 * h:4 + 3 * h, h] += adds[k[i]]
+        if i:
+            sec = seconds[k[i - 1]].take(last, axis=1)[:, :, None]  # (h, L, 1)
+            child[0] += sec
+            for s, sender in enumerate(last):
+                child[4 + 3 * sender, :, s] += sec[:, s]
+        return (child.reshape(width, n, -1), hosts,
+                (num + hosts[:, None, None] * n ** (k.size - 1 - i)).reshape(n, -1))
+
+    def enter(state, last, num, q):
+        for d in range(len(kept)):
+            branch = state.copy()
+            branch[1] += ev.acc[d]
+            yield from grow(branch, last, num * per_request + offsets[d], q, d, 0)
+
+    def grow(state, last, num, q, d, i):
+        k = kept[d].size
+        while i < k and num.size * n <= batch:
+            state, last, num = place(state, last, num, d, i)
+            i += 1
+        if i < k:
+            step = max(1, batch // (n ** (k - i) * per_request ** (r - 1 - q)))
+            for s in range(last.size):
+                for lo in range(0, num.shape[1], step):
+                    yield from grow(state[:, s:s + 1, lo:lo + step], last[s:s + 1],
+                                    num[s:s + 1, lo:lo + step], q, d, i)
+        elif q + 1 < r:
+            yield from enter(state, last, num, q + 1)
+        else:
+            leaves = state.reshape(width, -1)
+            terms = np.empty((1 + n, leaves.shape[1]))
+            terms[0] = leaves[0]
+            yield ev._finish(terms, leaves[2::3].T, leaves[3::3].T, leaves[4::3].T,
+                             leaves[1]) + (num.reshape(-1),)
+
+    yield from enter(np.zeros((width, 1, 1)), hosts[:1], np.zeros((1, 1), dtype=np.int64), 0)
+
+
 def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
                 profile: AccuracyProfile, weights: ObjectiveWeights,
                 energy: EnergyParams, n_requests: int,
@@ -796,10 +877,12 @@ def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     Only practical for toy instances; InstanceTooLarge names the candidate
     count when the space exceeds the limit.  Candidates are numbered in
     enumeration order (drop sets in projection order, then hosts with the
-    last kept block varying fastest, the last request fastest of all) and
-    streamed through the scorer in chunks.  Returns the true optimum, the
-    earliest candidate among equals, or raises InfeasibleInstance when the
-    certificate rules every candidate out or none in the space is feasible.
+    last kept block varying fastest, the last request fastest of all).  They
+    are grown as a prefix tree (``_tree_scores``) whose leaves share the
+    GA's last scoring step, batch by batch; only the winner's number is
+    decoded into hosts.  Returns the true optimum, the earliest candidate
+    among equals, or raises InfeasibleInstance when the certificate rules
+    every candidate out or none in the space is feasible.
     """
     t0 = time.perf_counter()
     ev = _Evaluator(graph, fleet, rates, profile, weights, energy, n_requests,
@@ -815,34 +898,25 @@ def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
         raise InstanceTooLarge(total, limits.max_candidates)
     _feasibility_certificate(ev)
 
-    offsets = np.cumsum([0] + sizes)
-    step = max(1, _CHUNK_CELLS // (r * n * m))
     best = None
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.int64)
-        # Option per (candidate, request), the last request varying fastest.
-        opt = np.empty((idx.size, r), dtype=np.int64)
-        rest = idx
-        for q in reversed(range(r)):
-            rest, opt[:, q] = np.divmod(rest, per_request)
-        opt = opt.ravel()
-        ent = np.searchsorted(offsets, opt, side="right") - 1
-        rest = opt - offsets[ent]
-        keep = ev.keep[ent]
-        hosts = np.zeros((opt.size, m), dtype=np.intp)
-        for j in reversed(range(m)):
-            rest, digit = np.divmod(rest, np.where(keep[:, j], n, 1))
-            hosts[:, j] = digit
-        _pen, wo, lat, feas = ev.score(hosts, ent)
+    for _pen, wo, lat, feas, num in _tree_scores(ev, max(n, _CHUNK_CELLS // (r * n * m))):
         ok = np.flatnonzero(feas)
         if ok.size == 0:
             continue
-        i = ok[np.lexsort((lat[ok], wo[ok]))[0]]
-        key = (wo[i], lat[i])
-        if best is None or key < best[0]:
-            best = (key, hosts[i * r:(i + 1) * r], ent[i * r:(i + 1) * r])
+        i = ok[np.lexsort((num[ok], lat[ok], wo[ok]))[0]]
+        if best is None or (wo[i], lat[i], num[i]) < best:
+            best = (wo[i], lat[i], num[i])
     if best is None:
         raise InfeasibleInstance(
             f"exhausted {total} candidates without finding a feasible assignment"
         )
-    return _result_from_resolved(ev, best[1], best[2], "exact", 0, total, (), t0)
+    # Decode the winner: its option per request (the last request fastest),
+    # then the hosts of its drop set's kept blocks (the last one fastest).
+    opt = np.array([int(best[2]) // per_request ** (r - 1 - q) % per_request
+                    for q in range(r)])
+    offsets = np.cumsum([0] + sizes)
+    ent = np.searchsorted(offsets, opt, side="right") - 1
+    rest, hosts = opt - offsets[ent], np.zeros((r, m), dtype=np.intp)
+    for j in reversed(range(m)):
+        rest, hosts[:, j] = np.divmod(rest, np.where(ev.keep[ent, j], n, 1))
+    return _result_from_resolved(ev, hosts, ent, "exact", 0, total, (), t0)

@@ -4,8 +4,8 @@ Every metric the engine reports (latency, per-device energy, shared bits,
 executed multiplications, per-device budget use) is recomputed by the naive
 nested-loop oracles on randomized small instances and compared at tight
 relative tolerance.  Separate cases pin the transfer conventions: same-device
-transfers are free, coincident direct and skip edges are one physical
-transfer, and a block fed by several edges pays only the slowest one.
+transfers are free, and coincident direct and skip edges are one physical
+transfer.
 """
 
 from __future__ import annotations
@@ -15,18 +15,7 @@ import pytest
 
 import helpers
 import oracles
-from resplan.costs import (
-    Assignment,
-    comp_latency,
-    device_comp_time,
-    device_energy,
-    direct_tx_latency,
-    evaluate_assignment,
-    shared_data,
-    skip_tx_latency,
-    total_computation,
-    total_latency,
-)
+from resplan.costs import Assignment, evaluate_assignment
 from resplan.errors import UnbridgeableDrop
 from resplan.fleet import EnergyParams, RateMatrix
 from resplan.graph import BlockSpec, LayerSpec, ResNetGraph, SkipTopology, output_bits
@@ -89,23 +78,6 @@ class TestAssignment:
         assert c.is_resolved()
 
 
-class TestScalarHelpers:
-    def test_comp_latency_is_load_over_rate(self, resnet50):
-        from resplan.fleet import DeviceSpec
-        from resplan.graph import compute_load
-
-        dev = DeviceSpec(1, 1.0, 1.0, 1.0, 2.8e9)
-        block = resnet50.block(5)
-        assert close(comp_latency(dev, block), compute_load(block) / 2.8e9)
-
-    def test_tx_latency_and_skip_gating(self):
-        assert direct_tx_latency(100.0, 50.0) == 2.0
-        assert skip_tx_latency(100.0, 50.0, 1) == 2.0
-        assert skip_tx_latency(100.0, 50.0, 0) == 0.0
-        with pytest.raises(ValueError):
-            direct_tx_latency(100.0, 0.0)
-
-
 class TestEngineMatchesOracles:
     def test_all_metrics_on_randomized_instances(self):
         rng = np.random.default_rng(2024)
@@ -128,16 +100,7 @@ class TestEngineMatchesOracles:
                 assert close(bd.memory_use[i], mem)
                 assert close(bd.compute_use[i], mults)
                 assert close(bd.energy[i], joules)
-                assert close(
-                    device_energy(assign, fleet.devices[i], graph, rates, params),
-                    joules,
-                )
-                assert close(device_comp_time(assign, fleet.devices[i], graph),
-                             bd.comp_time[i])
-
-            assert close(total_latency(assign, graph, fleet, rates), bd.total_latency)
-            assert close(shared_data(assign, graph, rates), bd.shared_bits)
-            assert close(total_computation(assign, graph), bd.total_mults)
+                assert close(bd.comp_time[i], mults / fleet.devices[i].mult_rate)
 
     def test_memory_modes_flow_through(self):
         rng = np.random.default_rng(7)

@@ -19,7 +19,6 @@ from resplan.objective import (
     accuracy_term,
     check_constraints,
     default_latency_ref,
-    objective,
     objective_value,
 )
 
@@ -136,7 +135,8 @@ class TestObjectiveValue:
             )
             alpha = float(rng.uniform(0.0, 1.0))
             w = ObjectiveWeights(alpha, 1.0 - alpha, latency_ref=3.7)
-            got = objective(assign, graph, fleet, rates, w, profile)
+            bd = evaluate_assignment(assign, graph, fleet, rates, EnergyParams())
+            got = objective_value(bd.total_latency, accuracy_term(assign, profile), n_req, w)
             want = oracles.objective(graph, fleet, rates.rho, x, y,
                                      graph.weight_bytes, profile, alpha,
                                      1.0 - alpha, 3.7)

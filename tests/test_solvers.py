@@ -6,6 +6,9 @@ settings)."""
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,8 +24,8 @@ from resplan.errors import (
     UncoveredBlock,
 )
 from resplan.fleet import DeviceSpec, EnergyParams, Fleet, RateMatrix, sample_rates
-from resplan.graph import BlockSpec, LayerSpec, ResNetGraph, SkipTopology
-from resplan.harness import run_round
+from resplan.graph import BlockSpec, LayerSpec, ResNetGraph, SkipTopology, block_arrays
+from resplan.harness import round_seeds, run_round
 from resplan.objective import ObjectiveWeights
 from resplan.solvers import (
     ExactLimits,
@@ -383,16 +386,22 @@ class TestEvaluator:
                 np.testing.assert_array_equal(solvers._ordered_sum(terms), want)
 
     def test_exact_enumeration_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        def outcome(instance, r):
+            try:
+                return solve_exact(*instance, EnergyParams(), r).as_dict()
+            except InfeasibleInstance as exc:
+                return str(exc)
+
+        solved = {1: 0, 2: 0}
         for seed in range(4):
             instance = tiny_exact_instance(seed)[:5]
-            try:
-                want = solve_exact(*instance, EnergyParams(), 1).as_dict()
-            except InfeasibleInstance:
-                continue
-            monkeypatch.setattr(solvers, "_CHUNK_CELLS", 1)
-            got = solve_exact(*instance, EnergyParams(), 1).as_dict()
-            monkeypatch.undo()
-            assert got == want
+            for r in (1, 2):
+                want = outcome(instance, r)
+                monkeypatch.setattr(solvers, "_CHUNK_CELLS", 1)
+                assert outcome(instance, r) == want
+                monkeypatch.undo()
+                solved[r] += isinstance(want, dict)
+        assert min(solved.values()) >= 1
 
     def test_score_agrees_with_reference_costs(self):
         rng = np.random.default_rng(32)
@@ -429,6 +438,21 @@ class TestEvaluator:
             assert close(pen[i], want[2])
             assert feasible[i] == want[3]
         assert 0 < feasible.sum() < 20  # both branches of the penalty ran
+
+
+def enumerated_candidates(ev):
+    """Every exact-solver candidate as resolved rows (hosts, drop-set index)
+    in candidate-number order: per request a drop set, then a host per kept
+    block, the last kept block varying fastest; the last request varies
+    fastest of all."""
+    options = []
+    for k, keep in enumerate(ev.keep):
+        for digits in itertools.product(range(ev.n_devices), repeat=int(keep.sum())):
+            row = np.zeros(ev.n_blocks, dtype=np.intp)
+            row[keep] = digits
+            options.append((row, k))
+    picks = [o for pick in itertools.product(options, repeat=ev.n_requests) for o in pick]
+    return np.array([row for row, _ in picks]), np.array([k for _, k in picks])
 
 
 def tiny_exact_instance(seed):
@@ -471,39 +495,88 @@ class TestExactSolver:
         assert both_feasible >= 4  # the caps are tight but not hopeless
 
     def test_small_chunks_keep_the_earliest_optimum(self, monkeypatch):
-        # Two identical devices and abundant budgets: a plan on one device
-        # ties exactly with its mirror on the other, and chunks of three
-        # candidates put the two in different chunks.
+        # Three identical devices and abundant budgets: a plan on one device
+        # ties exactly with its mirrors on the others, and batches of three
+        # leaves put them in different batches.
         rng = np.random.default_rng(37)
-        graph = helpers.random_graph(rng, n_blocks=9)
+        graph = helpers.random_graph(rng, n_blocks=7)
         profile = helpers.profile_for(graph, helpers.bridgeable_drop_sets(graph))
-        fleet = Fleet(tuple(DeviceSpec(i + 1, 1e12, 1e12, 1e12, 1e5) for i in range(2)))
-        rates = RateMatrix(np.array([[0.0, 1e3], [1e3, 0.0]]))
+        fleet = Fleet(tuple(DeviceSpec(i + 1, 1e12, 1e12, 1e12, 1e5) for i in range(3)))
+        rates = RateMatrix(np.full((3, 3), 1e3))
         weights = ObjectiveWeights(0.5, 0.5, latency_ref=100.0)
         args = (graph, fleet, rates, profile, weights, EnergyParams(), 1)
         want = solve_exact(*args)
-        seen, score = [], _Evaluator.score
+        seen, finish = [], _Evaluator._finish
 
-        def recorded(ev, hosts, ent):
-            out = score(ev, hosts, ent)
-            seen.append((ev, hosts, ent) + out)
+        def recorded(ev, *sums):
+            out = finish(ev, *sums)
+            seen.append(out)
             return out
 
-        monkeypatch.setattr(_Evaluator, "score", recorded)
-        monkeypatch.setattr(solvers, "_CHUNK_CELLS", 3 * 2 * graph.n_blocks)
+        monkeypatch.setattr(_Evaluator, "_finish", recorded)
+        monkeypatch.setattr(solvers, "_CHUNK_CELLS", 3 * 3 * graph.n_blocks)
         got = solve_exact(*args)
+        monkeypatch.undo()
         assert got.as_dict() == want.as_dict()
-        assert max(len(c[2]) for c in seen) == 3
-        chunk = np.concatenate([np.full(len(c[2]), i) for i, c in enumerate(seen)])
-        hosts, ent, _pen, wo, lat, feas = (np.concatenate([c[k] for c in seen])
-                                           for k in range(1, 7))
+        assert max(len(c[1]) for c in seen) == 3
+        batch = np.concatenate([np.full(len(c[1]), i) for i, c in enumerate(seen)])
+        _pen, wo, lat, feas = (np.concatenate([c[k] for c in seen]) for k in range(4))
         best = min(zip(wo[feas], lat[feas]))
-        ties = np.flatnonzero(feas & (wo == best[0]) & (lat == best[1]))
-        assert np.unique(chunk[ties]).size >= 2
-        first = seen[0][0].to_assignment(hosts[ties[:1]], ent[ties[:1]])
-        np.testing.assert_array_equal(got.assignment.x, first.x)
-        np.testing.assert_array_equal(got.assignment.y, first.y)
+        ties = feas & (wo == best[0]) & (lat == best[1])
+        assert np.unique(batch[ties]).size >= 2
+        # The earliest tie in candidate order, from a test-side enumeration.
+        ev = _Evaluator(*args)
+        hosts, ent = enumerated_candidates(ev)
+        _pen, wo, lat, feas = ev.score(hosts, ent)
+        first = np.flatnonzero(feas & (wo == best[0]) & (lat == best[1]))[0]
+        earliest = ev.to_assignment(hosts[first:first + 1], ent[first:first + 1])
+        np.testing.assert_array_equal(got.assignment.x, earliest.x)
+        np.testing.assert_array_equal(got.assignment.y, earliest.y)
         assert (got.assignment.hosts(0)[got.assignment.y[0] == 1] == 0).all()
+
+    @pytest.mark.parametrize("r,n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_tree_leaves_score_as_score_bit_for_bit(self, monkeypatch, r, n):
+        # Every leaf the prefix tree scores, at the default batch and at
+        # batches of seven leaves (frontier slices, also across request
+        # boundaries), against ``score`` on a test-side enumeration.
+        rng = np.random.default_rng(100 * r + 10 * n + 1)
+        graph = helpers.random_graph(rng, n_blocks=5 - r)
+        c, mem, _bits = block_arrays(graph)
+        # Caps at 0.6 of every request's full load (energy: its compute
+        # alone), so some placements overrun and the penalty reads each sum.
+        speed = rng.uniform(1e5, 1e6, size=n)
+        fleet = Fleet(tuple(DeviceSpec(i + 1, 0.6 * r * mem.sum(), 0.6 * r * c.sum(),
+                                       0.6 * EnergyParams().p_compute * r * c.sum() / speed[i],
+                                       float(speed[i])) for i in range(n)))
+        rates = RateMatrix(rng.uniform(1e2, 1e4, size=(n, n)))  # asymmetric links
+        profile = helpers.profile_for(graph, helpers.bridgeable_drop_sets(graph))
+        weights = ObjectiveWeights(0.5, 0.5, latency_ref=100.0)
+        args = (graph, fleet, rates, profile, weights, EnergyParams(), r)
+        ev = _Evaluator(*args)
+        hosts, ent = enumerated_candidates(ev)
+        want = ev.score(hosts, ent)
+        assert 0 < want[3].sum() < want[3].size
+        order = np.lexsort(want[2::-1])
+        earliest = np.flatnonzero(want[3])[np.lexsort((want[2][want[3]], want[1][want[3]]))[0]]
+        finish = _Evaluator._finish
+        for cells in (None, 7 * r * n * graph.n_blocks):
+            seen = []
+            monkeypatch.setattr(_Evaluator, "_finish", lambda ev, *sums: seen.append(
+                finish(ev, *sums)) or seen[-1])
+            if cells:
+                monkeypatch.setattr(solvers, "_CHUNK_CELLS", cells)
+            got = solve_exact(*args, limits=ExactLimits(max_candidates=len(ent) // r))
+            monkeypatch.undo()
+            leaves = [np.concatenate(col) for col in zip(*seen)]
+            assert len(leaves[0]) == len(ent) // r == got.evaluations
+            if cells:
+                assert max(len(b[0]) for b in seen) <= 7
+            for g, w in zip(leaves, want):
+                np.testing.assert_array_equal(g[np.lexsort(leaves[2::-1])], w[order])
+            best = ev.to_assignment(hosts[earliest * r:(earliest + 1) * r],
+                                    ent[earliest * r:(earliest + 1) * r])
+            np.testing.assert_array_equal(got.assignment.x, best.x)
+            np.testing.assert_array_equal(got.assignment.y, best.y)
 
     def test_certificate_rejects_before_scoring(self, monkeypatch, resnet50,
                                                 shipped_profile):
@@ -514,7 +587,7 @@ class TestExactSolver:
         rates = helpers.random_rates(np.random.default_rng(2), 2)
         weights = ObjectiveWeights(0.5, 0.5, latency_ref=10.0, accuracy_threshold=0.8)
         calls = []
-        monkeypatch.setattr(_Evaluator, "score", lambda *a: calls.append(a))
+        monkeypatch.setattr(_Evaluator, "_finish", lambda *a: calls.append(a))
         with pytest.raises(InfeasibleInstance, match="block 1 fits no device"):
             solve_exact(resnet50, fleet, rates, shipped_profile, weights, EnergyParams(),
                         1, limits=ExactLimits(max_candidates=1_179_648))
@@ -606,6 +679,26 @@ class TestGaSolver:
                 assert res.objective >= best.objective - 1e-12
                 wins += 1
         assert wins >= 2
+
+    def test_default_budget_never_beats_the_full_network_optimum(self):
+        # The problem at its real size: ResNet-50 on two devices, one
+        # request, 1,179,648 candidates a round, over four rounds' links.
+        sc = build_scenario(load_config(overrides=("fleet.devices=2",)))
+        w = sc.weights
+        for k in range(4):
+            _, rate_rng, solver_seed = round_seeds(sc.seed, k)
+            rates = sample_rates(2, sc.rate_lo, sc.rate_hi, rate_rng, round_index=k)
+            args = (sc.graph, sc.fleet, rates, sc.profile, w, sc.energy, 1)
+            exact = solve_exact(*args, limits=ExactLimits(max_candidates=1_179_648),
+                                memory_mode=sc.memory_mode)
+            assert exact.feasible and exact.evaluations == 1_179_648
+            x, y = exact.assignment.x.tolist(), exact.assignment.y.tolist()
+            assert close(exact.objective, oracles.objective(
+                sc.graph, sc.fleet, rates.rho.tolist(), x, y, sc.graph.weight_bytes,
+                sc.profile, w.alpha, w.beta, w.latency_ref))
+            ga = solve_ga(*args, config=replace(sc.ga, seed=solver_seed),
+                          memory_mode=sc.memory_mode)
+            assert ga.objective >= exact.objective - 1e-12
 
     def test_abundant_budgets_recover_the_full_network(self, resnet50,
                                                         shipped_profile):
