@@ -534,6 +534,23 @@ class TestExactSolver:
         np.testing.assert_array_equal(got.assignment.y, earliest.y)
         assert (got.assignment.hosts(0)[got.assignment.y[0] == 1] == 0).all()
 
+    def test_ties_within_a_batch_go_to_the_earliest_candidate(self):
+        # Three equal blocks; device 1 is faster but holds one block, and the
+        # links are so fast that transfers vanish from the latency, so the
+        # three plans with one block on device 1 tie exactly.  A batch holds
+        # its leaves with the last block's host outermost, where the earliest
+        # of them, [0, 1, 1], comes last.
+        graph = chain3()
+        mem = block_arrays(graph)[1]
+        fleet = Fleet((DeviceSpec(1, 1.5 * mem[0], 1e12, 1e12, 2e5),
+                       DeviceSpec(2, 1e12, 1e12, 1e12, 1e5)))
+        rates = RateMatrix(np.full((2, 2), 1e300))
+        weights = ObjectiveWeights(0.5, 0.5, latency_ref=100.0)
+        got = solve_exact(graph, fleet, rates, helpers.profile_for(graph, []), weights,
+                          EnergyParams(), 1)
+        assert got.feasible
+        np.testing.assert_array_equal(got.assignment.hosts(0), [0, 1, 1])
+
     @pytest.mark.parametrize("r,n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
     def test_tree_leaves_score_as_score_bit_for_bit(self, monkeypatch, r, n):
         # Every leaf the prefix tree scores, at the default batch and at
@@ -556,13 +573,18 @@ class TestExactSolver:
         hosts, ent = enumerated_candidates(ev)
         want = ev.score(hosts, ent)
         assert 0 < want[3].sum() < want[3].size
-        order = np.lexsort(want[2::-1])
-        earliest = np.flatnonzero(want[3])[np.lexsort((want[2][want[3]], want[1][want[3]]))[0]]
-        finish = _Evaluator._finish
+        order = np.lexsort(want[::-1])
+        feasible = np.flatnonzero(want[3])
+        earliest = feasible[np.lexsort((want[2][feasible], want[1][feasible]))[0]]
+        seen, finish = [], _Evaluator._finish
+
+        def recorded(ev, *sums):
+            seen.append(finish(ev, *sums))
+            return seen[-1]
+
         for cells in (None, 7 * r * n * graph.n_blocks):
-            seen = []
-            monkeypatch.setattr(_Evaluator, "_finish", lambda ev, *sums: seen.append(
-                finish(ev, *sums)) or seen[-1])
+            seen.clear()
+            monkeypatch.setattr(_Evaluator, "_finish", recorded)
             if cells:
                 monkeypatch.setattr(solvers, "_CHUNK_CELLS", cells)
             got = solve_exact(*args, limits=ExactLimits(max_candidates=len(ent) // r))
@@ -572,7 +594,7 @@ class TestExactSolver:
             if cells:
                 assert max(len(b[0]) for b in seen) <= 7
             for g, w in zip(leaves, want):
-                np.testing.assert_array_equal(g[np.lexsort(leaves[2::-1])], w[order])
+                np.testing.assert_array_equal(g[np.lexsort(leaves[::-1])], w[order])
             best = ev.to_assignment(hosts[earliest * r:(earliest + 1) * r],
                                     ent[earliest * r:(earliest + 1) * r])
             np.testing.assert_array_equal(got.assignment.x, best.x)
