@@ -12,18 +12,22 @@ Conventions, fixed here and relied on everywhere:
   same wire.  Transmission energy is charged to the sending device.
 * Latency is summed over requests with no pipelining.
 
-All functions are pure; assignments and inputs are immutable.
+The model is written once: ``chain_sums`` lays out b candidates' transfer
+terms and per-device sums, and ``chain_costs`` turns them into latency and
+joules, writing compute times into the free rows of its ``terms`` (nothing
+else here changes its inputs).  ``evaluate_assignment`` runs them on one
+candidate, the solvers' scorer on a batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .fleet import EnergyParams, Fleet, RateMatrix
-from .graph import Edge, ResNetGraph, block_arrays, effective_edges
+from .graph import ResNetGraph, block_arrays, effective_edges
 
 
 @dataclass(frozen=True)
@@ -81,20 +85,6 @@ class Assignment:
         return np.argmax(self.x[r], axis=0)
 
 
-def _request_transfer_costs(edges: Sequence[Edge], hosts: np.ndarray,
-                            bits: np.ndarray, rho: np.ndarray):
-    """One request's physical transfers [(src, dst, seconds, bits)] in block
-    order, one into each kept block but the first; co-located endpoints
-    cost zero seconds."""
-    transfers: dict[tuple[int, int], tuple[int, int, float, float]] = {}
-    for e in edges:
-        hs = int(hosts[e.src - 1])
-        hd = int(hosts[e.dst - 1])
-        cost = 0.0 if hs == hd else float(bits[e.src - 1]) / rho[hs, hd]
-        transfers[e.src, e.dst] = (e.src, e.dst, cost, float(bits[e.src - 1]))
-    return list(transfers.values())
-
-
 @dataclass(frozen=True)
 class CostBreakdown:
     """Everything the reporting layer wants from one assignment evaluation."""
@@ -109,53 +99,94 @@ class CostBreakdown:
     total_mults: float
 
 
+def transfer_rates(rho: np.ndarray) -> np.ndarray:
+    """Link rates flat, indexed by sender * N + receiver, with an infinite
+    diagonal: a same-device transfer divides by it and costs exactly zero."""
+    rho_off = np.array(rho, dtype=float)
+    np.fill_diagonal(rho_off, np.inf)
+    return rho_off.ravel()
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Column sums of block-major ``terms`` (terms, candidates), each added
+    top to bottom as a per-candidate loop adds it: a reduce over the outer
+    axis adds row after row.  numpy sums a lone column pairwise, which can
+    differ in the last bit, so one candidate is accumulated instead."""
+    if terms.shape[1] == 1:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0)
+
+
+def chain_sums(hosts: np.ndarray, src: np.ndarray, load_in: np.ndarray,
+               mem_in: np.ndarray, bits_in: np.ndarray, b: int,
+               rho_off: np.ndarray):
+    """Transfer terms and per-device sums of b candidates, R requests each.
+
+    Rows are (candidate, request) pairs, (b*R, M) each: every block's host,
+    the block feeding it (itself when nothing is sent), the load and memory
+    it places and the bits it receives.  Returns ``terms`` (R*M + N, b), the
+    transfer seconds in (request, block) order above N free rows, and the
+    load, memory and transmit seconds per (candidate, device), (b, N) each,
+    added in (request, block) order; the sender pays for a transfer.
+    """
+    rows, m = hosts.shape
+    n = math.isqrt(rho_off.size)
+    base = np.arange(0, b * n, n)[:, None]
+    bins = (hosts.reshape(b, -1) + base).ravel()
+    load = np.bincount(bins, load_in.ravel(), b * n).reshape(b, n)
+    mem = np.bincount(bins, mem_in.ravel(), b * n).reshape(b, n)
+    src_hosts = hosts.reshape(-1).take(src + np.arange(0, rows * m, m)[:, None])
+    cost = bits_in / rho_off.take(src_hosts * n + hosts)
+    tx_time = np.bincount((src_hosts.reshape(b, -1) + base).ravel(), cost.ravel(),
+                          b * n).reshape(b, n)
+    k = rows // b * m
+    terms = np.empty((k + n, b))
+    terms[:k] = cost.reshape(b, k).T
+    return terms, load, mem, tx_time
+
+
+def chain_costs(terms: np.ndarray, load: np.ndarray, tx_time: np.ndarray,
+                e: np.ndarray, energy: EnergyParams):
+    """Latency (b,) and per-device compute seconds and joules (N, b) from
+    ``chain_sums``' arrays; ``terms`` may hold any transfer terms above its
+    N free rows.  Each device's compute seconds are written into those rows,
+    and latency adds every row in order: the transfers, then the compute."""
+    ct = np.divide(load.T, e[:, None], out=terms[-e.size:])
+    joules = energy.p_compute * ct + energy.p_transmit * tx_time.T
+    return _ordered_sum(terms), ct, joules
+
+
 def evaluate_assignment(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
                         rates: RateMatrix, energy: EnergyParams,
                         memory_mode: str = "inputs") -> CostBreakdown:
-    """One-pass evaluation of every cost and reporting metric.
-
-    Requires a resolved assignment whose drop vectors are bridgeable.
-    ``memory_mode`` picks what counts as resident memory (see
-    ``graph.memory_load``).
+    """Every cost and reporting metric of one resolved assignment whose drop
+    vectors are bridgeable, from the passes the solvers score with, so its
+    latency is the one they ranked, to the bit.  ``memory_mode`` picks what
+    counts as resident memory (see ``graph.memory_load``).
     """
     if not assign.is_resolved():
         raise ValueError("assignment is not resolved (some kept block lacks a unique host)")
-    return _evaluate_arrays(assign, graph, fleet, rates, energy,
-                            *block_arrays(graph, memory_mode))
-
-
-def _evaluate_arrays(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
-                     rates: RateMatrix, energy: EnergyParams,
-                     c: np.ndarray, mem_vec: np.ndarray, bits: np.ndarray) -> CostBreakdown:
-    n = fleet.n_devices
-    e_rates = fleet.mult_rates
-
-    gated = assign.x * assign.y[:, None, :]          # (R, N, M)
-    load = np.einsum("rim,m->i", gated, c)           # mults per device
-    mem_use = np.einsum("rim,m->i", gated, mem_vec)  # bytes per device
-    comp_time = load / e_rates
-
-    tx_time = np.zeros(n)
-    latency_tx = 0.0
-    shared = 0.0
-    for r in range(assign.n_requests):
-        edges = effective_edges(graph, assign.y[r])
-        hosts = assign.hosts(r)
-        transfers = _request_transfer_costs(edges, hosts, bits, rates.rho)
-        latency_tx += sum(t[2] for t in transfers)
-        for src, _dst, secs, k_bits in transfers:
-            if secs > 0.0:
-                tx_time[hosts[src - 1]] += secs
-                shared += k_bits
-
-    joules = energy.p_compute * comp_time + energy.p_transmit * tx_time
+    c, mem_vec, bits = block_arrays(graph, memory_mode)
+    r, m = assign.y.shape
+    # Each kept block but the first is fed by the previous kept block; the
+    # others name themselves, which costs nothing.
+    src = np.tile(np.arange(m), (r, 1))
+    for q in range(r):
+        for ed in effective_edges(graph, assign.y[q]):
+            src[q, ed.dst - 1] = ed.src - 1
+    src_bits = bits[src]
+    terms, load, mem, tx_time = chain_sums(
+        assign.x.argmax(axis=1), src, assign.y * c, assign.y * mem_vec, src_bits, 1,
+        transfer_rates(rates.rho))
+    latency, ct, joules = chain_costs(terms, load, tx_time, fleet.mult_rates, energy)
+    sent = terms[:r * m, 0] > 0.0  # whole bit counts: exact in any order
     return CostBreakdown(
-        total_latency=float(latency_tx + comp_time.sum()),
-        comp_time=comp_time,
-        tx_time=tx_time,
-        energy=joules,
-        memory_use=mem_use,
-        compute_use=load,
-        shared_bits=float(shared),
-        total_mults=float(np.einsum("rim,m->", gated, c)),
+        total_latency=float(latency[0]),
+        comp_time=ct[:, 0],
+        tx_time=tx_time[0],
+        energy=joules[:, 0],
+        memory_use=mem[0],
+        compute_use=load[0],
+        shared_bits=float(src_bits.ravel()[sent].sum()),
+        total_mults=float(load.sum()),
     )

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import Assignment, CostBreakdown
+from .costs import Assignment, CostBreakdown, evaluate_assignment
 from .errors import UnprofiledDropSet
 from .fleet import DEFAULT_RATE_LO, EnergyParams, Fleet, RateMatrix
 from .graph import ResNetGraph, block_arrays, compute_load, output_bits
@@ -183,14 +183,12 @@ def check_constraints(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
 
 
 def _breakdown_for_report(assign, graph, fleet, rates, energy, memory_mode, resolved_ok):
-    from .costs import _evaluate_arrays  # shared one-pass evaluator
-
-    c, mem_vec, bits = block_arrays(graph, memory_mode)
     if resolved_ok and assign.is_resolved():
-        return _evaluate_arrays(assign, graph, fleet, rates, energy, c, mem_vec, bits)
+        return evaluate_assignment(assign, graph, fleet, rates, energy, memory_mode)
     # Multi-host or uncovered candidates: charge every listed host for its
     # copy of the block and skip transfer accounting, which needs one host
     # per block to be defined.
+    c, mem_vec, _bits = block_arrays(graph, memory_mode)
     gated = assign.x * assign.y[:, None, :]
     load = np.einsum("rim,m->i", gated, c)
     mem_use = np.einsum("rim,m->i", gated, mem_vec)

@@ -24,10 +24,12 @@ bounded chunks; the 17-step block pass then runs once over the whole
 generation, on a large fleet too.  Each distinct placement (hosts plus
 drop sets) of a generation is scored once and its scores are shared.
 
-The score walks each request's chain of kept blocks, each fed by the
-previous kept block alone.  Its ordered sums (latency, overruns, accuracy)
-lay their terms out block-major, (terms, candidates), and reduce over the
-outer axis, so each candidate's terms are added left to right as a
+The score gathers each row's drop-set arrays and runs the cost model of
+``costs.py`` (``chain_sums``, then ``chain_costs``), the one that
+``evaluate_assignment`` runs on the reported plan, so the reported latency
+is the one the search ranked.  Its ordered sums (latency, overruns,
+accuracy) lay their terms out block-major, (terms, candidates), and reduce
+over the outer axis, so each candidate's terms are added left to right as a
 per-candidate loop adds them; a lone candidate is accumulated, since numpy
 would sum its one column pairwise.  A candidate thus scores the same alone
 or in any batch, and sharing changes no result.  A generation on the default
@@ -40,9 +42,8 @@ objective.  ``solve_exact`` enumerates the same candidate space exhaustively
 for small instances, the reference the GA is compared against.  It grows
 the candidates as a prefix tree along each request's chain, extending the
 partial sums one kept block at a time, and scores its leaves in bounded
-batches through ``_Evaluator._finish``, the last step of ``score``: the
-cost model is written once.  Both solvers first run a necessary-condition
-feasibility certificate.
+batches through ``_Evaluator._finish``, the last step of ``score``.  Both
+solvers first run a necessary-condition feasibility certificate.
 """
 from __future__ import annotations
 
@@ -51,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import Assignment, CostBreakdown, evaluate_assignment
+from .costs import (Assignment, CostBreakdown, _ordered_sum, chain_costs, chain_sums,
+                    evaluate_assignment, transfer_rates)
 from .errors import (
     InfeasibleInstance,
     InstanceTooLarge,
@@ -207,16 +209,6 @@ def round_bytes(n_devices: int) -> int:
     return 8 * (n * n + (n + 1) * (1025 + 257 * -(-n // 8)))
 
 
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Column sums of block-major ``terms`` (terms, candidates), each added
-    top to bottom as a per-candidate loop adds it: a reduce over the outer
-    axis adds row after row.  numpy sums a lone column pairwise, which can
-    differ in the last bit, so one candidate is accumulated instead."""
-    if terms.shape[1] == 1:
-        return np.add.accumulate(terms, axis=0)[-1]
-    return np.add.reduce(terms, axis=0)
-
-
 class _RepairTable:
     """The forward repair pass for one round's rates, as a lookup table.
 
@@ -361,10 +353,8 @@ class _Evaluator:
     Drop sets are indexed by their rank in ``drops`` (largest first, then best
     accuracy, then lowest block ids).  Rows are (individual, request) pairs in
     order.  ``src[k, j]`` is the block feeding block j under drop set k.
-    Scores agree with the public cost functions and, bit for bit, with a
-    per-candidate loop: per-device loads are bincounts in (request, block)
-    order, and the other sums are ``_ordered_sum`` over block-major terms,
-    one candidate accumulated alone.
+    Scores come from ``costs.chain_sums`` and ``chain_costs``, as
+    ``evaluate_assignment``'s do, and agree with them bit for bit.
     """
 
     def __init__(self, graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
@@ -386,11 +376,7 @@ class _Evaluator:
         self.c, self.m, self.bits = block_arrays(graph, memory_mode)
         self.e = fleet.mult_rates
         self.rho = rates.rho
-        # Same-device transfers divide by infinity and cost exactly zero.
-        # Flat, indexed by sender * N + receiver.
-        rho_off = rates.rho.copy()
-        np.fill_diagonal(rho_off, np.inf)
-        self.rho_off = rho_off.ravel()
+        self.rho_off = transfer_rates(rates.rho)
         self.mem_caps = fleet.memory_caps
         self.comp_caps = fleet.compute_caps
         self.energy_caps = fleet.energy_caps
@@ -471,41 +457,24 @@ class _Evaluator:
 
         Returns arrays (penalized, objective, latency, feasible).
         """
-        r, n, m = self.n_requests, self.n_devices, self.n_blocks
-        rows = hosts.shape[0]
-        b = rows // r
-        # Sums per (candidate, device) bin, added in (request, block) order.
-        base = np.arange(0, b * n, n)[:, None]
-        bins = (hosts.reshape(b, r * m) + base).ravel()
-        load = np.bincount(bins, self.kept_c.take(ent, axis=0).ravel(), b * n).reshape(b, n)
-        mem = np.bincount(bins, self.kept_m.take(ent, axis=0).ravel(), b * n).reshape(b, n)
-        # Transfers per (request, block) from the previous kept block; the
-        # sender pays.
-        src_hosts = hosts.reshape(-1).take(
-            self.src.take(ent, axis=0) + np.arange(0, rows * m, m)[:, None])
-        cost = self.src_bits.take(ent, axis=0) / self.rho_off.take(src_hosts * n + hosts)
-        tx_time = np.bincount((src_hosts.reshape(b, -1) + base).ravel(), cost.ravel(),
-                              b * n).reshape(b, n)
-
-        terms = np.empty((r * m + n, b))
-        terms[:r * m] = cost.reshape(b, r * m).T
-        acc = _ordered_sum(self.acc.take(ent.reshape(b, r).T))
+        b = hosts.shape[0] // self.n_requests
+        terms, load, mem, tx_time = chain_sums(
+            hosts, self.src.take(ent, axis=0), self.kept_c.take(ent, axis=0),
+            self.kept_m.take(ent, axis=0), self.src_bits.take(ent, axis=0), b, self.rho_off)
+        acc = _ordered_sum(self.acc.take(ent.reshape(b, -1).T))
         return self._finish(terms, load, mem, tx_time, acc)
 
     def _finish(self, terms, load, mem, tx_time, acc):
         """Scores of b candidates from their sums; ``score`` and the exact
         solver's prefix tree both end here.  ``terms`` (k + N, b) holds k
         transfer terms (or their partial sum) in (request, block) order and
-        N free rows; latency adds the terms, then each device's compute
-        time.  ``load``, ``mem``, ``tx_time``: (b, N); ``acc``: (b,).
+        N free rows, as ``chain_costs`` takes them.  ``load``, ``mem``,
+        ``tx_time``: (b, N); ``acc``: (b,).
         """
-        n, r = self.n_devices, self.n_requests
-        ct = np.divide(load.T, self.e[:, None], out=terms[-n:])
-        latency = _ordered_sum(terms)
-        joules = self.energy.p_compute * ct + self.energy.p_transmit * tx_time.T
+        latency, _ct, joules = chain_costs(terms, load, tx_time, self.e, self.energy)
         over = np.stack([load.T, mem.T, joules], axis=1) / self.caps - 1.0
-        rel = _ordered_sum(np.where(over > 0.0, over, 0.0).reshape(3 * n, -1))
-        wo = objective_value(latency, acc / r, r, self.weights)
+        rel = _ordered_sum(np.where(over > 0.0, over, 0.0).reshape(3 * self.n_devices, -1))
+        wo = objective_value(latency, acc / self.n_requests, self.n_requests, self.weights)
         return wo + self.penalty_weight * rel, wo, latency, rel == 0.0
 
     def evaluate(self, packed: np.ndarray):

@@ -2,10 +2,10 @@
 
 Every metric the engine reports (latency, per-device energy, shared bits,
 executed multiplications, per-device budget use) is recomputed by the naive
-nested-loop oracles on randomized small instances and compared at tight
-relative tolerance.  Separate cases pin the transfer conventions: same-device
-transfers are free, and coincident direct and skip edges are one physical
-transfer.
+nested-loop oracles on randomized small instances, with symmetric and
+asymmetric link matrices, and compared at tight relative tolerance.
+Separate cases pin the transfer conventions: same-device transfers are
+free, and coincident direct and skip edges are one physical transfer.
 """
 
 from __future__ import annotations
@@ -18,7 +18,14 @@ import oracles
 from resplan.costs import Assignment, evaluate_assignment
 from resplan.errors import UnbridgeableDrop
 from resplan.fleet import EnergyParams, RateMatrix
-from resplan.graph import BlockSpec, LayerSpec, ResNetGraph, SkipTopology, output_bits
+from resplan.graph import (
+    MEMORY_MODES,
+    BlockSpec,
+    LayerSpec,
+    ResNetGraph,
+    SkipTopology,
+    output_bits,
+)
 
 REL_TOL = 1e-9
 
@@ -78,40 +85,56 @@ class TestAssignment:
         assert c.is_resolved()
 
 
+def assert_matches_oracles(graph, fleet, rates, assign, x, y, mode="inputs"):
+    """Every metric of evaluate_assignment against the nested-loop oracles."""
+    b = graph.weight_bytes
+    params = EnergyParams()
+    bd = evaluate_assignment(assign, graph, fleet, rates, params, memory_mode=mode)
+
+    assert close(bd.total_latency,
+                 oracles.total_latency(graph, fleet, rates.rho, x, y, b))
+    assert close(bd.shared_bits,
+                 oracles.shared_data(graph, x, y, b, fleet.n_devices))
+    assert close(bd.total_mults, oracles.total_computation(graph, x, y))
+
+    budgets = oracles.device_budgets(graph, fleet, rates.rho, x, y, b, mode,
+                                     params.p_compute, params.p_transmit)
+    for i, (mem, mults, joules) in enumerate(budgets):
+        assert close(bd.memory_use[i], mem)
+        assert close(bd.compute_use[i], mults)
+        assert close(bd.energy[i], joules)
+        assert close(bd.comp_time[i], mults / fleet.devices[i].mult_rate)
+    return bd
+
+
 class TestEngineMatchesOracles:
     def test_all_metrics_on_randomized_instances(self):
         rng = np.random.default_rng(2024)
         for _ in range(40):
             graph, fleet, rates, assign, x, y = random_instance(rng)
-            b = graph.weight_bytes
-            params = EnergyParams()
-            bd = evaluate_assignment(assign, graph, fleet, rates, params)
+            assert_matches_oracles(graph, fleet, rates, assign, x, y)
 
-            assert close(bd.total_latency,
-                         oracles.total_latency(graph, fleet, rates.rho, x, y, b))
-            assert close(bd.shared_bits,
-                         oracles.shared_data(graph, x, y, b, fleet.n_devices))
-            assert close(bd.total_mults, oracles.total_computation(graph, x, y))
-
-            budgets = oracles.device_budgets(graph, fleet, rates.rho, x, y, b,
-                                             "inputs", params.p_compute,
-                                             params.p_transmit)
-            for i, (mem, mults, joules) in enumerate(budgets):
-                assert close(bd.memory_use[i], mem)
-                assert close(bd.compute_use[i], mults)
-                assert close(bd.energy[i], joules)
-                assert close(bd.comp_time[i], mults / fleet.devices[i].mult_rate)
+    def test_all_metrics_on_asymmetric_links(self):
+        # helpers.random_rates symmetrizes, which hides a cost that reads
+        # rho[receiver, sender] for rho[sender, receiver]; these do not.
+        rng = np.random.default_rng(2025)
+        moved = 0
+        for _ in range(40):
+            graph, fleet, _, assign, x, y = random_instance(rng)
+            n = fleet.n_devices
+            rates = RateMatrix(rng.uniform(100.0, 10000.0, size=(n, n)))
+            bd = assert_matches_oracles(graph, fleet, rates, assign, x, y)
+            moved += bd.shared_bits > 0
+        assert moved >= 10
 
     def test_memory_modes_flow_through(self):
+        # evaluate_assignment reports resident memory in the memory_mode it
+        # is given; the budget oracle counts it in the same mode.
         rng = np.random.default_rng(7)
-        graph, fleet, rates, assign, x, y = random_instance(rng)
-        # evaluate_assignment always reports resident activations; the budget
-        # oracle confirms that choice explicitly.
-        bd = evaluate_assignment(assign, graph, fleet, rates, EnergyParams())
-        budgets = oracles.device_budgets(graph, fleet, rates.rho, x, y,
-                                         graph.weight_bytes, "inputs", 8.0, 10.0)
-        for i, (mem, _mults, _j) in enumerate(budgets):
-            assert close(bd.memory_use[i], mem)
+        for mode in MEMORY_MODES:
+            for _ in range(10):
+                graph, fleet, rates, assign, x, y = random_instance(rng)
+                assert_matches_oracles(graph, fleet, rates, assign, x, y, mode)
 
 
 def chain_graph():

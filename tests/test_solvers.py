@@ -722,6 +722,21 @@ class TestGaSolver:
                           memory_mode=sc.memory_mode)
             assert ga.objective >= exact.objective - 1e-12
 
+    def test_reported_objective_is_the_ranked_score_bit_for_bit(self):
+        # The GA ranks by _Evaluator.score; the result reports
+        # evaluate_assignment's latency.  Both run the one cost model in
+        # costs.py, so a feasible round's objective is its best score.
+        feasible = 0
+        for seed in range(4):
+            sc = build_scenario(load_config(seed=seed))
+            for k in range(sc.rounds):
+                _, res = run_round(sc, k)
+                if res is None or not res.feasible or not res.history:
+                    continue  # unsolved, infeasible, or no requests
+                feasible += 1
+                assert res.objective == res.history[-1], (seed, k)
+        assert feasible >= 30
+
     def test_abundant_budgets_recover_the_full_network(self, resnet50,
                                                         shipped_profile):
         fleet = Fleet(tuple(
