@@ -50,7 +50,7 @@ def main() -> None:
     print("Dropping a unit reroutes its input along a skip edge:")
     for drops in ((), (3,), (3, 4), (10, 13)):
         edges = effective_edges(graph, keep_vector(drops))
-        skips = sorted((e.src, e.dst) for e in edges if e.dst - e.src > 1)
+        skips = sorted((s, d) for s, d in edges if d - s > 1)
         label = "{" + ", ".join(map(str, drops)) + "}"
         print(f"  drop {label:<10} -> {len(edges)} hops, "
               f"skip hops {skips if skips else 'none'}")

@@ -13,7 +13,6 @@ from .errors import (
     EmptyFeasibleSet,
     InfeasibleInstance,
     InstanceTooLarge,
-    LengthMismatch,
     ParseError,
     ResplanError,
     UnbridgeableDrop,
@@ -33,7 +32,6 @@ from .fleet import (
 )
 from .graph import (
     BlockSpec,
-    Edge,
     LayerSpec,
     ResNetGraph,
     SkipTopology,
@@ -74,8 +72,6 @@ from .solvers import (
     ExactLimits,
     GaConfig,
     SolveResult,
-    decode,
-    encode,
     repair_allocation,
     solve_exact,
     solve_ga,

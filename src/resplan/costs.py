@@ -7,9 +7,9 @@ Conventions, fixed here and relied on everywhere:
   edge carries data only across dropped blocks).  Same-device transfers cost
   zero.  Device compute times are added on top; there is no queueing or
   compute/transfer overlap model.
-* Energy and shared data: each physical transfer is counted exactly once; a
-  span-1 skip edge that coincides with a direct edge is the same bytes on the
-  same wire.  Transmission energy is charged to the sending device.
+* Energy and shared data: each kept block but the first receives one
+  transfer, counted once even where a span-1 skip edge runs beside the direct
+  edge.  Transmission energy is charged to the sending device.
 * Latency is summed over requests with no pipelining.
 
 The model is written once: ``chain_sums`` lays out b candidates' transfer
@@ -34,9 +34,9 @@ from .graph import ResNetGraph, block_arrays, effective_edges
 class Assignment:
     """Decision variables for one round: x[r,i,j] hosts, y[r,j] keep/drop.
 
-    A *resolved* assignment gives every kept block exactly one host; the
-    relaxed form (>= 1 host) only exists between the solver's relaxation and
-    its repair pass.
+    A *resolved* assignment gives every kept block exactly one host.  The
+    solvers only build resolved ones; ``repair_allocation`` resolves one that
+    lists several hosts for a block.
     """
 
     x: np.ndarray  # (R, N, M) binary
@@ -69,10 +69,6 @@ class Assignment:
     @property
     def n_devices(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def n_blocks(self) -> int:
-        return self.x.shape[2]
 
     def is_resolved(self) -> bool:
         """True when every kept block has exactly one host."""
@@ -172,8 +168,8 @@ def evaluate_assignment(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
     # others name themselves, which costs nothing.
     src = np.tile(np.arange(m), (r, 1))
     for q in range(r):
-        for ed in effective_edges(graph, assign.y[q]):
-            src[q, ed.dst - 1] = ed.src - 1
+        for s, d in effective_edges(graph, assign.y[q]):
+            src[q, d - 1] = s - 1
     src_bits = bits[src]
     terms, load, mem, tx_time = chain_sums(
         assign.x.argmax(axis=1), src, assign.y * c, assign.y * mem_vec, src_bits, 1,

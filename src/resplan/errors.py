@@ -41,10 +41,6 @@ class UncoveredBlock(ResplanError):
         super().__init__(f"request {request}: kept block {block} has no hosting device")
 
 
-class LengthMismatch(ResplanError):
-    """A chromosome's length does not match the instance dimensions."""
-
-
 class InstanceTooLarge(ResplanError):
     """An instance would exceed a solver's evaluation or memory budget."""
 

@@ -139,25 +139,6 @@ class SkipTopology:
                     f"skip edge ({dst},{src}): span {sigma} outside 1..{self.max_skip}"
                 )
 
-    def has_edge(self, dst: int, src: int) -> bool:
-        return (dst, src) in self.edges
-
-    def edges_into(self, dst: int) -> list[tuple[int, int]]:
-        return sorted(e for e in self.edges if e[0] == dst)
-
-
-@dataclass(frozen=True)
-class Edge:
-    """One required data transfer: the output of ``src`` feeds ``dst``."""
-
-    src: int
-    dst: int
-    kind: str  # "direct" | "skip"
-
-    @property
-    def sigma(self) -> int:
-        return self.dst - self.src
-
 
 @dataclass(frozen=True)
 class ResNetGraph:
@@ -240,43 +221,34 @@ def block_arrays(graph: ResNetGraph, memory_mode: str = "inputs"):
             np.array([output_bits(k, b) for k in blocks], dtype=float))
 
 
-def effective_edges(graph: ResNetGraph, keep: Sequence[int]) -> list[Edge]:
+def effective_edges(graph: ResNetGraph, keep: Sequence[int]) -> list[tuple[int, int]]:
     """The data transfers one request needs under the given keep/drop vector.
 
     ``keep[j-1] = 1`` keeps block j (the y convention); the stem must be kept.
-    Emits a direct edge (j -> j+1) for every index-consecutive kept pair and a
-    skip edge (j-sigma -> j) for every topology edge whose endpoints are kept
-    and whose intermediate blocks are all dropped.  Raises UnbridgeableDrop if
-    some kept block other than the stem would end up with no input.
+    Returns one (src, dst) pair per kept block dst after the stem, where src
+    is the previous kept block (the chain form).  When blocks between them
+    are dropped, the pair needs a skip edge (dst, src); raises
+    UnbridgeableDrop when the topology has none.
     """
     m = graph.n_blocks
     if len(keep) != m:
         raise ValueError(f"keep vector length {len(keep)} != {m} blocks")
-    kept = [bool(v) for v in keep]
-    if not kept[0]:
+    if not keep[0]:
         raise ValueError("the stem cannot be dropped")
 
-    edges: list[Edge] = []
-    for j in range(1, m):  # direct edge j -> j+1, 1-based
-        if kept[j - 1] and kept[j]:
-            edges.append(Edge(src=j, dst=j + 1, kind="direct"))
-    for dst, src in sorted(graph.skip.edges):
-        if not (kept[dst - 1] and kept[src - 1]):
+    pairs: list[tuple[int, int]] = []
+    src = 1
+    for dst in range(2, m + 1):
+        if not keep[dst - 1]:
             continue
-        if all(not kept[k - 1] for k in range(src + 1, dst)):
-            edges.append(Edge(src=src, dst=dst, kind="skip"))
-
-    fed = {e.dst for e in edges}
-    for j in range(2, m + 1):
-        if kept[j - 1] and j not in fed:
-            run_start = j - 1
-            while run_start >= 1 and not kept[run_start - 1]:
-                run_start -= 1
+        if dst - src > 1 and (dst, src) not in graph.skip.edges:
             raise UnbridgeableDrop(
-                f"kept block {j} has no input: dropped run "
-                f"{run_start + 1}..{j - 1} exceeds the skip topology"
+                f"kept block {dst} has no input: dropped run "
+                f"{src + 1}..{dst - 1} exceeds the skip topology"
             )
-    return sorted(edges, key=lambda e: (e.dst, e.src, e.kind))
+        pairs.append((src, dst))
+        src = dst
+    return pairs
 
 
 def _bottleneck_main(in_ch: int, width: int, out_ch: int, in_sp: int, out_sp: int):

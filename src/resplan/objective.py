@@ -118,14 +118,15 @@ class FeasibilityReport:
 def check_constraints(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
                       rates: RateMatrix, energy: EnergyParams,
                       weights: ObjectiveWeights, profile: AccuracyProfile,
-                      strict: bool = True,
                       memory_mode: str = "inputs") -> FeasibilityReport:
     """Check coverage, per-device budgets, and the accuracy floor.
 
-    strict requires exactly one host per kept block; the relaxed form allows
-    several (costs then count each host's copy).  Entries of x under dropped
-    blocks are ignored throughout.  Drop sets must be bridgeable; callers
-    screen candidate drop sets against the skip topology beforehand.
+    Coverage wants exactly one host per kept block; a block with none or
+    with several is a violation.  Such a plan is still priced, with each
+    listed host paying for its copy of a block and no transfers counted.
+    Entries of x under dropped blocks are ignored throughout.  Drop sets
+    must be bridgeable; callers screen candidate drop sets against the skip
+    topology beforehand.
     """
     violations: list[str] = []
 
@@ -134,12 +135,10 @@ def check_constraints(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
     uncovered = kept & (cover == 0)
     for r, j in zip(*np.nonzero(uncovered)):
         violations.append(f"request {r}: block {j + 1} is kept but has no host")
-    if strict:
-        multi = kept & (cover > 1)
-        for r, j in zip(*np.nonzero(multi)):
-            violations.append(
-                f"request {r}: block {j + 1} has {int(cover[r, j])} hosts (strict mode wants 1)"
-            )
+    for r, j in zip(*np.nonzero(kept & (cover > 1))):
+        violations.append(
+            f"request {r}: block {j + 1} has {int(cover[r, j])} hosts (coverage wants 1)"
+        )
     coverage_ok = not violations
 
     bd = _breakdown_for_report(assign, graph, fleet, rates, energy, memory_mode, coverage_ok)
@@ -182,8 +181,8 @@ def check_constraints(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
     )
 
 
-def _breakdown_for_report(assign, graph, fleet, rates, energy, memory_mode, resolved_ok):
-    if resolved_ok and assign.is_resolved():
+def _breakdown_for_report(assign, graph, fleet, rates, energy, memory_mode, coverage_ok):
+    if coverage_ok:  # one host per kept block: the assignment is resolved
         return evaluate_assignment(assign, graph, fleet, rates, energy, memory_mode)
     # Multi-host or uncovered candidates: charge every listed host for its
     # copy of the block and skip transfer accounting, which needs one host

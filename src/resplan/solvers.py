@@ -54,13 +54,7 @@ import numpy as np
 
 from .costs import (Assignment, CostBreakdown, _ordered_sum, chain_costs, chain_sums,
                     evaluate_assignment, transfer_rates)
-from .errors import (
-    InfeasibleInstance,
-    InstanceTooLarge,
-    LengthMismatch,
-    UnbridgeableDrop,
-    UncoveredBlock,
-)
+from .errors import InfeasibleInstance, InstanceTooLarge, UnbridgeableDrop, UncoveredBlock
 from .fleet import EnergyParams, Fleet, RateMatrix
 from .graph import ResNetGraph, block_arrays, effective_edges
 from .objective import FeasibilityReport, ObjectiveWeights, check_constraints, objective_value
@@ -159,31 +153,6 @@ class SolveResult:
 def chromosome_length(n_requests: int, n_devices: int, n_blocks: int) -> int:
     """Flat bit count: placement bits first, then keep bits."""
     return n_requests * n_devices * n_blocks + n_requests * n_blocks
-
-
-def encode(assign: Assignment) -> np.ndarray:
-    """Assignment to flat chromosome (x bits then y bits)."""
-    return np.concatenate([assign.x.ravel(), assign.y.ravel()]).astype(np.uint8)
-
-
-def decode(bits, n_requests: int, n_devices: int, n_blocks: int) -> Assignment:
-    """Chromosome to Assignment; the stem keep bit is forced on.
-
-    Raises LengthMismatch when the bit count does not fit the dimensions.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    expect = chromosome_length(n_requests, n_devices, n_blocks)
-    if bits.ndim != 1 or bits.size != expect:
-        raise LengthMismatch(
-            f"chromosome has {bits.size} bits, expected {expect} for "
-            f"(requests={n_requests}, devices={n_devices}, blocks={n_blocks})"
-        )
-    split = n_requests * n_devices * n_blocks
-    x = bits[:split].reshape(n_requests, n_devices, n_blocks)
-    y = bits[split:].reshape(n_requests, n_blocks).copy()
-    if n_requests:
-        y[:, 0] = 1
-    return Assignment(x, y)
 
 
 # Cells per array pass, bounding its temporaries whatever the fleet size.
@@ -407,16 +376,11 @@ class _Evaluator:
             # previous kept block alone; others name themselves (zero cost).
             src = np.arange(m)
             try:
-                for ed in effective_edges(self.graph, y):
-                    src[ed.dst - 1] = ed.src - 1
+                for s, d in effective_edges(self.graph, y):
+                    src[d - 1] = s - 1
             except UnbridgeableDrop:
                 continue  # profiled but not executable under this topology
             rows.append((drop, y, src, profile.accuracy_for(ds)))
-        if not rows:
-            raise InfeasibleInstance(
-                "no profiled drop set is both above the accuracy threshold and "
-                "bridgeable in this skip topology"
-            )
         # Largest subset first, then best accuracy, then lowest block ids, so
         # the first entry inside a proposed drop set is its projection.
         rows.sort(key=lambda t: (-len(t[0]), -t[3], t[0]))
@@ -436,11 +400,6 @@ class _Evaluator:
         for k in reversed(range(len(self.drops))):  # earlier entries win
             mask = sum(bit[j - 1] for j in self.drops[k])
             self.table[(kept & mask) == 0] = k
-
-    def canonicalize(self, pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Raw chromosomes (B, L) to (hosts (B*R, M), drop-set index (B*R,))."""
-        ent = np.empty(pop.shape[0] * self.n_requests, dtype=np.intp)
-        return self.repair.walk(self._columns(pop, ent)), ent
 
     def _columns(self, pop: np.ndarray, ent: np.ndarray, out: np.ndarray | None = None):
         """Project raw chromosomes (B, L) onto drop sets, into ``ent``, and
@@ -621,7 +580,7 @@ def _result_from_resolved(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray,
                              memory_mode=ev.memory_mode)
     report = check_constraints(
         assign, ev.graph, ev.fleet, ev.rates, ev.energy, ev.weights, ev.profile,
-        strict=True, memory_mode=ev.memory_mode,
+        memory_mode=ev.memory_mode,
     )
     acc = report.accuracy if report.accuracy is not None else 0.0
     return SolveResult(

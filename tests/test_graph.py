@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from resplan.errors import UnbridgeableDrop
 from resplan.graph import (
     BlockSpec,
-    Edge,
     LayerSpec,
     ResNetGraph,
     SkipTopology,
@@ -108,12 +107,6 @@ class TestSkipTopology:
         with pytest.raises(ValueError, match="out of range"):
             SkipTopology(frozenset({(1, 0)}))
 
-    def test_edges_into_is_sorted(self):
-        topo = SkipTopology(frozenset({(4, 2), (4, 1), (5, 3)}))
-        assert topo.edges_into(4) == [(4, 1), (4, 2)]
-        assert topo.has_edge(5, 3)
-        assert not topo.has_edge(4, 3)
-
 
 class TestGraphValidation:
     def test_rejects_non_contiguous_block_ids(self):
@@ -202,10 +195,10 @@ class TestDefaultSkipTopology:
         topo = resnet50.skip
         for j in DROPPABLE_IDS:
             if j + 1 <= 17:
-                assert topo.has_edge(j + 1, j - 1), f"block {j} not bypassed"
+                assert (j + 1, j - 1) in topo.edges, f"block {j} not bypassed"
         for j in DROPPABLE_IDS:
             if j + 1 in DROPPABLE_IDS and j + 2 <= 17:
-                assert topo.has_edge(j + 2, j - 1), f"pair {j},{j + 1} not bypassed"
+                assert (j + 2, j - 1) in topo.edges, f"pair {j},{j + 1} not bypassed"
         # Count: 11 single bypasses (block 17 has no downstream block) plus
         # 7 pair bypasses (16,17 likewise runs off the end).
         assert len(topo.edges) == 18
@@ -213,37 +206,40 @@ class TestDefaultSkipTopology:
     def test_terminal_block_has_no_bypass_and_needs_none(self, resnet50):
         assert not any(src < 17 < dst for dst, src in resnet50.skip.edges)
         edges = effective_edges(resnet50, keep_vector(resnet50, {17}))
-        assert all(e.dst <= 16 for e in edges)
+        assert edges == [(j, j + 1) for j in range(1, 16)]
 
     def test_builder_matches_manual_edges(self):
         topo = default_skip_topology([3, 4], n_blocks=6)
         assert topo.edges == frozenset({(4, 2), (5, 3), (5, 2)})
 
 
+def chain(*kept):
+    """The (src, dst) pairs along consecutive kept blocks."""
+    return list(zip(kept, kept[1:]))
+
+
+def oracle_pairs(expected):
+    """The oracle's (src, dst, kind) transfers as (src, dst) pairs by dst."""
+    return sorted({(src, dst) for src, dst, _kind in expected}, key=lambda e: e[::-1])
+
+
 class TestEffectiveEdges:
     def test_keep_all_is_the_plain_chain(self, resnet50):
-        edges = effective_edges(resnet50, [1] * 17)
-        assert len(edges) == 16
-        assert all(e.kind == "direct" and e.dst == e.src + 1 for e in edges)
+        assert effective_edges(resnet50, [1] * 17) == chain(*range(1, 18))
 
     def test_single_drop_reroutes_around_the_block(self, resnet50):
         edges = effective_edges(resnet50, keep_vector(resnet50, {3}))
-        pairs = {(e.src, e.dst, e.kind) for e in edges}
-        assert (2, 4, "skip") in pairs
-        assert not any(e.src == 3 or e.dst == 3 for e in edges)
-        assert (2, 3, "direct") not in pairs and (3, 4, "direct") not in pairs
+        assert edges == chain(1, 2, *range(4, 18))
 
     def test_adjacent_pair_uses_the_long_skip(self, resnet50):
         edges = effective_edges(resnet50, keep_vector(resnet50, {3, 4}))
-        pairs = {(e.src, e.dst) for e in edges if e.kind == "skip"}
-        assert pairs == {(2, 5)}
+        assert [(s, d) for s, d in edges if d - s > 1] == [(2, 5)]
 
     def test_two_separate_drops_need_two_skips(self, resnet50):
         edges = effective_edges(resnet50, keep_vector(resnet50, {3, 6}))
-        pairs = {(e.src, e.dst) for e in edges if e.kind == "skip"}
-        assert pairs == {(2, 4), (5, 7)}
+        assert [(s, d) for s, d in edges if d - s > 1] == [(2, 4), (5, 7)]
 
-    def test_sigma_one_edge_joins_the_direct_edge(self):
+    def test_span_one_skip_edge_is_listed_once(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             graph = None
@@ -251,10 +247,8 @@ class TestEffectiveEdges:
                 g = helpers_random_graph(rng)
                 if any(dst - src == 1 for dst, src in g.skip.edges):
                     graph = g
-            edges = effective_edges(graph, [1] * graph.n_blocks)
-            for dst, src in graph.skip.edges:
-                if dst - src == 1:
-                    assert Edge(src=src, dst=dst, kind="skip") in edges
+            m = graph.n_blocks
+            assert effective_edges(graph, [1] * m) == chain(*range(1, m + 1))
 
     def test_unbridgeable_run_raises_with_the_run_named(self, resnet50):
         with pytest.raises(UnbridgeableDrop, match="6..8"):
@@ -278,18 +272,18 @@ class TestEffectiveEdges:
                     with pytest.raises(UnbridgeableDrop):
                         effective_edges(graph, keep)
                 else:
-                    got = {(e.src, e.dst, e.kind) for e in effective_edges(graph, keep)}
-                    assert got == set(expected)
+                    assert effective_edges(graph, keep) == oracle_pairs(expected)
 
 
 @st.composite
 def chain_and_keep(draw):
-    """A skip topology over 2-12 blocks and a keep vector it can bridge.
+    """A skip topology over 2-12 blocks and a keep vector with the stem kept.
 
     A block is droppable when some skip edge spans it or it is the last one.
-    The keep vector walks from the stem: each next kept block is the next
-    block or the far end of a skip edge, and the walk may stop once every
-    block left is droppable.
+    Half the draws keep any blocks at all, bridgeable or not.  The others
+    walk from the stem, so the topology can bridge them: each next kept
+    block is the next block or the far end of a skip edge, and the walk may
+    stop once every block left is droppable.
     """
     m = draw(st.integers(2, 12))
     max_skip = draw(st.integers(1, 4))
@@ -303,6 +297,9 @@ def chain_and_keep(draw):
         BlockSpec(j, 2, "identity_block", (layer,), droppable[j - 1], 8)
         for j in range(2, m + 1))
     graph = ResNetGraph(blocks, SkipTopology(frozenset(edges), max_skip=max_skip))
+    if draw(st.booleans()):
+        return graph, [1] + draw(st.lists(st.sampled_from([0, 1]), min_size=m - 1,
+                                          max_size=m - 1))
     keep = [1] + [0] * (m - 1)
     j = 1
     while j < m:
@@ -320,10 +317,14 @@ class TestChainForm:
     @given(chain_and_keep())
     def test_each_kept_block_is_fed_by_the_previous_kept_block_alone(self, case):
         graph, keep = case
+        expected = oracles.edge_set(graph, keep)
+        if expected is None:
+            with pytest.raises(UnbridgeableDrop):
+                effective_edges(graph, keep)
+            return
         edges = effective_edges(graph, keep)
-        kept = [j + 1 for j, k in enumerate(keep) if k]
-        for prev, block in zip(kept, kept[1:]):
-            assert {e.src for e in edges if e.dst == block} == {prev}
+        assert edges == oracle_pairs(expected)
+        assert edges == chain(*(j + 1 for j, k in enumerate(keep) if k))
 
 
 def helpers_random_graph(rng):

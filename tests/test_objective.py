@@ -241,25 +241,22 @@ class TestCheckConstraints:
         assert report.accuracy_margin == -0.6
         assert not report.feasible
 
-    def test_strict_flags_multi_host_and_relaxed_charges_copies(self):
+    def test_multi_host_is_a_violation_and_each_host_pays_for_its_copy(self):
         rng = np.random.default_rng(9)
         graph, fleet, rates, profile, assign, w = tight_instance(rng, slack=4.0)
         x = np.array(assign.x)
         x[0, :, 0] = 1  # give the stem a host on every device
         doubled = Assignment(x, assign.y)
-        strict = check_constraints(doubled, graph, fleet, rates, EnergyParams(),
-                                   w, profile, strict=True)
-        assert not strict.coverage_ok
-        assert any("strict mode" in v for v in strict.violations)
-        relaxed = check_constraints(doubled, graph, fleet, rates, EnergyParams(),
-                                    w, profile, strict=False)
-        assert relaxed.coverage_ok
+        report = check_constraints(doubled, graph, fleet, rates, EnergyParams(),
+                                   w, profile)
+        assert not report.coverage_ok and not report.feasible
+        assert "request 0: block 1 has 2 hosts (coverage wants 1)" in report.violations
         base = check_constraints(assign, graph, fleet, rates, EnergyParams(),
                                  w, profile)
         # Every device now pays for its own copy of block 1.
         extra = np.array([oracles.block_compute(graph.blocks[0])] * 2, dtype=float)
         old_use = fleet.compute_caps - base.compute_margin
-        new_use = fleet.compute_caps - relaxed.compute_margin
+        new_use = fleet.compute_caps - report.compute_margin
         for i in range(2):
             if assign.x[0, i, 0]:
                 assert close(new_use[i], old_use[i])

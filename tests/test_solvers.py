@@ -1,4 +1,4 @@
-"""Solver tests: chromosome codec, the repair pass, the batched evaluator
+"""Solver tests: the repair pass, the batched evaluator
 (batch invariance and agreement with the oracles), exhaustive search against
 the brute-force oracle, and the genetic solver's contracts (determinism,
 resolved output, profiled drop sets only, infeasibility certificates, edge
@@ -17,24 +17,18 @@ import oracles
 from resplan import solvers
 from resplan.config import build_scenario, load_config
 from resplan.costs import Assignment
-from resplan.errors import (
-    InfeasibleInstance,
-    InstanceTooLarge,
-    LengthMismatch,
-    UncoveredBlock,
-)
+from resplan.errors import InfeasibleInstance, InstanceTooLarge, UncoveredBlock
 from resplan.fleet import DeviceSpec, EnergyParams, Fleet, RateMatrix, sample_rates
 from resplan.graph import BlockSpec, LayerSpec, ResNetGraph, SkipTopology, block_arrays
 from resplan.harness import round_seeds, run_round
 from resplan.objective import ObjectiveWeights
+from resplan.profile import AccuracyProfile, ProfileEntry
 from resplan.solvers import (
     ExactLimits,
     GaConfig,
     _Evaluator,
     _greedy_seed,
     chromosome_length,
-    decode,
-    encode,
     repair_allocation,
     solve_exact,
     solve_ga,
@@ -72,28 +66,6 @@ def small_problem(rng, n_blocks=5, n_devices=3, n_requests=2, cap_scale=1e3):
     profile = helpers.profile_for(graph, drop_sets)
     weights = ObjectiveWeights(0.5, 0.5, latency_ref=100.0, accuracy_threshold=0.0)
     return graph, fleet, rates, profile, weights
-
-
-class TestChromosomeCodec:
-    def test_encode_decode_round_trip(self):
-        rng = np.random.default_rng(1)
-        graph = helpers.random_graph(rng, n_blocks=4)
-        x, y = helpers.random_assignment(rng, graph, 3, 2)
-        assign = Assignment(np.array(x, dtype=np.uint8), np.array(y, dtype=np.uint8))
-        bits = encode(assign)
-        assert bits.size == chromosome_length(2, 3, 4)
-        back = decode(bits, 2, 3, 4)
-        np.testing.assert_array_equal(back.x, assign.x)
-        np.testing.assert_array_equal(back.y, assign.y)
-
-    def test_decode_forces_the_stem_bit(self):
-        bits = np.zeros(chromosome_length(1, 2, 3), dtype=np.uint8)
-        assign = decode(bits, 1, 2, 3)
-        assert assign.y[0, 0] == 1
-
-    def test_decode_rejects_wrong_length(self):
-        with pytest.raises(LengthMismatch, match="expected"):
-            decode(np.zeros(7, dtype=np.uint8), 1, 2, 3)
 
 
 class TestRepairAllocation:
@@ -256,6 +228,31 @@ class TestEvaluator:
         return _Evaluator(graph, fleet, rates, profile, weights, EnergyParams(),
                           n_requests=n_requests, penalty_weight=10.0)
 
+    def test_drop_sets_that_drop_a_fixed_block_or_cannot_be_bridged_are_left_out(self):
+        # Block 2 is fixed but the skip edge (3, 1) spans it; the topology
+        # bypasses 3 and 4 one at a time, never together.  Both bad drop sets
+        # keep the baseline accuracy while dropping work, so a solver that
+        # saw them would pick them.
+        layer = LayerSpec("conv", 1, 2, 2, 2, 8)
+        blocks = (BlockSpec(1, 1, "stem", (layer,), False, 8),
+                  BlockSpec(2, 2, "conv_block", (layer,), False, 8)) + tuple(
+            BlockSpec(j, 2, "identity_block", (layer,), True, 8) for j in (3, 4, 5))
+        graph = ResNetGraph(blocks, SkipTopology(frozenset({(3, 1), (4, 2), (5, 3)})))
+        accuracy = {(): 0.95, (2,): 0.95, (3, 4): 0.95, (3,): 0.9, (4,): 0.9, (5,): 0.9}
+        profile = AccuracyProfile(0.95, {frozenset(d): ProfileEntry(frozenset(d), a)
+                                         for d, a in accuracy.items()}, "t", n_blocks=5)
+        fleet = fleet_with_rates([5e5, 9e5])
+        rates = helpers.random_rates(np.random.default_rng(37), 2)
+        weights = ObjectiveWeights(0.9, 0.1, latency_ref=1e-3)
+        ev = _Evaluator(graph, fleet, rates, profile, weights, EnergyParams(), n_requests=2)
+        assert ev.drops == [(3,), (4,), (5,), ()]
+        results = [solve_exact(graph, fleet, rates, profile, weights, EnergyParams(), 2),
+                   solve_ga(graph, fleet, rates, profile, weights, EnergyParams(), 2,
+                            GaConfig(population_size=20, generations=10))]
+        for res in results:
+            assert res.feasible
+            assert all(d in ([3], [4], [5], []) for d in res.as_dict()["drops"])
+
     def test_rows_score_the_same_alone_and_in_any_batch_or_chunk(self, monkeypatch):
         rng = np.random.default_rng(31)
         for _ in range(10):
@@ -297,7 +294,7 @@ class TestEvaluator:
         n, m = ev.n_devices, ev.n_blocks
         length = chromosome_length(r, n, m)
         base = rng.integers(0, 2, size=(12, length), dtype=np.uint8)
-        _, ent = ev.canonicalize(base)
+        ent = ev.evaluate(np.packbits(base, axis=1))[5]
         dropped = ~ev.keep[ent].reshape(12, r, m)
         some = np.flatnonzero(dropped.any(axis=(1, 2)))
         assert some.size >= 3
@@ -307,6 +304,8 @@ class TestEvaluator:
         x ^= dropped[some][:, :, None, :]
         assert (variants != base[some]).any(axis=1).all()
         pop = np.concatenate([base, base[[0, 0, 5]], variants])
+        alone = [ev.evaluate(np.packbits(pop[i:i + 1], axis=1))[4:]
+                 for i in range(pop.shape[0])]
 
         score, seen = ev.score, []
 
@@ -319,7 +318,6 @@ class TestEvaluator:
         if chunk:  # originals and their copies fall in different chunks
             monkeypatch.setattr(solvers, "_CHUNK_CELLS", chunk * r * n * m)
         got = ev.evaluate(np.packbits(pop, axis=1))
-        alone = [ev.canonicalize(pop[i:i + 1]) for i in range(pop.shape[0])]
         distinct = {(bytes(h), bytes(e)) for h, e in alone}
         assert len(distinct) <= 12
         assert len(seen) == len(set(seen)) == len(distinct)
@@ -409,7 +407,7 @@ class TestEvaluator:
             ev = self.evaluator(rng, cap_scale=[1.0, 1e9][i % 2])
             length = chromosome_length(2, ev.n_devices, ev.n_blocks)
             bits = rng.integers(0, 2, size=(1, length), dtype=np.uint8)
-            hosts, ent = ev.canonicalize(bits)
+            hosts, ent = ev.evaluate(np.packbits(bits, axis=1))[4:]
             penalized, wo, latency, feasible = (v[0] for v in ev.score(hosts, ent))
             want = oracle_penalized(ev, ev.to_assignment(hosts, ent))
             assert close(wo, want[0])
@@ -839,6 +837,12 @@ class TestMemoryMode:
         assert res.breakdown.memory_use[1] / 1e6 == pytest.approx(device2_mb, abs=0.05)
 
 
+def seed_assignment(bits, r, n, m):
+    """The assignment a flat chromosome (x bits, then y bits) spells."""
+    split = r * n * m
+    return Assignment(bits[:split].reshape(r, n, m), bits[split:].reshape(r, m))
+
+
 class TestGreedySeed:
     def evaluator_for(self, fleet, graph, profile, rng):
         rates = helpers.random_rates(rng, fleet.n_devices)
@@ -852,8 +856,7 @@ class TestGreedySeed:
         profile = helpers.profile_for(graph, [()])
         fleet = fleet_with_rates([5e5, 9e5, 1e5])
         ev = self.evaluator_for(fleet, graph, profile, rng)
-        bits = _greedy_seed(ev, chromosome_length(2, 3, 3))
-        assign = decode(bits, 2, 3, 3)
+        assign = seed_assignment(_greedy_seed(ev, chromosome_length(2, 3, 3)), 2, 3, 3)
         for r in range(2):
             np.testing.assert_array_equal(assign.hosts(r), [1, 1, 1])
             assert (assign.y[r] == 1).all()
@@ -869,8 +872,7 @@ class TestGreedySeed:
             for i, rate in enumerate([5e5, 9e5])
         ))
         ev = self.evaluator_for(fleet, graph, profile, rng)
-        bits = _greedy_seed(ev, chromosome_length(2, 2, 3))
-        assign = decode(bits, 2, 2, 3)
+        assign = seed_assignment(_greedy_seed(ev, chromosome_length(2, 2, 3)), 2, 2, 3)
         loads = np.zeros(2)
         for r in range(2):
             for j, host in enumerate(assign.hosts(r)):
