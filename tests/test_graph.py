@@ -254,6 +254,13 @@ class TestEffectiveEdges:
         with pytest.raises(UnbridgeableDrop, match="6..8"):
             effective_edges(resnet50, keep_vector(resnet50, {6, 7, 8}))
 
+    def test_the_first_unfed_kept_block_is_named(self, resnet50):
+        keep = keep_vector(resnet50, {6, 7, 8, 10, 11, 12})
+        with pytest.raises(UnbridgeableDrop) as exc_info:
+            effective_edges(resnet50, keep)
+        assert str(exc_info.value) == (
+            "kept block 9 has no input: dropped run 6..8 exceeds the skip topology")
+
     def test_stem_drop_and_length_mismatch_rejected(self, resnet50):
         with pytest.raises(ValueError, match="stem"):
             effective_edges(resnet50, [0] + [1] * 16)

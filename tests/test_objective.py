@@ -263,6 +263,22 @@ class TestCheckConstraints:
             else:
                 assert close(new_use[i], old_use[i] + extra[i])
 
+    def test_multi_host_plan_is_charged_no_transfer_energy(self):
+        # With no single host per block the transfers are undefined, so each
+        # device's energy is its compute time at p_compute alone.
+        rng = np.random.default_rng(12)
+        energy = EnergyParams()
+        graph, fleet, rates, profile, assign, w = tight_instance(rng, slack=4.0)
+        x = np.array(assign.x)
+        x[1, :, 0] = 1
+        report = check_constraints(Assignment(x, assign.y), graph, fleet, rates,
+                                   energy, w, profile)
+        assert not report.coverage_ok
+        load = fleet.compute_caps - report.compute_margin
+        joules = fleet.energy_caps - report.energy_margin
+        for i in range(2):
+            assert close(joules[i], energy.p_compute * load[i] / fleet.mult_rates[i])
+
     def test_uncovered_block_reported(self):
         rng = np.random.default_rng(10)
         graph, fleet, rates, profile, assign, w = tight_instance(rng)

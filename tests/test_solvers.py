@@ -253,6 +253,37 @@ class TestEvaluator:
             assert res.feasible
             assert all(d in ([3], [4], [5], []) for d in res.as_dict()["drops"])
 
+    def test_a_resolved_chromosome_reads_back_as_its_assignment(self):
+        # The GA's layout: placement bits (request, device, block), then keep
+        # bits (request, block).  An allowed drop set projects onto itself
+        # and a single host per kept block survives the repair.
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            ev = self.evaluator(rng, n_requests=int(rng.integers(1, 4)))
+            r, n = ev.n_requests, ev.n_devices
+            drops = [set(d) for d in ev.drops]
+            x, y = helpers.random_assignment(rng, ev.graph, n, r, drops)
+            bits = np.concatenate([np.ravel(x), np.ravel(y)]).astype(np.uint8)
+            assert bits.size == chromosome_length(r, n, ev.n_blocks)
+            hosts, ent = ev.evaluate(np.packbits(bits[None], axis=1))[4:]
+            back = ev.to_assignment(hosts, ent)
+            np.testing.assert_array_equal(back.x, x)
+            np.testing.assert_array_equal(back.y, y)
+
+    def test_the_stem_is_kept_and_hosted_whatever_the_bits_say(self):
+        rng = np.random.default_rng(42)
+        for _ in range(10):
+            ev = self.evaluator(rng)
+            length = chromosome_length(2, ev.n_devices, ev.n_blocks)
+            zeros = np.zeros((1, length), dtype=np.uint8)
+            noise = rng.integers(0, 2, size=(20, length), dtype=np.uint8)
+            noise[:, 2 * ev.n_devices * ev.n_blocks::ev.n_blocks] = 0  # stem bits
+            for pop in (zeros, noise):
+                hosts, ent = ev.evaluate(np.packbits(pop, axis=1))[4:]
+                assign = ev.to_assignment(hosts, ent)
+                assert (assign.y[:, 0] == 1).all()
+                assert assign.is_resolved()
+
     def test_rows_score_the_same_alone_and_in_any_batch_or_chunk(self, monkeypatch):
         rng = np.random.default_rng(31)
         for _ in range(10):
