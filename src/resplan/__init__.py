@@ -62,8 +62,6 @@ from .profile import (
     AccuracyProfile,
     ProfileEntry,
     allowed_drop_sets,
-    build_synthetic_profile,
-    cross_check_gains,
     g_lookup,
     load_profile,
     save_profile,

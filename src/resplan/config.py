@@ -20,7 +20,7 @@ from .fleet import EnergyParams, check_rate_bounds, two_tier_fleet
 from .graph import build_resnet50
 from .harness import SWEEP_KINDS, ScenarioConfig, SweepAxis
 from .objective import ObjectiveWeights, default_latency_ref
-from .profile import AccuracyProfile, load_profile
+from .profile import SAFE_LOADER, AccuracyProfile, load_profile
 from . import solvers
 from .solvers import ExactLimits, GaConfig
 
@@ -136,7 +136,7 @@ def load_config(source=None, overrides=(), seed=None) -> dict:
             except OSError as exc:
                 raise ConfigError(f"cannot read config {text!r}: {exc}") from exc
         try:
-            doc = yaml.safe_load(text) or {}
+            doc = yaml.load(text, Loader=SAFE_LOADER) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"config is not valid YAML: {exc}") from exc
         if not isinstance(doc, dict):
@@ -148,7 +148,7 @@ def load_config(source=None, overrides=(), seed=None) -> dict:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, _, raw = item.partition("=")
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=SAFE_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {item!r}: bad value: {exc}") from exc
         _set_dotted(cfg, key.strip(), value)
@@ -235,7 +235,7 @@ def build_scenario(cfg: dict) -> ScenarioConfig:
         f = cfg["fleet"]
         n_devices = _as_int(f["devices"], "fleet.devices")
         if (size := solvers.round_bytes(n_devices)) > solvers.MEMORY_BOUND:
-            raise ConfigError(f"fleet.devices={n_devices} needs {size:.3g} bytes of arrays "
+            raise ConfigError(f"fleet.devices={n_devices} needs {size} bytes of arrays "
                               f"a round, over the {solvers.MEMORY_BOUND}-byte bound")
         fleet = two_tier_fleet(
             n_devices,

@@ -75,6 +75,8 @@ class ScenarioConfig:
                              f"the Poisson sampler draws from, got {self.lam!r}")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,19 @@ measurements are not redistributable as data.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import yaml
 
 from .errors import EmptyFeasibleSet, ParseError, ValidationError
-from .graph import ResNetGraph, compute_load, memory_load
 
 DropSet = frozenset[int]
+
+# The YAML loader for every input document: libyaml's parser when PyYAML was
+# built with it, else the pure-Python one.  Both have ``safe_load``'s
+# constructor and resolver, so they build equal documents.
+SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 DEFAULT_MAX_DROP = 2
 
@@ -106,7 +109,7 @@ def load_profile(source) -> AccuracyProfile:
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
     try:
-        doc = yaml.safe_load(io.StringIO(text))
+        doc = yaml.load(text, Loader=SAFE_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"profile is not valid YAML: {exc}") from exc
 
@@ -224,72 +227,3 @@ def allowed_drop_sets(profile: AccuracyProfile, threshold: float) -> list[DropSe
     ]
     keep.sort(key=lambda t: (-t[0], t[1], t[2]))
     return [t[3] for t in keep]
-
-
-def cross_check_gains(profile: AccuracyProfile, graph: ResNetGraph,
-                      memory_mode: str = "inputs", rel_tol: float = 0.01) -> None:
-    """Verify any stated memory/compute gains against the block model.
-
-    Gains are redundant with the graph, so stated values must agree with the
-    derived ones to within ``rel_tol`` (profiles copied from reports are often
-    rounded).  Raises ValidationError naming the first mismatching entry.
-    """
-    if graph.n_blocks != profile.n_blocks:
-        raise ValidationError(
-            f"profile covers {profile.n_blocks} blocks, graph has {graph.n_blocks}"
-        )
-    for ds in sorted(profile.entries, key=lambda s: (len(s), sorted(s))):
-        entry = profile.entries[ds]
-        checks = (
-            ("memory_gain_bytes", entry.memory_gain_bytes,
-             sum(memory_load(graph.block(j), memory_mode, graph.weight_bytes) for j in ds)),
-            ("compute_gain_mults", entry.compute_gain_mults,
-             sum(compute_load(graph.block(j)) for j in ds)),
-        )
-        for name, stated, derived in checks:
-            if stated is None:
-                continue
-            if abs(stated - derived) > rel_tol * max(derived, 1):
-                raise ValidationError(
-                    f"entry {sorted(ds)}: {name} {stated} disagrees with derived {derived}"
-                )
-
-
-def build_synthetic_profile(graph: ResNetGraph, baseline: float = 0.9473,
-                            single_accuracy: float = 0.90,
-                            pair_accuracy: float = 0.82,
-                            memory_mode: str = "inputs") -> AccuracyProfile:
-    """The shipped placeholder profile: NOT measured anywhere.
-
-    Every droppable block gets a single-drop entry, every adjacent droppable
-    pair gets a pair entry, with flat placeholder accuracies chosen to clear
-    the usual 80% gate.  Gains are derived from the block model.
-    """
-    droppable = [b.block_id for b in graph.blocks if b.droppable]
-    sets: list[DropSet] = [frozenset()]
-    sets += [frozenset({j}) for j in droppable]
-    sets += [frozenset({j, j + 1}) for j in droppable if j + 1 in droppable]
-
-    entries: dict[DropSet, ProfileEntry] = {}
-    for ds in sets:
-        if not ds:
-            acc = baseline
-        elif len(ds) == 1:
-            acc = single_accuracy
-        else:
-            acc = pair_accuracy
-        entries[ds] = ProfileEntry(
-            drop_set=ds,
-            accuracy=acc,
-            memory_gain_bytes=(
-                sum(memory_load(graph.block(j), memory_mode, graph.weight_bytes) for j in ds)
-                or None
-            ),
-            compute_gain_mults=sum(compute_load(graph.block(j)) for j in ds) or None,
-        )
-    return AccuracyProfile(
-        baseline=baseline,
-        entries=entries,
-        source_label="synthetic-default",
-        n_blocks=graph.n_blocks,
-    )

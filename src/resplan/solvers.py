@@ -41,9 +41,12 @@ Budget overruns are handled softly, as relative-violation penalties on the
 objective.  ``solve_exact`` enumerates the same candidate space exhaustively
 for small instances, the reference the GA is compared against.  It grows
 the candidates as a prefix tree along each request's chain, extending the
-partial sums one kept block at a time, and scores its leaves in bounded
-batches through ``_Evaluator._finish``, the last step of ``score``.  Both
-solvers first run a necessary-condition feasibility certificate.
+partial sums one kept block at a time.  Only the leaves within every
+compute and memory cap are scored, in bounded batches through
+``_Evaluator._finish``, the last step of ``score``; the rest are infeasible
+and could not win.  Every candidate is still examined, and ``evaluations``
+counts them all.  Both solvers first run a necessary-condition feasibility
+certificate.
 """
 from __future__ import annotations
 
@@ -85,6 +88,11 @@ class GaConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.tournament_size < 1:
             raise ValueError("tournament_size must be >= 1")
+        # A generation draws two tournaments of intp picks per individual.
+        if (need := 16 * self.population_size * self.tournament_size) > MEMORY_BOUND:
+            raise ValueError(f"tournament_size={self.tournament_size} at population_size="
+                             f"{self.population_size} draws {need} bytes a generation, "
+                             f"over the {MEMORY_BOUND}-byte bound")
         if not 0 < self.penalty_weight < np.inf:
             raise ValueError(
                 f"penalty_weight must be finite and > 0, got {self.penalty_weight!r}")
@@ -431,8 +439,15 @@ class _Evaluator:
         ``tx_time``: (b, N); ``acc``: (b,).
         """
         latency, _ct, joules = chain_costs(terms, load, tx_time, self.e, self.energy)
-        over = np.stack([load.T, mem.T, joules], axis=1) / self.caps - 1.0
-        rel = _ordered_sum(np.where(over > 0.0, over, 0.0).reshape(3 * self.n_devices, -1))
+        # Relative overruns (N, 3, b), clipped at 0.  Caps are finite and > 0
+        # and uses finite, so no entry is NaN or -0.0 for the clip to treat
+        # apart from ``over > 0``.
+        over = np.empty((self.n_devices, 3, latency.size))
+        for kind, use in enumerate((load.T, mem.T, joules)):
+            np.divide(use, self.caps[:, kind], out=over[:, kind])
+        over -= 1.0
+        np.maximum(over, 0.0, out=over)
+        rel = _ordered_sum(over.reshape(3 * self.n_devices, -1))
         wo = objective_value(latency, acc / self.n_requests, self.n_requests, self.weights)
         return wo + self.penalty_weight * rel, wo, latency, rel == 0.0
 
@@ -726,9 +741,11 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
 
 
 def _tree_scores(ev: _Evaluator, batch: int):
-    """Score every exact-solver candidate, grown as a prefix tree along
-    each request's chain of kept blocks; yields (penalized, objective,
-    latency, feasible, candidate number) per batch of leaves.
+    """Score the exact-solver candidates within the compute and memory caps,
+    grown as a prefix tree along each request's chain of kept blocks; yields
+    (penalized, objective, latency, feasible, candidate number) per batch of
+    leaves, nothing for a batch in which no leaf fits.  A skipped leaf is
+    one that ``_finish`` would flag infeasible.
 
     A node is a partial candidate.  Its state column holds the transfer
     latency, the summed accuracy and each device's load, memory and
@@ -786,11 +803,19 @@ def _tree_scores(ev: _Evaluator, batch: int):
         elif q + 1 < r:
             yield from enter(state, last, num, q + 1)
         else:
+            # Only leaves within every compute and memory cap go on: these
+            # rows are complete sums, and ``_finish`` flags a leaf infeasible
+            # when use / cap - 1.0 > 0, exactly when use / cap > 1.0.
             leaves = state.reshape(width, -1)
-            terms = np.empty((1 + n, leaves.shape[1]))
+            over = (leaves[2:].reshape(n, 3, -1)[:, :2] / ev.caps[:, :2] > 1.0).any(axis=(0, 1))
+            fit = np.flatnonzero(~over)
+            if fit.size == 0:
+                return
+            leaves = leaves.take(fit, axis=1)
+            terms = np.empty((1 + n, fit.size))
             terms[0] = leaves[0]
             yield ev._finish(terms, leaves[2::3].T, leaves[3::3].T, leaves[4::3].T,
-                             leaves[1]) + (num.reshape(-1),)
+                             leaves[1]) + (num.reshape(-1).take(fit),)
 
     yield from enter(np.zeros((width, 1, 1)), hosts[:1], np.zeros((1, 1), dtype=np.int64), 0)
 
@@ -806,11 +831,13 @@ def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     count when the space exceeds the limit.  Candidates are numbered in
     enumeration order (drop sets in projection order, then hosts with the
     last kept block varying fastest, the last request fastest of all).  They
-    are grown as a prefix tree (``_tree_scores``) whose leaves share the
-    GA's last scoring step, batch by batch; only the winner's number is
-    decoded into hosts.  Returns the true optimum, the earliest candidate
-    among equals, or raises InfeasibleInstance when the certificate rules
-    every candidate out or none in the space is feasible.
+    are grown as a prefix tree (``_tree_scores``); the leaves within every
+    compute and memory cap share the GA's last scoring step, batch by batch,
+    and the others, all infeasible, are skipped.  ``evaluations`` counts
+    every candidate examined.  Only the winner's number is decoded into
+    hosts.  Returns the true optimum, the earliest candidate among equals,
+    or raises InfeasibleInstance when the certificate rules every candidate
+    out or none in the space is feasible.
     """
     t0 = time.perf_counter()
     ev = _Evaluator(graph, fleet, rates, profile, weights, energy, n_requests,

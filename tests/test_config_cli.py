@@ -6,10 +6,13 @@ from __future__ import annotations
 
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from resplan import cli, solvers
 from resplan.config import (
@@ -22,8 +25,9 @@ from resplan.config import (
     load_config,
     preset_text,
 )
-from resplan.errors import ConfigError
+from resplan.errors import ConfigError, ParseError
 from resplan.objective import default_latency_ref
+from resplan.profile import SAFE_LOADER, load_profile
 
 FAST = [
     "--set", "solver.population_size=8",
@@ -199,6 +203,149 @@ class TestPresets:
     def test_unknown_preset_is_a_config_error(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             preset_text("sweep_latency")
+
+
+class TestYamlLoader:
+    """resplan parses every input document with ``profile.SAFE_LOADER``:
+    libyaml's parser where PyYAML has it, with ``safe_load``'s semantics."""
+
+    def documents(self):
+        package = resources.files("resplan")
+        yield "default config", effective_yaml(load_config())
+        for name in PRESET_NAMES:
+            yield name, preset_text(name)
+        yield "profile", package.joinpath("data/synthetic_default.yaml").read_text(
+            encoding="utf-8")
+
+    def test_libyaml_is_used_when_present(self):
+        want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert SAFE_LOADER is want
+
+    def test_shipped_documents_load_equal_under_both_loaders(self):
+        for name, text in self.documents():
+            doc = yaml.load(text, Loader=SAFE_LOADER)
+            assert isinstance(doc, dict), name
+            assert doc == yaml.load(text, Loader=yaml.SafeLoader), name
+
+    def test_malformed_documents_are_still_named_errors(self, capsys, tmp_path):
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            load_config("fleet: {devices: [3\n")
+        rc = cli.main(["solve", "--requests", "1", "--set", "fleet.memory_mb=[1, 2",
+                       "--output", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "fleet.memory_mb=[1, 2" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+        with pytest.raises(ParseError, match="not valid YAML"):
+            load_profile("source_label: t\nbaseline: [0.9\n")
+
+
+def _numeric_leaves(node, path=""):
+    """Dotted keys of the default config whose value is a number, a list of
+    numbers, or a number left unset (None)."""
+    for key, value in node.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _numeric_leaves(value, here)
+        elif value is None or isinstance(value, (int, float, list)):
+            if not isinstance(value, bool) and here not in ("profile.path", "sweep"):
+                yield here
+
+
+NUMERIC_KEYS = tuple(_numeric_leaves(DEFAULTS))
+
+# The name an error may use for a key: the scenario object's field that the
+# key feeds, where that differs from the key's last part.
+FIELD_NAMES = {
+    "fleet.memory_mb": "memory_cap", "fleet.compute_gmults": "compute_cap",
+    "fleet.energy_j": "energy_cap", "fleet.rate_gmults_per_s": "mult_rate",
+    "network.rate_lo_mbps": "rate_lo", "network.rate_hi_mbps": "rate_hi",
+    "energy.p_compute_w": "p_compute", "energy.p_transmit_w": "p_transmit",
+    "weights.latency_ref_s": "latency_ref", "model.input_side": "input size",
+}
+
+# Values no key should take quietly, plus a range per key where most values
+# are valid; the upper ends keep a built scenario small enough to run.
+SPECIAL = (math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5, True, False, 1e300, 10 ** 30)
+USUAL = {
+    "model.input_side": (16, 256), "model.weight_bytes": (1, 8), "fleet.devices": (1, 12),
+    "solver.tournament_size": (1, 8), "solver.elite": (0, 3), "scenario.lam": (0.0, 6.0),
+    "scenario.seed": (0, 1000), "weights.alpha": (0.0, 1.0), "weights.beta": (0.0, 1.0),
+    "weights.accuracy_threshold": (0.0, 1.0), "solver.crossover_rate": (0.0, 1.0),
+    "solver.mutation_rate": (0.0, 1.0),
+}
+
+
+def _values(key):
+    default = DEFAULTS
+    for part in key.split("."):
+        default = default[part]
+    lo, hi = USUAL.get(key, (0.0, 4.0 * max(default or [1.0]) if isinstance(default, list)
+                             else 4.0 * (default or 1.0)))
+    usual = (st.integers(int(lo), int(hi)) if isinstance(lo, int)
+             else st.floats(lo, hi, allow_nan=False))
+    one = st.one_of(st.sampled_from(SPECIAL), usual)
+    if isinstance(default, list):
+        return st.one_of(one, st.lists(one, min_size=1, max_size=2))
+    return one
+
+
+_DRAWS = st.lists(st.sampled_from(NUMERIC_KEYS).flatmap(
+    lambda key: st.tuples(st.just(key), _values(key))), min_size=1, max_size=3)
+
+# The budget every scenario that builds is run at, whatever was drawn.
+RUN_BUDGET = (("solver.population_size", 4), ("solver.generations", 2),
+              ("scenario.rounds", 1))
+
+
+def _document(pairs):
+    doc = {}
+    for key, value in pairs:
+        section, leaf = key.split(".")
+        doc.setdefault(section, {})[leaf] = value
+    return doc
+
+
+class TestConfigSpace:
+    """Every value of a numeric config key either builds a scenario that
+    runs to exit 0 or 3 with finite metrics on each solved round, or is a
+    ConfigError that names the key."""
+
+    def assert_names_a_key(self, exc, keys):
+        names = {k for key in keys for k in (key, key.split(".")[1], FIELD_NAMES.get(key))}
+        assert any(name and name in str(exc) for name in names), (str(exc), keys)
+
+    def builds(self, doc, keys):
+        try:
+            build_scenario(load_config(doc))
+        except ConfigError as exc:
+            self.assert_names_a_key(exc, keys)
+            return False
+        return True
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pairs=_DRAWS)
+    @example(pairs=[("scenario.seed", -1)])  # exited 4: SeedSequence refused it
+    @example(pairs=[("fleet.devices", 1e300)])  # exited 4: formatting the byte count
+    @example(pairs=[("solver.tournament_size", 10 ** 30)])  # exited 4: numpy's draw
+    def test_numeric_keys_build_or_name_the_key(self, tmp_path, capsys, pairs):
+        keys = {key for key, _value in pairs}
+        if not self.builds(_document(pairs), keys):
+            return
+        doc = _document(pairs + list(RUN_BUDGET))
+        if not self.builds(doc, keys | {key for key, _value in RUN_BUDGET}):
+            return
+        out = tmp_path / "out"
+        config = tmp_path / "cfg.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        rc = cli.main(["simulate", "--config", str(config), "--output-dir", str(out)])
+        capsys.readouterr()
+        assert rc in (0, 3)
+        if rc == 0:
+            summary = json.loads((out / "summary.json").read_text())
+            rows = (out / "rounds.csv").read_text().splitlines()[1:]
+            if summary["solved_rounds"]:
+                assert all(math.isfinite(float(v)) for v in rows[0].split(","))
 
 
 class TestCliModel:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import helpers
 from resplan.config import default_profile
 from resplan.errors import EmptyFeasibleSet, ParseError, ValidationError
 from resplan.graph import build_resnet50, compute_load, memory_load
@@ -17,8 +18,6 @@ from resplan.profile import (
     AccuracyProfile,
     ProfileEntry,
     allowed_drop_sets,
-    build_synthetic_profile,
-    cross_check_gains,
     g_lookup,
     load_profile,
     save_profile,
@@ -192,8 +191,8 @@ class TestRoundTrip:
 
 class TestGainCrossCheck:
     def test_derived_gains_pass_and_corrupted_gains_fail(self, resnet50):
-        prof = build_synthetic_profile(resnet50)
-        cross_check_gains(prof, resnet50)
+        prof = helpers.build_synthetic_profile(resnet50)
+        helpers.cross_check_gains(prof, resnet50)
 
         ds = frozenset({3})
         bad_entries = dict(prof.entries)
@@ -204,17 +203,17 @@ class TestGainCrossCheck:
         )
         bad = AccuracyProfile(prof.baseline, bad_entries, "t", prof.n_blocks)
         with pytest.raises(ValidationError, match="compute_gain_mults"):
-            cross_check_gains(bad, resnet50)
+            helpers.cross_check_gains(bad, resnet50)
 
     def test_block_count_mismatch_rejected(self, resnet50):
         prof = load_profile(GOOD_DOC)
         with pytest.raises(ValidationError, match="blocks"):
-            cross_check_gains(prof, resnet50)
+            helpers.cross_check_gains(prof, resnet50)
 
 
 class TestSyntheticDefault:
     def test_structure_singles_and_adjacent_pairs(self, resnet50):
-        prof = build_synthetic_profile(resnet50)
+        prof = helpers.build_synthetic_profile(resnet50)
         singles = [s for s in prof.entries if len(s) == 1]
         pairs = [s for s in prof.entries if len(s) == 2]
         assert len(singles) == 12
@@ -229,7 +228,7 @@ class TestSyntheticDefault:
         assert prof.baseline == 0.9473
 
     def test_gains_match_block_model(self, resnet50):
-        prof = build_synthetic_profile(resnet50)
+        prof = helpers.build_synthetic_profile(resnet50)
         ds = frozenset({10, 11})
         entry = prof.entries[ds]
         assert entry.compute_gain_mults == sum(
@@ -240,7 +239,7 @@ class TestSyntheticDefault:
         )
 
     def test_shipped_file_equals_builder_output(self, resnet50, shipped_profile):
-        built = build_synthetic_profile(resnet50)
+        built = helpers.build_synthetic_profile(resnet50)
         assert shipped_profile.baseline == built.baseline
         assert shipped_profile.n_blocks == built.n_blocks
         assert shipped_profile.entries == built.entries

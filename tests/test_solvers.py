@@ -16,7 +16,7 @@ import helpers
 import oracles
 from resplan import solvers
 from resplan.config import build_scenario, load_config
-from resplan.costs import Assignment
+from resplan.costs import Assignment, chain_sums
 from resplan.errors import InfeasibleInstance, InstanceTooLarge, UncoveredBlock
 from resplan.fleet import DeviceSpec, EnergyParams, Fleet, RateMatrix, sample_rates
 from resplan.graph import BlockSpec, LayerSpec, ResNetGraph, SkipTopology, block_arrays
@@ -582,9 +582,11 @@ class TestExactSolver:
 
     @pytest.mark.parametrize("r,n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
     def test_tree_leaves_score_as_score_bit_for_bit(self, monkeypatch, r, n):
-        # Every leaf the prefix tree scores, at the default batch and at
+        # The leaves the prefix tree scores, at the default batch and at
         # batches of seven leaves (frontier slices, also across request
-        # boundaries), against ``score`` on a test-side enumeration.
+        # boundaries), are exactly the candidates within every compute and
+        # memory cap of a test-side enumeration, each scored as ``score``
+        # scores it; every skipped candidate is infeasible.
         rng = np.random.default_rng(100 * r + 10 * n + 1)
         graph = helpers.random_graph(rng, n_blocks=5 - r)
         c, mem, _bits = block_arrays(graph)
@@ -600,34 +602,100 @@ class TestExactSolver:
         args = (graph, fleet, rates, profile, weights, EnergyParams(), r)
         ev = _Evaluator(*args)
         hosts, ent = enumerated_candidates(ev)
+        b = len(ent) // r
         want = ev.score(hosts, ent)
-        assert 0 < want[3].sum() < want[3].size
-        order = np.lexsort(want[::-1])
+        _terms, load, used, _tx = chain_sums(
+            hosts, ev.src.take(ent, axis=0), ev.kept_c.take(ent, axis=0),
+            ev.kept_m.take(ent, axis=0), ev.src_bits.take(ent, axis=0), b, ev.rho_off)
+        fits = ((load / ev.comp_caps <= 1.0) & (used / ev.mem_caps <= 1.0)).all(axis=1)
+        scored, skipped = np.flatnonzero(fits), np.flatnonzero(~fits)
+        assert scored.size and skipped.size
+        assert (fits & ~want[3]).any()  # some scored leaves overrun energy alone
+        assert not want[3][skipped].any()
         feasible = np.flatnonzero(want[3])
         earliest = feasible[np.lexsort((want[2][feasible], want[1][feasible]))[0]]
-        seen, finish = [], _Evaluator._finish
+        seen, tree = [], solvers._tree_scores
 
-        def recorded(ev, *sums):
-            seen.append(finish(ev, *sums))
-            return seen[-1]
+        def recorded(ev, batch):
+            for out in tree(ev, batch):
+                seen.append(out)
+                yield out
 
         for cells in (None, 7 * r * n * graph.n_blocks):
             seen.clear()
-            monkeypatch.setattr(_Evaluator, "_finish", recorded)
+            monkeypatch.setattr(solvers, "_tree_scores", recorded)
             if cells:
                 monkeypatch.setattr(solvers, "_CHUNK_CELLS", cells)
-            got = solve_exact(*args, limits=ExactLimits(max_candidates=len(ent) // r))
+            got = solve_exact(*args, limits=ExactLimits(max_candidates=b))
             monkeypatch.undo()
             leaves = [np.concatenate(col) for col in zip(*seen)]
-            assert len(leaves[0]) == len(ent) // r == got.evaluations
+            order = np.argsort(leaves[4])
+            np.testing.assert_array_equal(leaves[4][order], scored)
+            assert scored.size + skipped.size == got.evaluations
             if cells:
-                assert max(len(b[0]) for b in seen) <= 7
-            for g, w in zip(leaves, want):
-                np.testing.assert_array_equal(g[np.lexsort(leaves[::-1])], w[order])
+                assert max(len(batch[4]) for batch in seen) <= 7
+            for g, w in zip(leaves[:4], want):
+                np.testing.assert_array_equal(g[order], w[scored])
             best = ev.to_assignment(hosts[earliest * r:(earliest + 1) * r],
                                     ent[earliest * r:(earliest + 1) * r])
             np.testing.assert_array_equal(got.assignment.x, best.x)
             np.testing.assert_array_equal(got.assignment.y, best.y)
+
+    @pytest.mark.parametrize("spare", [1e12, 0.5])
+    def test_a_plan_exactly_at_a_cap_is_scored_and_one_ulp_over_is_not(
+            self, monkeypatch, spare):
+        # Two devices, three blocks, no drops.  Device 1 is fast and its
+        # compute cap equals the load of the plan that keeps all three
+        # blocks on it, so that plan reads use / cap == 1.0.  Device 2's
+        # cap is ``spare`` times the lightest block: abundant, or too small
+        # for any block, which leaves that plan the only feasible one.
+        graph = chain3()
+        c = block_arrays(graph)[0]
+        rates = RateMatrix(np.full((2, 2), 10.0))  # transfers dominate
+        weights = ObjectiveWeights(0.5, 0.5, latency_ref=100.0)
+        profile = helpers.profile_for(graph, [])
+
+        def solve(cap):
+            fleet = Fleet((DeviceSpec(1, 1e12, cap, 1e12, 2e5),
+                           DeviceSpec(2, 1e12, spare * c.min(), 1e12, 1e5)))
+            args = (graph, fleet, rates, profile, weights, EnergyParams(), 1)
+            ev = _Evaluator(*args)
+            hosts, ent = enumerated_candidates(ev)
+            want = ev.score(hosts, ent)
+            seen, tree = [], solvers._tree_scores
+
+            def recorded(ev, batch):
+                for out in tree(ev, batch):
+                    seen.append(out[4])
+                    yield out
+
+            monkeypatch.setattr(solvers, "_tree_scores", recorded)
+            try:
+                got = solve_exact(*args)
+            except InfeasibleInstance as exc:
+                got = exc
+            finally:
+                monkeypatch.undo()
+            return got, np.concatenate(seen or [np.zeros(0, dtype=int)]), want, hosts
+
+        load = float(c.sum())  # whole mults: exact in any order
+        got, scored, want, hosts = solve(load)
+        assert 0 in scored and want[3][0]  # all on device 1: candidate 0
+        assert got.feasible
+        np.testing.assert_array_equal(got.assignment.hosts(0), [0, 0, 0])
+        assert got.evaluations == 8
+
+        got, scored, want, hosts = solve(np.nextafter(load, 0))
+        assert 0 not in scored and not want[3][0]
+        if spare < 1:
+            assert isinstance(got, InfeasibleInstance)
+            assert "exhausted 8 candidates" in str(got)
+        else:
+            # The earliest optimum of ``score`` over the whole enumeration.
+            feasible = np.flatnonzero(want[3])
+            first = feasible[np.lexsort((want[2][feasible], want[1][feasible]))[0]]
+            assert first != 0
+            np.testing.assert_array_equal(got.assignment.hosts(0), hosts[first])
 
     def test_certificate_rejects_before_scoring(self, monkeypatch, resnet50,
                                                 shipped_profile):
