@@ -276,13 +276,11 @@ USUAL = {
 
 
 def _values(key):
-    default = DEFAULTS
-    for part in key.split("."):
-        default = default[part]
-    lo, hi = USUAL.get(key, (0.0, 4.0 * max(default or [1.0]) if isinstance(default, list)
-                             else 4.0 * (default or 1.0)))
-    usual = (st.integers(int(lo), int(hi)) if isinstance(lo, int)
-             else st.floats(lo, hi, allow_nan=False))
+    section, leaf = key.split(".")
+    default = DEFAULTS[section][leaf]
+    scale = max(default) if isinstance(default, list) else default or 1.0
+    lo, hi = USUAL.get(key, (0, 4 * scale) if isinstance(scale, int) else (0.0, 4.0 * scale))
+    usual = st.integers(lo, hi) if isinstance(lo, int) else st.floats(lo, hi)
     one = st.one_of(st.sampled_from(SPECIAL), usual)
     if isinstance(default, list):
         return st.one_of(one, st.lists(one, min_size=1, max_size=2))
