@@ -147,10 +147,11 @@ def cmd_model(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _load(args)
     scenario = config_mod.build_scenario(cfg)
+    for flag, value in (("--requests", args.requests), ("--round", args.round_index)):
+        if value is not None and value < 0:
+            raise ConfigError(f"{flag} must be >= 0")
     req_rng, rate_rng, solver_seed = round_seeds(scenario.seed, args.round_index)
     if args.requests is not None:
-        if args.requests < 0:
-            raise ConfigError("--requests must be >= 0")
         n_requests = args.requests
     else:
         n_requests = sample_requests(scenario.lam, req_rng, args.round_index).count

@@ -63,10 +63,6 @@ DEFAULTS: dict = {
         "kind": "ga",
         "population_size": 100,
         "generations": 200,
-        "crossover_rate": 0.9,
-        "mutation_rate": None,
-        "tournament_size": 3,
-        "penalty_weight": 10.0,
         "elite": 1,
         "max_candidates": 200000,
     },
@@ -187,7 +183,7 @@ def _as_list(value, name: str) -> list[float]:
         raise ConfigError(f"{name} must be a number or a non-empty list")
     out = []
     for v in value:
-        f = float(v)
+        f = _as_real(v, name)
         if f <= 0:
             raise ConfigError(f"{name} entries must be > 0, got {v!r}")
         out.append(f)
@@ -205,6 +201,18 @@ def _as_int(value, name: str) -> int:
         except TypeError:
             pass
     raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _as_real(value, name: str) -> float:
+    """A real-valued key's value.  Anything ``float()`` takes counts, numeric
+    strings too (PyYAML reads ``1e300`` as one); a boolean or anything else is
+    an error that names the key."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 def default_profile() -> AccuracyProfile:
@@ -247,16 +255,22 @@ def build_scenario(cfg: dict) -> ScenarioConfig:
         )
 
         net = cfg["network"]
-        rate_lo = float(net["rate_lo_mbps"]) * MBPS
-        rate_hi = float(net["rate_hi_mbps"]) * MBPS
+        rate_lo = _as_real(net["rate_lo_mbps"], "network.rate_lo_mbps") * MBPS
+        rate_hi = _as_real(net["rate_hi_mbps"], "network.rate_hi_mbps") * MBPS
         check_rate_bounds(rate_lo, rate_hi)  # before the latency default reads rate_lo
 
         en = cfg["energy"]
-        energy = EnergyParams(p_compute=float(en["p_compute_w"]),
-                              p_transmit=float(en["p_transmit_w"]))
+        energy = EnergyParams(p_compute=_as_real(en["p_compute_w"], "energy.p_compute_w"),
+                              p_transmit=_as_real(en["p_transmit_w"], "energy.p_transmit_w"))
 
         prof_path = cfg["profile"]["path"]
-        profile = default_profile() if prof_path is None else load_profile(str(prof_path))
+        if prof_path is None:
+            profile = default_profile()
+        else:
+            try:
+                profile = load_profile(str(prof_path))
+            except OSError as exc:
+                raise ConfigError(f"cannot read profile.path {prof_path!r}: {exc}") from exc
         if profile.n_blocks != graph.n_blocks:
             raise ConfigError(
                 f"profile covers {profile.n_blocks} blocks, model has {graph.n_blocks}"
@@ -264,13 +278,14 @@ def build_scenario(cfg: dict) -> ScenarioConfig:
 
         w = cfg["weights"]
         ref = w["latency_ref_s"]
-        if ref is None:
-            ref = default_latency_ref(graph, fleet, rate_lo)
+        ref = (default_latency_ref(graph, fleet, rate_lo) if ref is None
+               else _as_real(ref, "weights.latency_ref_s"))
         weights = ObjectiveWeights(
-            alpha=float(w["alpha"]),
-            beta=float(w["beta"]),
-            latency_ref=float(ref),
-            accuracy_threshold=float(w["accuracy_threshold"]),
+            alpha=_as_real(w["alpha"], "weights.alpha"),
+            beta=_as_real(w["beta"], "weights.beta"),
+            latency_ref=ref,
+            accuracy_threshold=_as_real(w["accuracy_threshold"],
+                                        "weights.accuracy_threshold"),
         )
 
         s, sc = cfg["solver"], cfg["scenario"]
@@ -280,10 +295,6 @@ def build_scenario(cfg: dict) -> ScenarioConfig:
         ga = GaConfig(
             population_size=_as_int(s["population_size"], "solver.population_size"),
             generations=_as_int(s["generations"], "solver.generations"),
-            crossover_rate=float(s["crossover_rate"]),
-            mutation_rate=None if s["mutation_rate"] is None else float(s["mutation_rate"]),
-            tournament_size=_as_int(s["tournament_size"], "solver.tournament_size"),
-            penalty_weight=float(s["penalty_weight"]),
             elite=_as_int(s["elite"], "solver.elite"),
             seed=seed,
         )
@@ -296,7 +307,7 @@ def build_scenario(cfg: dict) -> ScenarioConfig:
             energy=energy,
             rate_lo=rate_lo,
             rate_hi=rate_hi,
-            lam=float(sc["lam"]),
+            lam=_as_real(sc["lam"], "scenario.lam"),
             rounds=_as_int(sc["rounds"], "scenario.rounds"),
             seed=seed,
             solver=str(s["kind"]),

@@ -6,7 +6,7 @@ round; there is no channel or mobility model beyond that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -83,17 +83,13 @@ class Fleet:
     def mult_rates(self) -> np.ndarray:
         return self._array("mult_rate")
 
-    def scaled(self, memory: float = 1.0, compute: float = 1.0,
-               energy: float = 1.0, rate: float = 1.0) -> "Fleet":
-        """Same fleet with every budget multiplied by the given factor."""
+    def scaled(self, compute: float = 1.0, energy: float = 1.0,
+               rate: float = 1.0) -> "Fleet":
+        """Same fleet with compute budgets, energy budgets and multiplication
+        rates multiplied by the given factors."""
         return Fleet(tuple(
-            DeviceSpec(
-                device_id=d.device_id,
-                memory_cap=d.memory_cap * memory,
-                compute_cap=d.compute_cap * compute,
-                energy_cap=d.energy_cap * energy,
-                mult_rate=d.mult_rate * rate,
-            )
+            replace(d, compute_cap=d.compute_cap * compute, energy_cap=d.energy_cap * energy,
+                    mult_rate=d.mult_rate * rate)
             for d in self.devices
         ))
 
@@ -169,15 +165,14 @@ class EnergyParams:
 
 
 def sample_rates(n_devices: int, lo: float = DEFAULT_RATE_LO, hi: float = DEFAULT_RATE_HI,
-                 rng: np.random.Generator | None = None, symmetric: bool = True,
+                 rng: np.random.Generator | None = None,
                  round_index: int = 0) -> RateMatrix:
-    """Draw each pairwise rate uniformly from [lo, hi]; symmetric by default."""
+    """Draw each pairwise rate uniformly from [lo, hi], the same both ways."""
     check_rate_bounds(lo, hi)
     rng = np.random.default_rng() if rng is None else rng
     rho = rng.uniform(lo, hi, size=(n_devices, n_devices))
-    if symmetric:
-        iu = np.triu_indices(n_devices, k=1)
-        rho[(iu[1], iu[0])] = rho[iu]
+    iu = np.triu_indices(n_devices, k=1)
+    rho[(iu[1], iu[0])] = rho[iu]
     np.fill_diagonal(rho, 0.0)
     if n_devices == 1:
         rho = np.zeros((1, 1))

@@ -13,11 +13,13 @@ every evaluation runs a canonicalization pipeline:
    depends only on the previous device and the offered set, so it is read
    from a table built once per round's rates, chunk by chunk of devices.
 
-The GA works one generation at a time: it draws every tournament, crossover
-and mutation of a generation at once, then canonicalizes all the children in
-array passes over their (individual, request) rows.  The projection is a
-table lookup on the kept-block bitmask, the repair one table lookup per
-block (an add and a gather on fleets of up to 10 devices).  Only the
+The GA works one generation at a time: it draws every tournament
+(``TOURNAMENT_SIZE`` picks), crossover (at ``CROSSOVER_RATE``) and mutation
+(at one over the chromosome length, about one bit a child) of a generation
+at once, then canonicalizes all the children in array passes over their
+(individual, request) rows.  The projection is a table lookup on the
+kept-block bitmask, the repair one table lookup per block (an add and a
+gather on fleets of up to 10 devices).  Only the
 repair's table columns (each row's offered bitmask per block, read from the
 row's N x M placement bits) grow with the fleet, so only they are built in
 bounded chunks; the 17-step block pass then runs once over the whole
@@ -38,15 +40,15 @@ numpy call: the hot paths keep their call count low (``take`` over fancy
 indexing, preallocated outputs, no joins of a single chunk).
 
 Budget overruns are handled softly, as relative-violation penalties on the
-objective.  ``solve_exact`` enumerates the same candidate space exhaustively
-for small instances, the reference the GA is compared against.  It grows
-the candidates as a prefix tree along each request's chain, extending the
-partial sums one kept block at a time.  Only the leaves within every
-compute and memory cap are scored, in bounded batches through
-``_Evaluator._finish``, the last step of ``score``; the rest are infeasible
-and could not win.  Every candidate is still examined, and ``evaluations``
-counts them all.  Both solvers first run a necessary-condition feasibility
-certificate.
+objective (times ``PENALTY_WEIGHT``).  ``solve_exact`` enumerates the same
+candidate space exhaustively for small instances, the reference the GA is
+compared against.  It grows the candidates as a prefix tree along each
+request's chain, extending the partial sums one kept block at a time.  Only
+the leaves within every compute and memory cap are scored, in bounded
+batches through ``_Evaluator._finish``, the last step of ``score``; the rest
+are infeasible and could not win.  Every candidate is still examined, and
+``evaluations`` counts them all.  Both solvers first run a
+necessary-condition feasibility certificate.
 """
 from __future__ import annotations
 
@@ -66,14 +68,12 @@ from .profile import AccuracyProfile, allowed_drop_sets
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Genetic algorithm knobs; defaults follow the usual mid-size budget."""
+    """The GA's budget and seed; defaults follow the usual mid-size budget.
+    Its heuristics are fixed, as the module constants ``TOURNAMENT_SIZE``,
+    ``CROSSOVER_RATE`` and ``PENALTY_WEIGHT``."""
 
     population_size: int = 100
     generations: int = 200
-    crossover_rate: float = 0.9
-    mutation_rate: float | None = None  # None means 1 / chromosome length
-    tournament_size: int = 3
-    penalty_weight: float = 10.0
     elite: int = 1
     seed: int = 0
 
@@ -82,20 +82,11 @@ class GaConfig:
             raise ValueError("population_size must be >= 2")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
-        for name in ("crossover_rate", "mutation_rate"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
         # A generation draws two tournaments of intp picks per individual.
-        if (need := 16 * self.population_size * self.tournament_size) > MEMORY_BOUND:
-            raise ValueError(f"tournament_size={self.tournament_size} at population_size="
-                             f"{self.population_size} draws {need} bytes a generation, "
-                             f"over the {MEMORY_BOUND}-byte bound")
-        if not 0 < self.penalty_weight < np.inf:
-            raise ValueError(
-                f"penalty_weight must be finite and > 0, got {self.penalty_weight!r}")
+        if (need := 16 * self.population_size * TOURNAMENT_SIZE) > MEMORY_BOUND:
+            raise ValueError(f"population_size={self.population_size} draws {need} bytes "
+                             f"of tournament picks a generation, over the "
+                             f"{MEMORY_BOUND}-byte bound")
         if not 0 <= self.elite < self.population_size:
             raise ValueError("elite must be >= 0 and below population_size")
 
@@ -176,6 +167,10 @@ _CHUNK_CELLS = 1 << 17
 
 # The most bytes a round's per-fleet arrays, or a GA population, may take.
 MEMORY_BOUND = 1 << 30
+
+TOURNAMENT_SIZE = 3    # picks per tournament when the GA selects a parent
+CROSSOVER_RATE = 0.9   # chance a child crosses over rather than copies a parent
+PENALTY_WEIGHT = 10.0  # score per unit of summed relative budget overrun
 
 
 def round_bytes(n_devices: int) -> int:
@@ -336,8 +331,7 @@ class _Evaluator:
 
     def __init__(self, graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
                  profile: AccuracyProfile, weights: ObjectiveWeights,
-                 energy: EnergyParams, n_requests: int,
-                 penalty_weight: float = 10.0, memory_mode: str = "inputs"):
+                 energy: EnergyParams, n_requests: int, memory_mode: str = "inputs"):
         self.graph = graph
         self.fleet = fleet
         self.rates = rates
@@ -347,7 +341,6 @@ class _Evaluator:
         self.n_blocks = graph.n_blocks
         self.weights = weights
         self.energy = energy
-        self.penalty_weight = penalty_weight
         self.memory_mode = memory_mode
 
         self.c, self.m, self.bits = block_arrays(graph, memory_mode)
@@ -449,7 +442,7 @@ class _Evaluator:
         np.maximum(over, 0.0, out=over)
         rel = _ordered_sum(over.reshape(3 * self.n_devices, -1))
         wo = objective_value(latency, acc / self.n_requests, self.n_requests, self.weights)
-        return wo + self.penalty_weight * rel, wo, latency, rel == 0.0
+        return wo + PENALTY_WEIGHT * rel, wo, latency, rel == 0.0
 
     def evaluate(self, packed: np.ndarray):
         """Canonicalize and score a population of bit-packed chromosomes
@@ -620,13 +613,11 @@ def _no_requests(ev: _Evaluator, solver: str, t0: float) -> SolveResult:
 
 
 def _flip_positions(rng: np.random.Generator, rate: float, size: int) -> np.ndarray:
-    """Indices where a Bernoulli(rate) draw over ``size`` bits comes up 1.
+    """Indices where a Bernoulli(rate > 0) draw over ``size`` bits comes up 1.
 
     Drawn as geometric gaps between flips: about ``rate * size`` numbers
     rather than one per bit.
     """
-    if rate <= 0.0:
-        return np.zeros(0, dtype=np.int64)
     expect = rate * size
     parts, last = [], -1
     while last < size:  # one draw almost always reaches past the end
@@ -654,7 +645,7 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     """
     t0 = time.perf_counter()
     ev = _Evaluator(graph, fleet, rates, profile, weights, energy, n_requests,
-                    penalty_weight=config.penalty_weight, memory_mode=memory_mode)
+                    memory_mode=memory_mode)
     if n_requests == 0:
         return _no_requests(ev, "ga", t0)
     _feasibility_certificate(ev)
@@ -664,7 +655,6 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     length = chromosome_length(r, n, m)
     if (need := config.population_size * length) > MEMORY_BOUND:
         raise InstanceTooLarge(need, MEMORY_BOUND, "GA population bytes")
-    mutation = config.mutation_rate if config.mutation_rate is not None else 1.0 / length
     size, elite = config.population_size, config.elite
 
     # Chromosomes are kept bit-packed (np.packbits rows, eight genes a byte);
@@ -699,7 +689,7 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     history = [float(scores.min())]
 
     spare = np.empty_like(pop)
-    n_kids, tour = size - elite, config.tournament_size
+    n_kids, tour = size - elite, TOURNAMENT_SIZE
     rank = np.empty(size, dtype=np.intp)
     # Flat index of the first pick of each (child, parent) tournament.
     slot = np.arange(0, n_kids * 2 * tour, tour).reshape(n_kids, 2)
@@ -719,12 +709,12 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
         spare[:elite] = pop.take(top, axis=0)
         kids = spare[elite:]
         kids[:] = pop.take(parents[:, 0], axis=0)
-        n_cross = rng.binomial(n_kids, config.crossover_rate)
+        n_cross = rng.binomial(n_kids, CROSSOVER_RATE)
         swap = pop.take(parents[:n_cross, 1], axis=0)
         swap ^= kids[:n_cross]
         swap &= rng.integers(0, 256, size=swap.shape, dtype=np.uint8)
         kids[:n_cross] ^= swap
-        kid, gene = np.divmod(_flip_positions(rng, mutation, n_kids * length), length)
+        kid, gene = np.divmod(_flip_positions(rng, 1.0 / length, n_kids * length), length)
         np.bitwise_xor.at(kids, (kid, gene >> 3), (128 >> (gene & 7)).astype(np.uint8))
         pen, lat = evaluate(kids)
         scores = np.concatenate([scores.take(top), pen])

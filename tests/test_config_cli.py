@@ -152,7 +152,7 @@ class TestBuildScenario:
 
     @pytest.mark.parametrize("key", [
         "fleet.devices", "solver.population_size", "solver.generations",
-        "solver.tournament_size", "solver.elite", "solver.max_candidates",
+        "solver.elite", "solver.max_candidates",
         "scenario.rounds", "scenario.seed", "model.input_side", "model.weight_bytes",
     ])
     @pytest.mark.parametrize("value", [True, 2.5, "1e2", math.nan, math.inf])
@@ -160,6 +160,23 @@ class TestBuildScenario:
         section, leaf = key.split(".")
         with pytest.raises(ConfigError, match=f"{key} must be an integer"):
             build_scenario(load_config({section: {leaf: value}}))
+
+    @pytest.mark.parametrize("key", [
+        "fleet.memory_mb", "fleet.compute_gmults", "fleet.energy_j",
+        "fleet.rate_gmults_per_s", "network.rate_lo_mbps", "network.rate_hi_mbps",
+        "energy.p_compute_w", "energy.p_transmit_w", "weights.alpha", "weights.beta",
+        "weights.accuracy_threshold", "weights.latency_ref_s", "scenario.lam",
+    ])
+    @pytest.mark.parametrize("value", [True, "abc"])
+    def test_real_keys_reject_booleans_and_non_numbers(self, key, value):
+        section, leaf = key.split(".")
+        with pytest.raises(ConfigError, match=f"{key} must be a number"):
+            build_scenario(load_config({section: {leaf: value}}))
+
+    def test_real_keys_take_numeric_strings(self):
+        sc = build_scenario(load_config({"scenario": {"lam": "2.5"},
+                                         "fleet": {"energy_j": ["900", 1000]}}))
+        assert sc.lam == 2.5 and sc.fleet.energy_caps[0] == 900.0
 
     def test_integer_keys_take_integral_floats(self):
         sc = build_scenario(load_config({"fleet": {"devices": 6.0},
@@ -265,13 +282,13 @@ FIELD_NAMES = {
 
 # Values no key should take quietly, plus a range per key where most values
 # are valid; the upper ends keep a built scenario small enough to run.
-SPECIAL = (math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5, True, False, 1e300, 10 ** 30)
+SPECIAL = (math.nan, math.inf, -math.inf, 0, 0.0, -1, -2.5, True, False, 1e300, 10 ** 30,
+           "abc")
 USUAL = {
     "model.input_side": (16, 256), "model.weight_bytes": (1, 8), "fleet.devices": (1, 12),
-    "solver.tournament_size": (1, 8), "solver.elite": (0, 3), "scenario.lam": (0.0, 6.0),
-    "scenario.seed": (0, 1000), "weights.alpha": (0.0, 1.0), "weights.beta": (0.0, 1.0),
-    "weights.accuracy_threshold": (0.0, 1.0), "solver.crossover_rate": (0.0, 1.0),
-    "solver.mutation_rate": (0.0, 1.0),
+    "solver.elite": (0, 3), "scenario.lam": (0.0, 6.0), "scenario.seed": (0, 1000),
+    "weights.alpha": (0.0, 1.0), "weights.beta": (0.0, 1.0),
+    "weights.accuracy_threshold": (0.0, 1.0),
 }
 
 
@@ -325,7 +342,7 @@ class TestConfigSpace:
     @given(pairs=_DRAWS)
     @example(pairs=[("scenario.seed", -1)])  # exited 4: SeedSequence refused it
     @example(pairs=[("fleet.devices", 1e300)])  # exited 4: formatting the byte count
-    @example(pairs=[("solver.tournament_size", 10 ** 30)])  # exited 4: numpy's draw
+    @example(pairs=[("solver.population_size", 10 ** 30)])  # tournament draws over the bound
     def test_numeric_keys_build_or_name_the_key(self, tmp_path, capsys, pairs):
         keys = {key for key, _value in pairs}
         if not self.builds(_document(pairs), keys):
@@ -516,13 +533,10 @@ class TestExitCodes:
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("override,field", [
-        ("solver.penalty_weight=.nan", "penalty_weight"),
-        ("solver.penalty_weight=.inf", "penalty_weight"),
         ("scenario.lam=.nan", "lam"),
         ("scenario.lam=.inf", "lam"),
     ])
-    def test_non_finite_penalty_and_arrival_rate_exit_two(self, capsys, tmp_path,
-                                                          override, field):
+    def test_non_finite_arrival_rate_exits_two(self, capsys, tmp_path, override, field):
         rc = cli.main(["solve", "--requests", "1", "--set", override,
                        "--output", str(tmp_path / "x.json")])
         assert rc == 2
@@ -575,6 +589,38 @@ class TestExitCodes:
                        "--output", str(tmp_path / "x.json")])
         assert rc == 2
         assert f"{override.partition('=')[0]} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("key", ["crossover_rate", "mutation_rate",
+                                     "tournament_size", "penalty_weight"])
+    @pytest.mark.parametrize("via", ["document", "set"])
+    def test_fixed_ga_heuristics_are_unknown_keys(self, capsys, tmp_path, key, via):
+        if via == "set":
+            source = ["--set", f"solver.{key}=1"]
+        else:
+            config = tmp_path / "cfg.yaml"
+            config.write_text(f"solver:\n  {key}: 1\n", encoding="utf-8")
+            source = ["--config", str(config)]
+        rc = cli.main(["solve", "--requests", "1", "--output", str(tmp_path / "x.json")]
+                      + source)
+        assert rc == 2
+        assert f"unknown config key 'solver.{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("args,field", [
+        (["--round", "-1"], "--round must be >= 0"),
+        (["--set", "profile.path=/nonexistent/profile.yaml"], "profile.path"),
+        (["--set", "energy.p_compute_w=true"], "energy.p_compute_w must be a number"),
+        (["--set", "fleet.memory_mb=[true, 200]"], "fleet.memory_mb must be a number"),
+        (["--set", "energy.p_compute_w=abc"], "energy.p_compute_w must be a number"),
+        (["--set", "solver.population_size=30000000", "--set", "fleet.devices=1"],
+         "population_size=30000000 draws"),
+    ])
+    def test_bad_values_exit_two_naming_them(self, capsys, tmp_path, args, field):
+        rc = cli.main(["solve", "--requests", "1", "--output", str(tmp_path / "x.json")]
+                      + args)
+        assert rc == 2
+        assert field in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
     def test_fleet_over_the_memory_bound_exits_two(self, capsys, tmp_path, monkeypatch):

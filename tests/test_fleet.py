@@ -72,9 +72,11 @@ class TestDeviceAndFleet:
         np.testing.assert_array_equal(e2.memory_caps, fleet.memory_caps)
         np.testing.assert_array_equal(e2.compute_caps, fleet.compute_caps)
         np.testing.assert_array_equal(e2.mult_rates, fleet.mult_rates)
-        c2 = fleet.scaled(compute=2.0, memory=3.0)
+        c2 = fleet.scaled(compute=2.0, rate=3.0)
         np.testing.assert_array_equal(c2.compute_caps, [2e9, 4e9, 6e9])
-        np.testing.assert_array_equal(c2.memory_caps, [3e6, 6e6, 9e6])
+        np.testing.assert_array_equal(c2.mult_rates, [4.2e9, 8.4e9, 6.3e9])
+        np.testing.assert_array_equal(c2.memory_caps, fleet.memory_caps)
+        np.testing.assert_array_equal(c2.energy_caps, fleet.energy_caps)
 
     def test_two_tier_fleet_cycles_tier_values(self):
         fleet = two_tier_fleet(5, [10.0, 20.0], [1.0, 2.0], [5.0], [7.0, 8.0])
