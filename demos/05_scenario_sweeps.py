@@ -11,6 +11,7 @@ from resplan.config import (
     build_sweep_axis,
     load_config,
     preset_text,
+    sweep_variants,
 )
 from resplan.harness import sweep
 
@@ -29,7 +30,7 @@ def main() -> None:
           f"{base.min():.0f}-{base.max():.0f} J before scaling; budget "
           f"multipliers {[f'{v:g}' for v in axis.values]}\n")
 
-    results = sweep(scenario, axis)
+    results = sweep(sweep_variants(scenario, axis))
 
     header = (f"{'variant':<15} {'feasible':>8} {'accuracy':>8} "
               f"{'latency/req s':>13} {'J/round':>8}")

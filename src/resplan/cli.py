@@ -11,6 +11,7 @@ import argparse
 import ctypes
 import json
 import os
+import pathlib
 import sys
 import traceback
 from dataclasses import replace
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> dict:
-    source = args.config
+    source = None if args.config is None else pathlib.Path(args.config)
     if args.preset:
         source = config_mod.preset_text(args.preset)
     return config_mod.load_config(source, overrides=args.overrides, seed=args.seed)
@@ -217,6 +218,7 @@ def cmd_sweep(args) -> int:
     axis = config_mod.build_sweep_axis(cfg)
     if axis is None:
         raise ConfigError("sweep command needs a 'sweep' section in the config")
+    variants = config_mod.sweep_variants(scenario, axis)
     out_dir = _out_dir(args)
 
     with open(os.path.join(out_dir, "effective_config.yaml"), "w",
@@ -232,7 +234,7 @@ def cmd_sweep(args) -> int:
             fh.write(",".join(cells) + "\n")
             fh.flush()
 
-        results = sweep(scenario, axis, strict=args.strict, on_record=on_record)
+        results = sweep(variants, strict=args.strict, on_record=on_record)
 
     with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8") as fh:
         fh.write(",".join(SUMMARY_COLUMNS) + "\n")

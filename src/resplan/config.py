@@ -12,15 +12,16 @@ import copy
 import operator
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError
 from .fleet import EnergyParams, check_rate_bounds, two_tier_fleet
 from .graph import build_resnet50
-from .harness import SWEEP_KINDS, ScenarioConfig, SweepAxis
+from .harness import SWEEP_KINDS, ScenarioConfig, SweepAxis, apply_axis_value
 from .objective import ObjectiveWeights, default_latency_ref
-from .profile import SAFE_LOADER, AccuracyProfile, load_profile
+from .profile import SAFE_LOADER, AccuracyProfile, load_profile, read_source
 from . import solvers
 from .solvers import ExactLimits, GaConfig
 
@@ -84,7 +85,7 @@ def _merge(base: dict, user: dict, path: str) -> dict:
     for key, value in user.items():
         here = f"{path}.{key}" if path else key
         if key == "sweep" and not path:
-            out["sweep"] = _check_sweep(value)
+            out["sweep"] = _check_sweep(base["sweep"], value)
             continue
         if key not in base:
             raise ConfigError(f"unknown config key {here!r}")
@@ -99,7 +100,8 @@ def _merge(base: dict, user: dict, path: str) -> dict:
     return out
 
 
-def _check_sweep(value):
+def _check_sweep(loaded, value):
+    """``value``, a sweep section, merged over the one already ``loaded``."""
     if value is None:
         return None
     if not isinstance(value, dict):
@@ -107,6 +109,7 @@ def _check_sweep(value):
     unknown = set(value) - _SWEEP_KEYS
     if unknown:
         raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
+    value = {**(loaded or {}), **value}
     if "axis" not in value or "values" not in value:
         raise ConfigError("sweep needs both 'axis' and 'values'")
     return {"axis": value["axis"], "values": value["values"]}
@@ -115,22 +118,23 @@ def _check_sweep(value):
 def load_config(source=None, overrides=(), seed=None) -> dict:
     """Normalized config dict: defaults, then the document, then overrides.
 
-    ``source`` is a path, a YAML string, a dict, or None for pure defaults.
-    ``overrides`` are dotted assignments like ``solver.generations=50``; the
-    value side is parsed as YAML.  ``seed`` overrides scenario.seed last.
+    ``source`` is a path-like (the ``--config`` file), a dict, None for pure
+    defaults, or a string: a path when it is one line that ends in ``.yaml``
+    or ``.yml`` or holds a ``/``, else YAML text.  ``overrides`` are dotted
+    assignments like ``solver.generations=50`` whose value side is parsed as
+    YAML; they are gathered into one document, the last assignment to a key
+    winning, and merged like the source, so an override of an unknown key is
+    an error as in a document.  ``seed`` overrides scenario.seed last.
     """
     if source is None:
         doc: dict = {}
     elif isinstance(source, dict):
         doc = source
     else:
-        text = str(source)
-        if "\n" not in text and (text.endswith((".yaml", ".yml")) or "/" in text):
-            try:
-                with open(text, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise ConfigError(f"cannot read config {text!r}: {exc}") from exc
+        try:
+            text = read_source(source)
+        except (OSError, UnicodeError) as exc:
+            raise ConfigError(f"cannot read --config {str(source)!r}: {exc}") from exc
         try:
             doc = yaml.load(text, Loader=SAFE_LOADER) or {}
         except yaml.YAMLError as exc:
@@ -139,6 +143,7 @@ def load_config(source=None, overrides=(), seed=None) -> dict:
             raise ConfigError("config document must be a mapping")
 
     cfg = _merge(DEFAULTS, doc, "")
+    sets: dict = {}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -147,28 +152,17 @@ def load_config(source=None, overrides=(), seed=None) -> dict:
             value = yaml.load(raw, Loader=SAFE_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {item!r}: bad value: {exc}") from exc
-        _set_dotted(cfg, key.strip(), value)
+        *parents, leaf = key.strip().split(".")
+        node = sets
+        for part in parents:
+            if not isinstance(node.get(part), dict):
+                node[part] = {}
+            node = node[part]
+        node[leaf] = value
+    cfg = _merge(cfg, sets, "")
     if seed is not None:
         cfg["scenario"]["seed"] = int(seed)
     return cfg
-
-
-def _set_dotted(cfg: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    node = cfg
-    for i, part in enumerate(parts[:-1]):
-        if part == "sweep" and i == 0:
-            if node["sweep"] is None:
-                node["sweep"] = {"axis": None, "values": None}
-            node = node["sweep"]
-            continue
-        if not isinstance(node.get(part), dict):
-            raise ConfigError(f"unknown config key {dotted!r}")
-        node = node[part]
-    leaf = parts[-1]
-    if leaf not in node and not (len(parts) > 1 and parts[0] == "sweep"):
-        raise ConfigError(f"unknown config key {dotted!r}")
-    node[leaf] = value
 
 
 def effective_yaml(cfg: dict) -> str:
@@ -268,8 +262,8 @@ def build_scenario(cfg: dict) -> ScenarioConfig:
             profile = default_profile()
         else:
             try:
-                profile = load_profile(str(prof_path))
-            except OSError as exc:
+                profile = load_profile(Path(str(prof_path)))
+            except (OSError, UnicodeError) as exc:
                 raise ConfigError(f"cannot read profile.path {prof_path!r}: {exc}") from exc
         if profile.n_blocks != graph.n_blocks:
             raise ConfigError(
@@ -343,3 +337,16 @@ def build_sweep_axis(cfg: dict) -> SweepAxis | None:
         raise
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid sweep section: {exc}") from exc
+
+
+def sweep_variants(base: ScenarioConfig, axis: SweepAxis) -> tuple[ScenarioConfig, ...]:
+    """One scenario per axis value, every one built before any of them runs,
+    so a value that no fleet can take (a multiplier that overflows a budget)
+    is a ConfigError naming ``sweep.values`` before any output is written."""
+    variants = []
+    for value, label in zip(axis.values, axis.labels()):
+        try:
+            variants.append(apply_axis_value(base, axis.kind, value, label))
+        except ValueError as exc:
+            raise ConfigError(f"sweep.values entry {value!r}: {exc}") from exc
+    return tuple(variants)

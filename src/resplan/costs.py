@@ -158,10 +158,14 @@ def evaluate_assignment(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
     """Every cost and reporting metric of one resolved assignment whose drop
     vectors are bridgeable, from the passes the solvers score with, so its
     latency is the one they ranked, to the bit.  ``memory_mode`` picks what
-    counts as resident memory (see ``graph.memory_load``).
+    counts as resident memory (see ``graph.memory_load``).  An unresolved
+    one raises ValueError naming its first kept block without exactly one host.
     """
     if not assign.is_resolved():
-        raise ValueError("assignment is not resolved (some kept block lacks a unique host)")
+        cover = assign.x.sum(axis=1)
+        r, j = np.argwhere((cover != 1) & (assign.y == 1))[0]
+        raise ValueError(f"assignment is not resolved: request {r} keeps block {j + 1} on "
+                         f"{cover[r, j]} hosts, not one (see solvers.repair_allocation)")
     c, mem_vec, bits = block_arrays(graph, memory_mode)
     r, m = assign.y.shape
     # Each kept block but the first is fed by the previous kept block; the

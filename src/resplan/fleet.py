@@ -136,10 +136,6 @@ class RateMatrix:
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
 
-    @property
-    def n_devices(self) -> int:
-        return self.rho.shape[0]
-
 
 @dataclass(frozen=True)
 class RequestBatch:
@@ -174,8 +170,6 @@ def sample_rates(n_devices: int, lo: float = DEFAULT_RATE_LO, hi: float = DEFAUL
     iu = np.triu_indices(n_devices, k=1)
     rho[(iu[1], iu[0])] = rho[iu]
     np.fill_diagonal(rho, 0.0)
-    if n_devices == 1:
-        rho = np.zeros((1, 1))
     return RateMatrix(rho=rho, round_index=round_index)
 
 

@@ -131,7 +131,7 @@ class SweepAxis:
         vals = []
         for v in self.values:
             if self.kind == "weights":
-                pair = tuple(float(w) for w in v)
+                pair = tuple(float(w) for w in v) if isinstance(v, (list, tuple)) else ()
                 if len(pair) != 2:
                     raise ValueError(f"weights sweep values are (alpha, beta) pairs, got {v!r}")
                 if not np.isfinite(pair).all():
@@ -294,11 +294,8 @@ def apply_axis_value(base: ScenarioConfig, kind: str, value, label: str
     raise ValueError(f"unknown sweep kind {kind!r}")
 
 
-def sweep(base: ScenarioConfig, axis: SweepAxis, strict: bool = False,
+def sweep(variants: Sequence[ScenarioConfig], strict: bool = False,
           on_record: Optional[Callable] = None) -> tuple[ScenarioResult, ...]:
-    """Run the scenario once per axis value, all variants sharing the seed."""
-    results = []
-    for value, label in zip(axis.values, axis.labels()):
-        variant = apply_axis_value(base, axis.kind, value, label)
-        results.append(run_scenario(variant, strict=strict, on_record=on_record))
-    return tuple(results)
+    """Run each sweep variant (``config.sweep_variants`` builds them) in
+    order; the variants share the base scenario's seed."""
+    return tuple(run_scenario(v, strict=strict, on_record=on_record) for v in variants)

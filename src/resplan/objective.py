@@ -8,10 +8,10 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import Assignment, CostBreakdown, evaluate_assignment
+from .costs import Assignment, evaluate_assignment
 from .errors import UnprofiledDropSet
 from .fleet import DEFAULT_RATE_LO, EnergyParams, Fleet, RateMatrix
-from .graph import ResNetGraph, block_arrays, compute_load, output_bits
+from .graph import ResNetGraph, compute_load, output_bits
 from .profile import AccuracyProfile, g_lookup
 
 WEIGHT_SUM_TOL = 1e-9
@@ -95,7 +95,6 @@ class FeasibilityReport:
 
     feasible: bool
     violations: tuple[str, ...]
-    coverage_ok: bool
     accuracy: Optional[float]
     accuracy_margin: float
     memory_margin: np.ndarray
@@ -106,7 +105,6 @@ class FeasibilityReport:
         return {
             "feasible": self.feasible,
             "violations": list(self.violations),
-            "coverage_ok": self.coverage_ok,
             "accuracy": self.accuracy,
             "accuracy_margin": self.accuracy_margin,
             "memory_margin": [float(v) for v in self.memory_margin],
@@ -119,30 +117,17 @@ def check_constraints(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
                       rates: RateMatrix, energy: EnergyParams,
                       weights: ObjectiveWeights, profile: AccuracyProfile,
                       memory_mode: str = "inputs") -> FeasibilityReport:
-    """Check coverage, per-device budgets, and the accuracy floor.
+    """Check the per-device budgets and the accuracy floor of a resolved plan.
 
-    Coverage wants exactly one host per kept block; a block with none or
-    with several is a violation.  Such a plan is still priced, with each
-    listed host paying for its copy of a block and no transfers counted.
-    Entries of x under dropped blocks are ignored throughout.  Drop sets
-    must be bridgeable; callers screen candidate drop sets against the skip
-    topology beforehand.
+    The plan is priced by ``evaluate_assignment``, so it must give every kept
+    block exactly one host (``solvers.repair_allocation`` resolves one that
+    lists several); an unresolved plan raises ValueError naming its first
+    such request and block.  Entries of x under dropped blocks are ignored.
+    Drop sets must be bridgeable; callers screen candidate drop sets against
+    the skip topology beforehand.
     """
+    bd = evaluate_assignment(assign, graph, fleet, rates, energy, memory_mode)
     violations: list[str] = []
-
-    cover = assign.x.sum(axis=1)  # (R, M) hosts per block
-    kept = assign.y == 1
-    uncovered = kept & (cover == 0)
-    for r, j in zip(*np.nonzero(uncovered)):
-        violations.append(f"request {r}: block {j + 1} is kept but has no host")
-    for r, j in zip(*np.nonzero(kept & (cover > 1))):
-        violations.append(
-            f"request {r}: block {j + 1} has {int(cover[r, j])} hosts (coverage wants 1)"
-        )
-    coverage_ok = not violations
-
-    bd = _breakdown_for_report(assign, graph, fleet, rates, energy, memory_mode, coverage_ok)
-
     memory_margin = fleet.memory_caps - bd.memory_use
     compute_margin = fleet.compute_caps - bd.compute_use
     energy_margin = fleet.energy_caps - bd.energy
@@ -172,33 +157,9 @@ def check_constraints(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
     return FeasibilityReport(
         feasible=not violations,
         violations=tuple(violations),
-        coverage_ok=coverage_ok,
         accuracy=acc,
         accuracy_margin=acc_margin,
         memory_margin=memory_margin,
         compute_margin=compute_margin,
         energy_margin=energy_margin,
-    )
-
-
-def _breakdown_for_report(assign, graph, fleet, rates, energy, memory_mode, coverage_ok):
-    if coverage_ok:  # one host per kept block: the assignment is resolved
-        return evaluate_assignment(assign, graph, fleet, rates, energy, memory_mode)
-    # Multi-host or uncovered candidates: charge every listed host for its
-    # copy of the block and skip transfer accounting, which needs one host
-    # per block to be defined.
-    c, mem_vec, _bits = block_arrays(graph, memory_mode)
-    gated = assign.x * assign.y[:, None, :]
-    load = np.einsum("rim,m->i", gated, c)
-    mem_use = np.einsum("rim,m->i", gated, mem_vec)
-    comp_time = load / fleet.mult_rates
-    return CostBreakdown(
-        total_latency=float(comp_time.sum()),
-        comp_time=comp_time,
-        tx_time=np.zeros(fleet.n_devices),
-        energy=energy.p_compute * comp_time,
-        memory_use=mem_use,
-        compute_use=load,
-        shared_bits=0.0,
-        total_mults=float(load.sum()),
     )

@@ -9,6 +9,7 @@ measurements are not redistributable as data.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -94,20 +95,29 @@ def _as_mapping(doc) -> dict:
     return doc
 
 
+def read_source(source) -> str:
+    """The text of a document given as a file object, a path-like, or a
+    string.  A path-like is always read as a file; a string is read as one
+    only when it is a single line that ends in ``.yaml`` or ``.yml`` or
+    holds a ``/``, and is otherwise the document's text itself."""
+    if hasattr(source, "read"):
+        return source.read()
+    text = str(source)
+    if isinstance(source, os.PathLike) or (
+            "\n" not in text and (text.endswith((".yaml", ".yml")) or "/" in text)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    return text
+
+
 def load_profile(source) -> AccuracyProfile:
     """Parse and validate a profile document.
 
-    ``source`` is a path, a file object, or a YAML string.  Rejects duplicate
-    drop sets and anything violating the profile invariants; errors name the
+    ``source`` is anything ``read_source`` takes.  Rejects duplicate drop
+    sets and anything violating the profile invariants; errors name the
     offending entry.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
-        if "\n" not in text and (text.endswith((".yaml", ".yml")) or "/" in text):
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
+    text = read_source(source)
     try:
         doc = yaml.load(text, Loader=SAFE_LOADER)
     except yaml.YAMLError as exc:

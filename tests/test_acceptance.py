@@ -25,6 +25,7 @@ from resplan.config import (
     build_sweep_axis,
     load_config,
     preset_text,
+    sweep_variants,
 )
 from resplan.costs import Assignment, evaluate_assignment
 from resplan.errors import InfeasibleInstance
@@ -55,7 +56,8 @@ def preset_runs():
             for seed in SEEDS:
                 cfg = load_config(preset_text(name), overrides=BUDGET,
                                   seed=seed)
-                runs.append(sweep(build_scenario(cfg), build_sweep_axis(cfg)))
+                variants = sweep_variants(build_scenario(cfg), build_sweep_axis(cfg))
+                runs.append(sweep(variants))
             cache[name] = runs
         return cache[name]
 

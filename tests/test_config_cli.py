@@ -4,6 +4,7 @@ contract (0 ok, 2 config problem, 3 infeasible under --strict, 4 internal)."""
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from importlib import resources
@@ -87,6 +88,16 @@ class TestLoadConfig:
         assert cfg["weights"]["alpha"] == 0.6
         assert cfg["fleet"]["memory_mb"] == [10, 20]
         assert cfg["sweep"] == {"axis": "lam", "values": [1.0, 2.0]}
+
+    def test_overrides_merge_like_a_document(self):
+        # The last assignment to a key wins; a whole section merges over the
+        # loaded one, and so does a sweep section.
+        cfg = load_config({"sweep": {"axis": "energy", "values": [1.0]}}, overrides=(
+            "fleet.devices=3", "fleet={devices: 4}", "fleet.memory_mb=[5]",
+            "sweep.values=[2.0]",
+        ))
+        assert cfg == load_config({"fleet": {"devices": 4, "memory_mb": [5]},
+                                   "sweep": {"axis": "energy", "values": [2.0]}})
 
     def test_override_errors(self):
         with pytest.raises(ConfigError, match="key=value"):
@@ -320,20 +331,21 @@ def _document(pairs):
     return doc
 
 
+def assert_names_a_key(exc, keys):
+    names = {k for key in keys for k in (key, key.rpartition(".")[2], FIELD_NAMES.get(key))}
+    assert any(name and name in str(exc) for name in names), (str(exc), keys)
+
+
 class TestConfigSpace:
     """Every value of a numeric config key either builds a scenario that
     runs to exit 0 or 3 with finite metrics on each solved round, or is a
     ConfigError that names the key."""
 
-    def assert_names_a_key(self, exc, keys):
-        names = {k for key in keys for k in (key, key.split(".")[1], FIELD_NAMES.get(key))}
-        assert any(name and name in str(exc) for name in names), (str(exc), keys)
-
     def builds(self, doc, keys):
         try:
             build_scenario(load_config(doc))
         except ConfigError as exc:
-            self.assert_names_a_key(exc, keys)
+            assert_names_a_key(exc, keys)
             return False
         return True
 
@@ -361,6 +373,82 @@ class TestConfigSpace:
             rows = (out / "rounds.csv").read_text().splitlines()[1:]
             if summary["solved_rounds"]:
                 assert all(math.isfinite(float(v)) for v in rows[0].split(","))
+
+
+def _dotted_keys(node, path=""):
+    for key, value in node.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from _dotted_keys(value, here)
+        else:
+            yield here
+
+
+SECTIONS = tuple(key for key, value in DEFAULTS.items() if isinstance(value, dict))
+
+# Every dotted key of the defaults, the sweep's two keys, an unknown leaf
+# under each section and under sweep, and each whole section.
+OVERRIDE_KEYS = (tuple(_dotted_keys(DEFAULTS)) + ("sweep.axis", "sweep.values")
+                 + tuple(f"{section}.bogus" for section in SECTIONS + ("sweep",))
+                 + SECTIONS)
+OVERRIDE_VALUES = (None, 0, 3, -1, 2.5, math.nan, math.inf, True, "abc", "energy",
+                   "weights", [0.5, 1.0], {"devices": 3},
+                   {"axis": "energy", "values": [2.0]})
+
+
+def _disjoint(pairs):
+    """No key is another's key or a section holding it: each pair is one
+    unambiguous place in a document."""
+    keys = [key for key, _value in pairs]
+    return not any(a == b or b.startswith(a + ".")
+                   for i, a in enumerate(keys) for j, b in enumerate(keys) if i != j)
+
+
+class TestOverridesMatchDocuments:
+    """A ``--set key=value`` override and the same key in a document either
+    load to the same config, which builds or is a ConfigError naming a key,
+    or both raise a ConfigError naming a key.  The effective config of each
+    one that loads reloads to itself."""
+
+    def load(self, source, overrides, keys):
+        try:
+            return load_config(source, overrides)
+        except ConfigError as exc:
+            assert_names_a_key(exc, keys)
+            return None
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(pairs=st.lists(st.tuples(st.sampled_from(OVERRIDE_KEYS),
+                                    st.sampled_from(OVERRIDE_VALUES)),
+                          min_size=1, max_size=3).filter(_disjoint))
+    @example(pairs=[("sweep.axis", "energy"), ("sweep.values", [0.5, 1.0]),
+                    ("sweep.bogus", 3)])  # the override loaded, the document did not
+    @example(pairs=[("fleet", {"devices": 3})])  # the override replaced the section
+    @example(pairs=[("sweep.axis", "weights"), ("sweep.values", [0.5, 1.0])])
+    def test_override_and_document_agree(self, pairs):
+        keys = {key for key, _value in pairs}
+        doc: dict = {}
+        for key, value in pairs:
+            *sections, leaf = key.split(".")
+            node = doc
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[leaf] = copy.deepcopy(value)  # as a parsed document holds it
+        overrides = [f"{key}={yaml.safe_dump(value, default_flow_style=True)}"
+                     for key, value in pairs]
+        by_doc = self.load(doc, (), keys)
+        by_set = self.load(None, overrides, keys)
+        assert (by_doc is None) == (by_set is None)
+        if by_doc is None:
+            return
+        text = effective_yaml(by_doc)
+        assert effective_yaml(by_set) == text  # so both build the same scenario
+        assert effective_yaml(load_config(text)) == text
+        try:
+            build_scenario(by_doc)
+            build_sweep_axis(by_doc)
+        except ConfigError as exc:
+            assert_names_a_key(exc, keys)
 
 
 class TestCliModel:
@@ -610,6 +698,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("args,field", [
         (["--round", "-1"], "--round must be >= 0"),
         (["--set", "profile.path=/nonexistent/profile.yaml"], "profile.path"),
+        (["--set", "profile.path=no-such-profile"], "profile.path"),
+        (["--config", "no-such-config"], "cannot read --config 'no-such-config'"),
         (["--set", "energy.p_compute_w=true"], "energy.p_compute_w must be a number"),
         (["--set", "fleet.memory_mb=[true, 200]"], "fleet.memory_mb must be a number"),
         (["--set", "energy.p_compute_w=abc"], "energy.p_compute_w must be a number"),
@@ -622,6 +712,58 @@ class TestExitCodes:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
+
+    def test_files_without_a_yaml_suffix_are_read(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "myconf").write_text("sweep: {axis: energy, values: [1.0]}\n",
+                                         encoding="utf-8")
+        (tmp_path / "myprofile.txt").write_text(
+            resources.files("resplan").joinpath("data/synthetic_default.yaml").read_text(
+                encoding="utf-8"), encoding="utf-8")
+        rc = cli.main(["sweep", "--config", "myconf", "--set", "profile.path=myprofile.txt",
+                       "--output-dir", "out"] + FAST)
+        assert rc == 0, capsys.readouterr().err
+        assert (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1].startswith(
+            "energy_x1,")
+
+    @pytest.mark.parametrize("option", ["--config", "profile.path"])
+    def test_a_file_that_is_not_text_exits_two_naming_the_option(self, capsys, tmp_path,
+                                                                  option):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xb4\xff\x00")
+        source = (["--config", str(binary)] if option == "--config"
+                  else ["--set", f"profile.path={binary}"])
+        rc = cli.main(["solve", "--requests", "1", "--output", str(tmp_path / "x.json")]
+                      + source)
+        assert rc == 2
+        assert f"cannot read {option}" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("override,message", [
+        ("sweep.valuez=[1, 2]", "unknown sweep keys: ['valuez']"),
+        ("sweep.extra=3", "unknown sweep keys: ['extra']"),
+        ("sweep.axis=energy", "sweep needs both 'axis' and 'values'"),
+    ])
+    def test_sweep_overrides_are_checked_as_a_document_is(self, capsys, tmp_path,
+                                                          override, message):
+        rc = cli.main(["simulate", "--set", override, "--output-dir", str(tmp_path / "out")]
+                      + FAST)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("axis,field", [
+        ("energy", "energy_cap"), ("compute", "compute_cap"), ("rate", "mult_rate"),
+    ])
+    def test_sweep_multiplier_that_overflows_a_budget_exits_two(self, capsys, tmp_path,
+                                                                axis, field):
+        rc = cli.main(["sweep", "--set", f"sweep.axis={axis}",
+                       "--set", "sweep.values=[1.0, 1e308]",
+                       "--output-dir", str(tmp_path / "out")] + FAST)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sweep.values entry 1e+308" in err and f"{field} must be finite" in err
+        assert not (tmp_path / "out").exists()
 
     def test_fleet_over_the_memory_bound_exits_two(self, capsys, tmp_path, monkeypatch):
         # A per-round array bound that 11 devices meet and 12 do not.

@@ -108,7 +108,7 @@ class TestRateMatrix:
         rho = np.full((2, 2), 5.0)
         np.fill_diagonal(rho, 0.0)
         rm = RateMatrix(rho)
-        assert rm.n_devices == 2
+        assert rm.rho.shape == (2, 2)
         with pytest.raises(ValueError):
             rm.rho[0, 1] = 1.0
 

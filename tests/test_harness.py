@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from resplan.config import build_scenario, load_config
+from resplan.config import build_scenario, load_config, sweep_variants
 from resplan.errors import InfeasibleInstance
 from resplan.fleet import sample_rates, sample_requests
 from resplan.harness import (
@@ -141,7 +141,7 @@ class TestSweep:
     def test_variants_share_arrivals_and_get_axis_labels(self):
         config = scenario()
         axis = SweepAxis(kind="energy", values=(0.5, 1.0))
-        results = sweep(config, axis)
+        results = sweep(sweep_variants(config, axis))
         assert [r.label for r in results] == ["energy_x0.5", "energy_x1"]
         for rec_a, rec_b in zip(results[0].records, results[1].records):
             assert rec_a.n_requests == rec_b.n_requests
@@ -181,6 +181,8 @@ class TestSweep:
             SweepAxis(kind="energy", values=())
         with pytest.raises(ValueError, match="pairs"):
             SweepAxis(kind="weights", values=((0.5, 0.4, 0.1),))
+        with pytest.raises(ValueError, match="pairs, got 0.5"):
+            SweepAxis(kind="weights", values=(0.5,))
         with pytest.raises(ValueError, match="> 0"):
             SweepAxis(kind="energy", values=(0.0,))
         axis = SweepAxis(kind="weights", values=((1.0, 0.0), (0.5, 0.5)))

@@ -143,8 +143,8 @@ class TestObjectiveValue:
             assert close(got, want)
 
 
-def tight_instance(rng, slack=1.1):
-    """A resolved instance plus caps set to ``slack`` times its actual use."""
+def tight_instance(rng):
+    """A resolved instance plus caps set to 1.1 times its actual use."""
     graph = helpers.random_graph(rng, n_blocks=4)
     n_dev = 2
     fleet0 = helpers.random_fleet(rng, n_dev)
@@ -157,9 +157,9 @@ def tight_instance(rng, slack=1.1):
     fleet = Fleet(tuple(
         DeviceSpec(
             i + 1,
-            memory_cap=max(float(bd.memory_use[i]) * slack, 1.0),
-            compute_cap=max(float(bd.compute_use[i]) * slack, 1.0),
-            energy_cap=max(float(bd.energy[i]) * slack, 1e-9),
+            memory_cap=max(float(bd.memory_use[i]) * 1.1, 1.0),
+            compute_cap=max(float(bd.compute_use[i]) * 1.1, 1.0),
+            energy_cap=max(float(bd.energy[i]) * 1.1, 1e-9),
             mult_rate=fleet0.devices[i].mult_rate,
         )
         for i in range(n_dev)
@@ -174,7 +174,7 @@ class TestCheckConstraints:
         graph, fleet, rates, profile, assign, w = tight_instance(rng)
         report = check_constraints(assign, graph, fleet, rates, EnergyParams(),
                                    w, profile)
-        assert report.feasible and report.coverage_ok
+        assert report.feasible
         assert report.violations == ()
         assert (report.memory_margin >= 0).all()
         assert (report.compute_margin >= 0).all()
@@ -241,54 +241,18 @@ class TestCheckConstraints:
         assert report.accuracy_margin == -0.6
         assert not report.feasible
 
-    def test_multi_host_is_a_violation_and_each_host_pays_for_its_copy(self):
+    @pytest.mark.parametrize("hosts,count", [(1, 2), (0, 0)])
+    def test_unresolved_plan_raises_naming_request_and_block(self, hosts, count):
         rng = np.random.default_rng(9)
-        graph, fleet, rates, profile, assign, w = tight_instance(rng, slack=4.0)
-        x = np.array(assign.x)
-        x[0, :, 0] = 1  # give the stem a host on every device
-        doubled = Assignment(x, assign.y)
-        report = check_constraints(doubled, graph, fleet, rates, EnergyParams(),
-                                   w, profile)
-        assert not report.coverage_ok and not report.feasible
-        assert "request 0: block 1 has 2 hosts (coverage wants 1)" in report.violations
-        base = check_constraints(assign, graph, fleet, rates, EnergyParams(),
-                                 w, profile)
-        # Every device now pays for its own copy of block 1.
-        extra = np.array([oracles.block_compute(graph.blocks[0])] * 2, dtype=float)
-        old_use = fleet.compute_caps - base.compute_margin
-        new_use = fleet.compute_caps - report.compute_margin
-        for i in range(2):
-            if assign.x[0, i, 0]:
-                assert close(new_use[i], old_use[i])
-            else:
-                assert close(new_use[i], old_use[i] + extra[i])
-
-    def test_multi_host_plan_is_charged_no_transfer_energy(self):
-        # With no single host per block the transfers are undefined, so each
-        # device's energy is its compute time at p_compute alone.
-        rng = np.random.default_rng(12)
-        energy = EnergyParams()
-        graph, fleet, rates, profile, assign, w = tight_instance(rng, slack=4.0)
-        x = np.array(assign.x)
-        x[1, :, 0] = 1
-        report = check_constraints(Assignment(x, assign.y), graph, fleet, rates,
-                                   energy, w, profile)
-        assert not report.coverage_ok
-        load = fleet.compute_caps - report.compute_margin
-        joules = fleet.energy_caps - report.energy_margin
-        for i in range(2):
-            assert close(joules[i], energy.p_compute * load[i] / fleet.mult_rates[i])
-
-    def test_uncovered_block_reported(self):
-        rng = np.random.default_rng(10)
         graph, fleet, rates, profile, assign, w = tight_instance(rng)
         x = np.array(assign.x)
-        kept = np.flatnonzero(assign.y[0])[-1]
-        x[0, :, kept] = 0
-        report = check_constraints(Assignment(x, assign.y), graph, fleet, rates,
-                                   EnergyParams(), w, profile)
-        assert not report.coverage_ok
-        assert any("no host" in v for v in report.violations)
+        kept = np.flatnonzero(assign.y[1])[-1]
+        x[1, :, kept] = hosts  # every device, or none, hosts one kept block
+        with pytest.raises(ValueError, match=(
+                f"request 1 keeps block {kept + 1} on {count} hosts, not one "
+                r"\(see solvers.repair_allocation\)")):
+            check_constraints(Assignment(x, assign.y), graph, fleet, rates,
+                              EnergyParams(), w, profile)
 
     def test_as_dict_is_json_ready(self):
         import json
@@ -299,7 +263,7 @@ class TestCheckConstraints:
                                    w, profile)
         doc = json.loads(json.dumps(report.as_dict()))
         assert set(doc) == {
-            "feasible", "violations", "coverage_ok", "accuracy",
+            "feasible", "violations", "accuracy",
             "accuracy_margin", "memory_margin", "compute_margin", "energy_margin",
         }
         assert len(doc["memory_margin"]) == fleet.n_devices
