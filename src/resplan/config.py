@@ -9,6 +9,7 @@ an experiment.
 from __future__ import annotations
 
 import copy
+import functools
 import operator
 from dataclasses import replace
 from importlib import resources
@@ -85,7 +86,7 @@ def _merge(base: dict, user: dict, path: str) -> dict:
     for key, value in user.items():
         here = f"{path}.{key}" if path else key
         if key == "sweep" and not path:
-            out["sweep"] = _check_sweep(base["sweep"], value)
+            out["sweep"] = _check_sweep(base["sweep"], copy.deepcopy(value))
             continue
         if key not in base:
             raise ConfigError(f"unknown config key {here!r}")
@@ -95,8 +96,8 @@ def _merge(base: dict, user: dict, path: str) -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"{here} must be a mapping")
             out[key] = _merge(base[key], value, here)
-        else:
-            out[key] = value
+        else:  # a copy: a list held under two keys is not dumped as an alias
+            out[key] = copy.deepcopy(value)
     return out
 
 
@@ -209,8 +210,10 @@ def _as_real(value, name: str) -> float:
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
+@functools.cache
 def default_profile() -> AccuracyProfile:
-    """The packaged synthetic profile."""
+    """The packaged synthetic profile, read once and shared: its entries are
+    read-only."""
     path = resources.files("resplan").joinpath("data/synthetic_default.yaml")
     return load_profile(path.read_text(encoding="utf-8"))
 
@@ -282,6 +285,8 @@ def build_scenario(cfg: dict) -> ScenarioConfig:
                                         "weights.accuracy_threshold"),
         )
 
+        if isinstance(cfg["label"], (dict, list)):
+            raise ConfigError(f"label must be text, got {cfg['label']!r}")
         s, sc = cfg["solver"], cfg["scenario"]
         if s["kind"] not in ("ga", "exact"):
             raise ConfigError(f"solver.kind {s['kind']!r} unknown")

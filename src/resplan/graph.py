@@ -7,6 +7,7 @@ placement optimizer needs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -260,6 +261,7 @@ def _bottleneck_main(in_ch: int, width: int, out_ch: int, in_sp: int, out_sp: in
     )
 
 
+@functools.cache
 def build_resnet50(input_side: int = 224) -> ResNetGraph:
     """Standard ResNet-50 as 17 placement units: stem + 16 bottleneck blocks
     in stages of 3/4/6/3, with per-stage halving and width doubling.
@@ -269,6 +271,7 @@ def build_resnet50(input_side: int = 224) -> ResNetGraph:
     for the single- and two-block drops the accuracy study covers.  Only
     identity blocks are droppable: a convolutional block's projection changes
     the tensor shape, so skipping it would feed mismatched data downstream.
+    Built once per input size and shared; the graph is immutable.
     """
     if not 32 <= input_side <= 1024:
         raise ValueError("input_side must be within 32..1024")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import yaml
@@ -115,7 +116,7 @@ def load_profile(source) -> AccuracyProfile:
 
     ``source`` is anything ``read_source`` takes.  Rejects duplicate drop
     sets and anything violating the profile invariants; errors name the
-    offending entry.
+    offending entry.  The entries come back read-only.
     """
     text = read_source(source)
     try:
@@ -175,7 +176,7 @@ def load_profile(source) -> AccuracyProfile:
 
     return AccuracyProfile(
         baseline=baseline,
-        entries=entries,
+        entries=MappingProxyType(entries),
         source_label=str(doc["source_label"]),
         n_blocks=n_blocks,
         max_drop=max_drop,

@@ -43,11 +43,12 @@ Budget overruns are handled softly, as relative-violation penalties on the
 objective (times ``PENALTY_WEIGHT``).  ``solve_exact`` enumerates the same
 candidate space exhaustively for small instances, the reference the GA is
 compared against.  It grows the candidates as a prefix tree along each
-request's chain, extending the partial sums one kept block at a time.  Only
-the leaves within every compute and memory cap are scored, in bounded
-batches through ``_Evaluator._finish``, the last step of ``score``; the rest
-are infeasible and could not win.  Every candidate is still examined, and
-``evaluations`` counts them all.  Both solvers first run a
+request's chain, extending the partial sums one kept block at a time.  Load
+and memory only grow along a branch, so it is cut where it first goes over
+a compute or memory cap: what it would grow into is infeasible and could
+not win.  The leaves left are scored in bounded batches through
+``_Evaluator._finish``, the last step of ``score``; ``evaluations`` counts
+every candidate, cut ones too.  Both solvers first run a
 necessary-condition feasibility certificate.
 """
 from __future__ import annotations
@@ -734,80 +735,80 @@ def _tree_scores(ev: _Evaluator, batch: int):
     """Score the exact-solver candidates within the compute and memory caps,
     grown as a prefix tree along each request's chain of kept blocks; yields
     (penalized, objective, latency, feasible, candidate number) per batch of
-    leaves, nothing for a batch in which no leaf fits.  A skipped leaf is
-    one that ``_finish`` would flag infeasible.
+    leaves.  A cut candidate is one that ``_finish`` would flag infeasible.
 
     A node is a partial candidate.  Its state column holds the transfer
     latency, the summed accuracy and each device's load, memory and
     transmit time, all summed so far.  Each request branches over the drop
     sets at its first block; a kept block copies every node once per host
-    h, adds its load and memory on h and its transfer from the previous kept
-    block to the latency and the sender's transmit time.  Each sum grows in
-    (request, block) order from 0.0, as in ``score``, whose extra terms are
-    zeros, so each leaf scores bit for bit as ``score`` would.  A frontier
-    is (rows, L, F): segment s holds F nodes on host ``last[s]``, so each
-    array pass runs over contiguous nodes.  It grows breadth-first while it
-    fits ``batch`` nodes (at least N), then slice by slice, each slice's
-    leaves fitting a batch.
+    h, adds its load and memory on h and, from a different sender, its
+    transfer to the latency and the sender's transmit time.  Each sum grows
+    in (request, block) order from 0.0, as in ``score``, whose extra terms
+    are zeros, so each leaf scores bit for bit as ``score`` would.  Load
+    and memory only grow along a branch, so a child is cut where its host
+    first goes over a compute or memory cap, by the test ``_finish`` makes
+    (use / cap > 1.0).  The frontier is one group of nodes per host of the
+    last kept block, (host, state, numbers).  It grows breadth-first while
+    N times its size fits ``batch`` nodes (at least N), otherwise group by
+    group in slices of ``batch // N`` nodes, so no batch exceeds ``batch``.
     """
     r, n = ev.n_requests, ev.n_devices
     kept = [np.flatnonzero(k) for k in ev.keep]
     sizes = [n ** k.size for k in kept]
     per_request, offsets = sum(sizes), np.cumsum([0] + sizes)
     width = 2 + 3 * n  # rows 2 + 3h to 4 + 3h: device h's load, memory, transmit
-    hosts = np.arange(n)
-    adds = np.stack([ev.c, ev.m], axis=1)[:, :, None, None]
-    seconds = ev.bits[:, None, None] / ev.rho_off.reshape(n, n).T  # [block, receiver, sender]
+    seconds = ev.bits[:, None, None] / ev.rho_off.reshape(n, n)  # [block, sender, receiver]
 
-    def place(state, last, num, d, i):
-        """Kept block i of drop set d on each host h: children (rows, h, L, F)."""
-        k = kept[d]
-        child = np.repeat(state[:, None], n, axis=1)
-        for h in range(n):
-            child[2 + 3 * h:4 + 3 * h, h] += adds[k[i]]
-        if i:
-            sec = seconds[k[i - 1]].take(last, axis=1)[:, :, None]  # (h, L, 1)
-            child[0] += sec
-            for s, sender in enumerate(last):
-                child[4 + 3 * sender, :, s] += sec[:, s]
-        return (child.reshape(width, n, -1), hosts,
-                (num + hosts[:, None, None] * n ** (k.size - 1 - i)).reshape(n, -1))
+    def place(groups, d, i):
+        """Kept block i of drop set d on each host: the children's groups."""
+        j, weight = kept[d][i], n ** (kept[d].size - 1 - i)
+        parts = [([], []) for _h in range(n)]
+        for g, state, num in groups:
+            load, mem = state[2::3] + ev.c[j], state[3::3] + ev.m[j]
+            fit = (load / ev.caps[:, 0] <= 1.0) & (mem / ev.caps[:, 1] <= 1.0)
+            for h, idx in enumerate(map(np.flatnonzero, fit)):
+                if idx.size:
+                    child = state.take(idx, axis=1)
+                    child[2 + 3 * h], child[3 + 3 * h] = load[h].take(idx), mem[h].take(idx)
+                    if i and g != h:  # the sender pays; a same-device transfer adds 0.0
+                        sec = seconds[kept[d][i - 1], g, h]
+                        child[0] += sec
+                        child[4 + 3 * g] += sec
+                    parts[h][0].append(child)
+                    parts[h][1].append(num.take(idx) + h * weight)
+        return [(h, np.concatenate(s, axis=1), np.concatenate(u))
+                for h, (s, u) in enumerate(parts) if u]
 
-    def enter(state, last, num, q):
+    def enter(groups, q):
         for d in range(len(kept)):
-            branch = state.copy()
-            branch[1] += ev.acc[d]
-            yield from grow(branch, last, num * per_request + offsets[d], q, d, 0)
+            branch = [(h, state.copy(), num * per_request + offsets[d])
+                      for h, state, num in groups]
+            for _h, state, _num in branch:
+                state[1] += ev.acc[d]
+            yield from grow(branch, q, d, 0)
 
-    def grow(state, last, num, q, d, i):
+    def grow(groups, q, d, i):
         k = kept[d].size
-        while i < k and num.size * n <= batch:
-            state, last, num = place(state, last, num, d, i)
+        while i < k and 0 < sum(num.size for *_, num in groups) * n <= batch:
+            groups = place(groups, d, i)
             i += 1
+        if not groups:
+            return
         if i < k:
-            step = max(1, batch // (n ** (k - i) * per_request ** (r - 1 - q)))
-            for s in range(last.size):
-                for lo in range(0, num.shape[1], step):
-                    yield from grow(state[:, s:s + 1, lo:lo + step], last[s:s + 1],
-                                    num[s:s + 1, lo:lo + step], q, d, i)
+            step = max(1, batch // n)
+            for h, state, num in groups:
+                for lo in range(0, num.size, step):
+                    yield from grow([(h, state[:, lo:lo + step], num[lo:lo + step])], q, d, i)
         elif q + 1 < r:
-            yield from enter(state, last, num, q + 1)
+            yield from enter(groups, q + 1)
         else:
-            # Only leaves within every compute and memory cap go on: these
-            # rows are complete sums, and ``_finish`` flags a leaf infeasible
-            # when use / cap - 1.0 > 0, exactly when use / cap > 1.0.
-            leaves = state.reshape(width, -1)
-            over = (leaves[2:].reshape(n, 3, -1)[:, :2] / ev.caps[:, :2] > 1.0).any(axis=(0, 1))
-            fit = np.flatnonzero(~over)
-            if fit.size == 0:
-                return
-            leaves = leaves.take(fit, axis=1)
-            terms = np.empty((1 + n, fit.size))
+            leaves = np.concatenate([state for _h, state, _num in groups], axis=1)
+            terms = np.empty((1 + n, leaves.shape[1]))
             terms[0] = leaves[0]
             yield ev._finish(terms, leaves[2::3].T, leaves[3::3].T, leaves[4::3].T,
-                             leaves[1]) + (num.reshape(-1).take(fit),)
+                             leaves[1]) + (np.concatenate([num for *_, num in groups]),)
 
-    yield from enter(np.zeros((width, 1, 1)), hosts[:1], np.zeros((1, 1), dtype=np.int64), 0)
+    yield from enter([(0, np.zeros((width, 1)), np.zeros(1, dtype=np.int64))], 0)
 
 
 def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
@@ -821,11 +822,11 @@ def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     count when the space exceeds the limit.  Candidates are numbered in
     enumeration order (drop sets in projection order, then hosts with the
     last kept block varying fastest, the last request fastest of all).  They
-    are grown as a prefix tree (``_tree_scores``); the leaves within every
-    compute and memory cap share the GA's last scoring step, batch by batch,
-    and the others, all infeasible, are skipped.  ``evaluations`` counts
-    every candidate examined.  Only the winner's number is decoded into
-    hosts.  Returns the true optimum, the earliest candidate among equals,
+    are grown as a prefix tree (``_tree_scores``) that cuts a branch where it
+    first goes over a compute or memory cap, so only infeasible candidates
+    are cut; the leaves left share the GA's last scoring step, batch by
+    batch.  ``evaluations`` counts every candidate, cut ones too.  Only the
+    winner's number is decoded into hosts.  Returns the true optimum, the earliest candidate among equals,
     or raises InfeasibleInstance when the certificate rules every candidate
     out or none in the space is feasible.
     """
@@ -848,7 +849,10 @@ def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
         ok = np.flatnonzero(feas)
         if ok.size == 0:
             continue
-        i = ok[np.lexsort((num[ok], lat[ok], wo[ok]))[0]]
+        for col in (wo, lat, num):  # the lowest objective, then latency, then number
+            low = col.take(ok)
+            ok = ok[low == low.min()]
+        i = ok[0]
         if best is None or (wo[i], lat[i], num[i]) < best:
             best = (wo[i], lat[i], num[i])
     if best is None:

@@ -116,6 +116,23 @@ class TestLoadConfig:
                           overrides=("solver.elite=2",))
         assert yaml.safe_load(effective_yaml(cfg)) == cfg
 
+    def test_a_list_held_under_two_keys_is_copied_not_aliased(self):
+        # One list object under three keys, from a dict and from YAML
+        # anchors: the effective YAML writes each out, with no anchor (&) or
+        # alias (*), and reloads to an equal config that shares nothing with
+        # the document.
+        shared = [0.5, 1.0]
+        doc = {"fleet": {"memory_mb": shared, "energy_j": shared},
+               "sweep": {"axis": "energy", "values": shared}}
+        text = ("fleet: {memory_mb: &v [0.5, 1.0], energy_j: *v}\n"
+                "sweep: {axis: energy, values: *v}\n")
+        for cfg in (load_config(doc), load_config(text)):
+            out = effective_yaml(cfg)
+            assert "&" not in out and "*" not in out
+            assert load_config(out) == cfg == load_config(doc)
+            assert cfg["fleet"]["memory_mb"] is not cfg["fleet"]["energy_j"]
+            assert cfg["sweep"]["values"] is not shared
+
 
 class TestBuildScenario:
     def test_unit_conversions(self):
@@ -197,6 +214,37 @@ class TestBuildScenario:
     def test_memory_mode_flows_to_the_scenario(self):
         sc = build_scenario(load_config({"model": {"memory_mode": "weights"}}))
         assert sc.memory_mode == "weights"
+
+    def test_graph_and_shipped_profile_are_built_once_and_shared(self, tmp_path):
+        from resplan.profile import save_profile
+
+        first, again = build_scenario(load_config()), build_scenario(load_config())
+        assert first.graph is again.graph and first.profile is again.profile
+        with pytest.raises(TypeError):
+            first.profile.entries[frozenset({3})] = first.profile.entries[frozenset()]
+        assert first.profile.accuracy_for({3}) == 0.9
+        # A profile.path file is read on every build, so an edit shows.
+        p = tmp_path / "prof.yaml"
+        save_profile(default_profile(), p)
+        cfg = load_config({"profile": {"path": str(p)}})
+        assert build_scenario(cfg).profile.accuracy_for({3}) == 0.9
+        text = p.read_text(encoding="utf-8")
+        edited = text.replace("- drop: [3]\n    accuracy: 0.9\n",
+                              "- drop: [3]\n    accuracy: 0.85\n")
+        assert edited != text
+        p.write_text(edited, encoding="utf-8")
+        assert build_scenario(cfg).profile.accuracy_for({3}) == 0.85
+
+    @pytest.mark.parametrize("label,text", [
+        ("run-7", "run-7"), (7, "7"), (2.5, "2.5"), (None, "None"), (True, "True"),
+    ])
+    def test_scalar_labels_keep_their_text(self, label, text):
+        assert build_scenario(load_config({"label": label})).label == text
+
+    @pytest.mark.parametrize("label", [{"x": 3}, ["a", "b"], []])
+    def test_mapping_and_list_labels_are_config_errors(self, label):
+        with pytest.raises(ConfigError, match="label must be text"):
+            build_scenario(load_config({"label": label}))
 
 
 class TestBuildSweepAxis:
@@ -373,6 +421,38 @@ class TestConfigSpace:
             rows = (out / "rounds.csv").read_text().splitlines()[1:]
             if summary["solved_rounds"]:
                 assert all(math.isfinite(float(v)) for v in rows[0].split(","))
+
+
+# The keys whose value is text, and values of every YAML kind for them.
+STRING_KEYS = ("label", "model.memory_mode", "solver.kind")
+_TEXT_VALUES = st.one_of(
+    st.sampled_from(("inputs", "weights", "both", "ga", "exact", "", "GA")),
+    st.text(max_size=6), st.none(), st.booleans(), st.integers(), st.floats(),
+    st.lists(st.text(max_size=3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+class TestStringKeys:
+    """Every value of a text config key either builds a scenario, which
+    keeps a label's text as ``str`` gives it, or is a ConfigError that names
+    the key."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(key=st.sampled_from(STRING_KEYS), value=_TEXT_VALUES)
+    @example(key="label", value={"x": 3})  # exited 0: str() took the mapping
+    @example(key="label", value=["a"])  # exited 0 as well
+    @example(key="model.memory_mode", value=["inputs"])
+    @example(key="solver.kind", value={"ga": 1})
+    def test_text_keys_build_or_name_the_key(self, key, value):
+        doc = _document([(key, value)]) if "." in key else {key: value}
+        try:
+            sc = build_scenario(load_config(doc))
+        except ConfigError as exc:
+            assert_names_a_key(exc, {key})
+            return
+        assert not isinstance(value, (dict, list))
+        if key == "label":
+            assert sc.label == str(value)
 
 
 def _dotted_keys(node, path=""):
@@ -705,6 +785,8 @@ class TestExitCodes:
         (["--set", "energy.p_compute_w=abc"], "energy.p_compute_w must be a number"),
         (["--set", "solver.population_size=30000000", "--set", "fleet.devices=1"],
          "population_size=30000000 draws"),
+        (["--set", "label={x: 3}"], "label must be text"),
+        (["--set", "label=[a, b]"], "label must be text"),
     ])
     def test_bad_values_exit_two_naming_them(self, capsys, tmp_path, args, field):
         rc = cli.main(["solve", "--requests", "1", "--output", str(tmp_path / "x.json")]

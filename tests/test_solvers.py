@@ -580,21 +580,32 @@ class TestExactSolver:
         assert got.feasible
         np.testing.assert_array_equal(got.assignment.hosts(0), [0, 1, 1])
 
+    @pytest.mark.parametrize("caps", ["both", "first", "memory"])
     @pytest.mark.parametrize("r,n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
-    def test_tree_leaves_score_as_score_bit_for_bit(self, monkeypatch, r, n):
+    def test_tree_leaves_score_as_score_bit_for_bit(self, monkeypatch, r, n, caps):
         # The leaves the prefix tree scores, at the default batch and at
         # batches of seven leaves (frontier slices, also across request
         # boundaries), are exactly the candidates within every compute and
         # memory cap of a test-side enumeration, each scored as ``score``
-        # scores it; every skipped candidate is infeasible.
+        # scores it; every cut candidate is infeasible.
         rng = np.random.default_rng(100 * r + 10 * n + 1)
         graph = helpers.random_graph(rng, n_blocks=5 - r)
         c, mem, _bits = block_arrays(graph)
         # Caps at 0.6 of every request's full load (energy: its compute
         # alone), so some placements overrun and the penalty reads each sum.
+        # "first": only device 1 has tight caps, half the stem's compute (a
+        # stem without multiplications is cut by memory alone) and memory,
+        # so they cut at the first kept block; it can host little, so the
+        # energy caps are 0.8 there, which leaves some plans feasible.
+        # "memory": compute is abundant and the memory caps cut alone.
         speed = rng.uniform(1e5, 1e6, size=n)
-        fleet = Fleet(tuple(DeviceSpec(i + 1, 0.6 * r * mem.sum(), 0.6 * r * c.sum(),
-                                       0.6 * EnergyParams().p_compute * r * c.sum() / speed[i],
+        comp_caps = np.full(n, 0.6 * r * c.sum() if caps == "both" else 1e12)
+        mem_caps = np.full(n, 1e12 if caps == "first" else 0.6 * r * mem.sum())
+        share = 0.6
+        if caps == "first":
+            comp_caps[0], mem_caps[0], share = 0.5 * c[0] or 1.0, 0.5 * mem[0], 0.8
+        fleet = Fleet(tuple(DeviceSpec(i + 1, mem_caps[i], comp_caps[i],
+                                       share * EnergyParams().p_compute * r * c.sum() / speed[i],
                                        float(speed[i])) for i in range(n)))
         rates = RateMatrix(rng.uniform(1e2, 1e4, size=(n, n)))  # asymmetric links
         profile = helpers.profile_for(graph, helpers.bridgeable_drop_sets(graph))
@@ -640,6 +651,47 @@ class TestExactSolver:
                                     ent[earliest * r:(earliest + 1) * r])
             np.testing.assert_array_equal(got.assignment.x, best.x)
             np.testing.assert_array_equal(got.assignment.y, best.y)
+
+    def test_two_rate_draws_score_the_same_candidates(self):
+        # The benchmark-shaped instance: ResNet-50 on two devices at the
+        # default caps, one request.  The tree cuts on compute and memory,
+        # which the fleet fixes, and not on energy, which the link rates
+        # move, so every rate draw scores the same candidates.
+        sc = build_scenario(load_config(overrides=("fleet.devices=2",)))
+        scored, rhos = [], []
+        for k in (0, 1):
+            rates = sample_rates(2, sc.rate_lo, sc.rate_hi, round_seeds(sc.seed, k)[1], k)
+            ev = _Evaluator(sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy, 1)
+            batch = max(2, solvers._CHUNK_CELLS // (2 * ev.n_blocks))
+            scored.append(np.concatenate([out[4] for out in solvers._tree_scores(ev, batch)]))
+            rhos.append(rates.rho)
+        assert (rhos[0] != rhos[1]).any()
+        assert sum(2 ** int(k) for k in ev.keep.sum(axis=1)) == 1_179_648
+        assert scored[0].size == 211_924
+        np.testing.assert_array_equal(np.sort(scored[0]), np.sort(scored[1]))
+
+    @pytest.mark.parametrize("order", ["as made", "reversed", "split"])
+    def test_winner_is_the_lowest_objective_then_latency_then_number(self, monkeypatch,
+                                                                     order):
+        # Leaves made up here for a three-block chain on two devices (eight
+        # candidates).  The lowest objective, 0.1, is infeasible; four
+        # feasible leaves tie at 0.2, two of those on the lowest latency,
+        # 2.0, and the lower number of the two, 5, wins: hosts [2, 1, 2].
+        num = np.array([7, 6, 5, 1, 0, 4])
+        wo = np.array([0.2, 0.2, 0.2, 0.1, 0.3, 0.2])
+        lat = np.array([3.0, 2.0, 2.0, 0.0, 1.0, 2.5])
+        feas = np.array([True, True, True, False, True, True])
+        cols = (wo, wo, lat, feas, num)
+        if order == "reversed":
+            cols = tuple(col[::-1] for col in cols)
+        parts = [slice(0, 2), slice(2, None)] if order == "split" else [slice(None)]
+        monkeypatch.setattr(solvers, "_tree_scores",
+                            lambda ev, batch: (tuple(col[p] for col in cols) for p in parts))
+        graph = chain3()
+        got = solve_exact(graph, fleet_with_rates([1e5, 1e5]), RateMatrix(np.full((2, 2), 1e3)),
+                          helpers.profile_for(graph, []),
+                          ObjectiveWeights(0.5, 0.5, latency_ref=100.0), EnergyParams(), 1)
+        np.testing.assert_array_equal(got.assignment.hosts(0), [1, 0, 1])
 
     @pytest.mark.parametrize("spare", [1e12, 0.5])
     def test_a_plan_exactly_at_a_cap_is_scored_and_one_ulp_over_is_not(
