@@ -826,9 +826,9 @@ def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     first goes over a compute or memory cap, so only infeasible candidates
     are cut; the leaves left share the GA's last scoring step, batch by
     batch.  ``evaluations`` counts every candidate, cut ones too.  Only the
-    winner's number is decoded into hosts.  Returns the true optimum, the earliest candidate among equals,
-    or raises InfeasibleInstance when the certificate rules every candidate
-    out or none in the space is feasible.
+    winner's number is decoded into hosts.  Returns the true optimum, the
+    earliest candidate among equals, or raises InfeasibleInstance when the
+    certificate rules every candidate out or none in the space is feasible.
     """
     t0 = time.perf_counter()
     ev = _Evaluator(graph, fleet, rates, profile, weights, energy, n_requests,
