@@ -166,9 +166,16 @@ def load_config(source=None, overrides=(), seed=None) -> dict:
     return cfg
 
 
+class _NoAliasDumper(yaml.SafeDumper):
+    """Writes a value held twice out in full each time, with no anchor or alias."""
+
+    def ignore_aliases(self, data):
+        return True
+
+
 def effective_yaml(cfg: dict) -> str:
     """Deterministic dump of the fully resolved config (round-trips)."""
-    return yaml.safe_dump(cfg, sort_keys=True, default_flow_style=False)
+    return yaml.dump(cfg, Dumper=_NoAliasDumper, sort_keys=True, default_flow_style=False)
 
 
 def _as_list(value, name: str) -> list[float]:

@@ -84,6 +84,19 @@ def objective_value(latency: float, accuracy: float, n_requests: int,
     return weights.alpha * lat_term + weights.beta * (1.0 - accuracy)
 
 
+def latency_budget(value: float, accuracy: float, n_requests: int,
+                   weights: ObjectiveWeights) -> float:
+    """``objective_value`` inverted in latency: the latency at which this
+    mean accuracy scores ``value``, so any latency above it scores above
+    ``value``.  Where latency has no weight the objective is the accuracy
+    term alone, and the budget is inf when that is at most ``value``, else
+    -inf."""
+    rest = value - weights.beta * (1.0 - accuracy)
+    if n_requests == 0 or weights.alpha == 0.0:
+        return math.inf if rest >= 0.0 else -math.inf
+    return rest * n_requests * weights.latency_ref / weights.alpha
+
+
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Constraint-by-constraint verdict with per-device margins.

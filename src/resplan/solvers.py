@@ -46,10 +46,14 @@ compared against.  It grows the candidates as a prefix tree along each
 request's chain, extending the partial sums one kept block at a time.  Load
 and memory only grow along a branch, so it is cut where it first goes over
 a compute or memory cap: what it would grow into is infeasible and could
-not win.  The leaves left are scored in bounded batches through
-``_Evaluator._finish``, the last step of ``score``; ``evaluations`` counts
-every candidate, cut ones too.  Both solvers first run a
-necessary-condition feasibility certificate.
+not win.  It is also cut by branch and bound: once a feasible leaf is
+scored, a branch whose lower bound on the objective is above the best one
+so far cannot hold the optimum.  The leaves left are scored in bounded
+batches through ``_Evaluator._finish``, the last step of ``score``;
+``evaluations`` counts every candidate, cut ones too.  With the bound, a
+one-request round on the shipped 10-device fleet (2.28e17 candidates)
+solves in well under a second once ``max_candidates`` allows it.  Both
+solvers first run a necessary-condition feasibility certificate.
 """
 from __future__ import annotations
 
@@ -63,7 +67,8 @@ from .costs import (Assignment, CostBreakdown, _ordered_sum, chain_costs, chain_
 from .errors import InfeasibleInstance, InstanceTooLarge, UnbridgeableDrop, UncoveredBlock
 from .fleet import EnergyParams, Fleet, RateMatrix
 from .graph import ResNetGraph, block_arrays, effective_edges
-from .objective import FeasibilityReport, ObjectiveWeights, check_constraints, objective_value
+from .objective import (FeasibilityReport, ObjectiveWeights, check_constraints, latency_budget,
+                        objective_value)
 from .profile import AccuracyProfile, allowed_drop_sets
 
 
@@ -159,12 +164,20 @@ def chromosome_length(n_requests: int, n_devices: int, n_blocks: int) -> int:
 # Unpacking chromosomes, building the repair's table columns and scoring
 # (about 16 arrays of N floats per individual) count individuals x requests
 # x devices x blocks cells, and so does a batch of the exact solver's tree
-# leaves (2 + 3N floats each).  A 100-individual generation on a 10-device
+# leaves (1 + 3N floats each).  A 100-individual generation on a 10-device
 # fleet fits one such chunk up to 7 requests, so a round's cost there grows
 # with its request count alone.  The repair's block pass counts rows x
 # blocks x device chunks, far fewer: one pass covers a 100-individual
 # generation up to 77 requests on 10 devices and up to 8 on 70.
 _CHUNK_CELLS = 1 << 17
+
+# The exact solver numbers its candidates in int64.
+_MAX_NUMBER = np.iinfo(np.int64).max
+
+# The exact solver cuts a branch whose bound on the objective is above the
+# best one found raised by this share of it: far above the rounding by which
+# two float sums of the same latency terms, in another order, can differ.
+_BOUND_SLACK = 1e-9
 
 # The most bytes a round's per-fleet arrays, or a GA population, may take.
 MEMORY_BOUND = 1 << 30
@@ -732,65 +745,95 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
 
 
 def _tree_scores(ev: _Evaluator, batch: int):
-    """Score the exact-solver candidates within the compute and memory caps,
-    grown as a prefix tree along each request's chain of kept blocks; yields
+    """Score the exact-solver candidates that could still win, grown as a
+    prefix tree along each request's chain of kept blocks; yields
     (penalized, objective, latency, feasible, candidate number) per batch of
-    leaves.  A cut candidate is one that ``_finish`` would flag infeasible.
+    leaves.  A cut candidate is one that ``_finish`` would flag infeasible,
+    or one whose objective is above that of a feasible leaf already yielded.
 
     A node is a partial candidate.  Its state column holds the transfer
-    latency, the summed accuracy and each device's load, memory and
-    transmit time, all summed so far.  Each request branches over the drop
+    latency and each device's load, memory and transmit time, all summed so
+    far; the accuracy summed so far is one scalar per call of ``grow``, as
+    its nodes share their drop sets.  Each request branches over the drop
     sets at its first block; a kept block copies every node once per host
     h, adds its load and memory on h and, from a different sender, its
     transfer to the latency and the sender's transmit time.  Each sum grows
     in (request, block) order from 0.0, as in ``score``, whose extra terms
-    are zeros, so each leaf scores bit for bit as ``score`` would.  Load
-    and memory only grow along a branch, so a child is cut where its host
-    first goes over a compute or memory cap, by the test ``_finish`` makes
-    (use / cap > 1.0).  The frontier is one group of nodes per host of the
-    last kept block, (host, state, numbers).  It grows breadth-first while
-    N times its size fits ``batch`` nodes (at least N), otherwise group by
-    group in slices of ``batch // N`` nodes, so no batch exceeds ``batch``.
+    are zeros, so each leaf scores bit for bit as ``score`` would.
+
+    Two cuts apply to each child.  Load and memory only grow along a
+    branch, so a child is cut where its host first goes over a compute or
+    memory cap, by the test ``_finish`` makes (use / cap > 1.0).  And once
+    a feasible leaf has been yielded, the lowest such objective is the
+    incumbent, and a child is cut when every leaf below it must score above
+    the incumbent (branch and bound).  A leaf's accuracy sum is at most the
+    sum so far plus the best drop set's for each later request, added in
+    order as the leaf adds them, so this bound holds in floats too.  Its
+    latency is at least the transfers so far, each device's compute time so
+    far, and the compute still to place at the fastest device's rate: the
+    rest of this chain and, per later request, the least any drop set keeps.
+    The child is cut when that latency is above ``latency_budget``'s for
+    that accuracy and the incumbent raised by ``_BOUND_SLACK`` of itself.
+    The latency bound adds its terms in another order than the leaf does,
+    and the slack is far above the rounding that can cost.  So a leaf that
+    ties the incumbent is never cut, and the earliest optimum is always
+    scored.
+
+    The frontier is one group of nodes per host of the last kept block,
+    (host, state, numbers).  It grows breadth-first while N times its size
+    fits ``batch`` nodes (at least N), otherwise group by group in slices of
+    ``batch // N`` nodes, so no batch exceeds ``batch``.
     """
     r, n = ev.n_requests, ev.n_devices
     kept = [np.flatnonzero(k) for k in ev.keep]
     sizes = [n ** k.size for k in kept]
     per_request, offsets = sum(sizes), np.cumsum([0] + sizes)
-    width = 2 + 3 * n  # rows 2 + 3h to 4 + 3h: device h's load, memory, transmit
+    width = 1 + 3 * n  # rows 1 + 3h to 3 + 3h: device h's load, memory, transmit
     seconds = ev.bits[:, None, None] / ev.rho_off.reshape(n, n)  # [block, sender, receiver]
+    # For the bound: per drop set and kept block, the compute after it on
+    # the chain; per later request, the least compute and the best accuracy.
+    after = [np.append(np.cumsum(ev.c[k][::-1])[::-1][1:], 0.0) for k in kept]
+    least_c, best_acc, fastest = ev.kept_c.sum(axis=1).min(), ev.acc.max(), ev.e.max()
+    cutoff = np.inf
 
-    def place(groups, d, i):
+    def place(groups, q, d, acc, i):
         """Kept block i of drop set d on each host: the children's groups."""
         j, weight = kept[d][i], n ** (kept[d].size - 1 - i)
+        top = acc  # each later request at the best accuracy, added in order as leaves add
+        for _q in range(q + 1, r):
+            top += best_acc
+        budget = latency_budget(cutoff, top / r, r, ev.weights)
+        own = ev.c[j] / ev.e + (after[d][i] + (r - 1 - q) * least_c) / fastest
         parts = [([], []) for _h in range(n)]
         for g, state, num in groups:
-            load, mem = state[2::3] + ev.c[j], state[3::3] + ev.m[j]
+            load, mem = state[1::3] + ev.c[j], state[2::3] + ev.m[j]
             fit = (load / ev.caps[:, 0] <= 1.0) & (mem / ev.caps[:, 1] <= 1.0)
+            if budget < np.inf:  # the latency bound of each child, (host, node)
+                fit &= (state[0] + (state[1::3] / ev.e[:, None]).sum(axis=0)
+                        + (own + (seconds[kept[d][i - 1], g] if i else 0.0))[:, None]) <= budget
             for h, idx in enumerate(map(np.flatnonzero, fit)):
                 if idx.size:
                     child = state.take(idx, axis=1)
-                    child[2 + 3 * h], child[3 + 3 * h] = load[h].take(idx), mem[h].take(idx)
+                    child[1 + 3 * h], child[2 + 3 * h] = load[h].take(idx), mem[h].take(idx)
                     if i and g != h:  # the sender pays; a same-device transfer adds 0.0
                         sec = seconds[kept[d][i - 1], g, h]
                         child[0] += sec
-                        child[4 + 3 * g] += sec
+                        child[3 + 3 * g] += sec
                     parts[h][0].append(child)
                     parts[h][1].append(num.take(idx) + h * weight)
         return [(h, np.concatenate(s, axis=1), np.concatenate(u))
                 for h, (s, u) in enumerate(parts) if u]
 
-    def enter(groups, q):
+    def enter(groups, q, acc):
         for d in range(len(kept)):
-            branch = [(h, state.copy(), num * per_request + offsets[d])
-                      for h, state, num in groups]
-            for _h, state, _num in branch:
-                state[1] += ev.acc[d]
-            yield from grow(branch, q, d, 0)
+            yield from grow([(h, state, num * per_request + offsets[d])
+                             for h, state, num in groups], q, d, acc + ev.acc[d], 0)
 
-    def grow(groups, q, d, i):
+    def grow(groups, q, d, acc, i):
+        nonlocal cutoff
         k = kept[d].size
         while i < k and 0 < sum(num.size for *_, num in groups) * n <= batch:
-            groups = place(groups, d, i)
+            groups = place(groups, q, d, acc, i)
             i += 1
         if not groups:
             return
@@ -798,17 +841,22 @@ def _tree_scores(ev: _Evaluator, batch: int):
             step = max(1, batch // n)
             for h, state, num in groups:
                 for lo in range(0, num.size, step):
-                    yield from grow([(h, state[:, lo:lo + step], num[lo:lo + step])], q, d, i)
+                    yield from grow([(h, state[:, lo:lo + step], num[lo:lo + step])],
+                                    q, d, acc, i)
         elif q + 1 < r:
-            yield from enter(groups, q + 1)
+            yield from enter(groups, q + 1, acc)
         else:
             leaves = np.concatenate([state for _h, state, _num in groups], axis=1)
             terms = np.empty((1 + n, leaves.shape[1]))
             terms[0] = leaves[0]
-            yield ev._finish(terms, leaves[2::3].T, leaves[3::3].T, leaves[4::3].T,
-                             leaves[1]) + (np.concatenate([num for *_, num in groups]),)
+            out = ev._finish(terms, leaves[1::3].T, leaves[2::3].T, leaves[3::3].T,
+                             np.full(leaves.shape[1], acc))
+            wo = out[1][out[3]]
+            if wo.size:
+                cutoff = min(cutoff, (1.0 + _BOUND_SLACK) * wo.min())
+            yield out + (np.concatenate([num for *_, num in groups]),)
 
-    yield from enter([(0, np.zeros((width, 1)), np.zeros(1, dtype=np.int64))], 0)
+    yield from enter([(0, np.zeros((width, 1)), np.zeros(1, dtype=np.int64))], 0, 0.0)
 
 
 def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
@@ -818,16 +866,20 @@ def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
                 memory_mode: str = "inputs") -> SolveResult:
     """Exhaustive search over per-request drop sets and placements.
 
-    Only practical for toy instances; InstanceTooLarge names the candidate
-    count when the space exceeds the limit.  Candidates are numbered in
-    enumeration order (drop sets in projection order, then hosts with the
-    last kept block varying fastest, the last request fastest of all).  They
-    are grown as a prefix tree (``_tree_scores``) that cuts a branch where it
-    first goes over a compute or memory cap, so only infeasible candidates
-    are cut; the leaves left share the GA's last scoring step, batch by
-    batch.  ``evaluations`` counts every candidate, cut ones too.  Only the
-    winner's number is decoded into hosts.  Returns the true optimum, the
-    earliest candidate among equals, or raises InfeasibleInstance when the
+    InstanceTooLarge names the candidate count when the space exceeds the
+    limit, or the 2**63 - 1 that int64 candidate numbers can reach, whatever
+    the limit.  Candidates are numbered in enumeration order (drop sets in
+    projection order, then hosts with the last kept block varying fastest,
+    the last request fastest of all).  They are grown as a prefix tree
+    (``_tree_scores``) that cuts a branch where it first goes over a compute
+    or memory cap, or where its bound on the objective is above the best
+    feasible leaf scored so far, so only candidates that cannot win are cut;
+    the leaves left share the GA's last scoring step, batch by batch.  One
+    request on the shipped 10-device fleet is practical with
+    ``max_candidates`` raised to 1e18; several requests on it are not.
+    ``evaluations`` counts every candidate, cut ones too.  Only the winner's
+    number is decoded into hosts.  Returns the true optimum, the earliest
+    candidate among equals, or raises InfeasibleInstance when the
     certificate rules every candidate out or none in the space is feasible.
     """
     t0 = time.perf_counter()
@@ -842,6 +894,8 @@ def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     total = per_request ** r
     if total > limits.max_candidates:
         raise InstanceTooLarge(total, limits.max_candidates)
+    if total > _MAX_NUMBER:
+        raise InstanceTooLarge(total, _MAX_NUMBER, "enumeration size (int64 candidate numbers)")
     _feasibility_certificate(ev)
 
     best = None

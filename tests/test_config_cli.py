@@ -133,6 +133,16 @@ class TestLoadConfig:
             assert cfg["fleet"]["memory_mb"] is not cfg["fleet"]["energy_j"]
             assert cfg["sweep"]["values"] is not shared
 
+    def test_a_list_held_twice_in_one_value_is_written_twice(self):
+        # One list held twice inside one sweep value survives the copy as
+        # one object; the effective YAML still writes it out twice.
+        cfg = load_config("sweep: {axis: weights, values: [&w [0.5, 0.5], *w]}")
+        assert cfg["sweep"]["values"][0] is cfg["sweep"]["values"][1]
+        out = effective_yaml(cfg)
+        assert "&" not in out and "*" not in out
+        assert out.count("- 0.5") == 4
+        assert load_config(out) == cfg
+
 
 class TestBuildScenario:
     def test_unit_conversions(self):

@@ -585,9 +585,11 @@ class TestExactSolver:
     def test_tree_leaves_score_as_score_bit_for_bit(self, monkeypatch, r, n, caps):
         # The leaves the prefix tree scores, at the default batch and at
         # batches of seven leaves (frontier slices, also across request
-        # boundaries), are exactly the candidates within every compute and
-        # memory cap of a test-side enumeration, each scored as ``score``
-        # scores it; every cut candidate is infeasible.
+        # boundaries), are candidates within every compute and memory cap of
+        # a test-side enumeration, each scored once and as ``score`` scores
+        # it.  Every candidate left out is infeasible or scores above the
+        # optimum, the winner is the earliest optimum, and the scored and
+        # skipped candidates add up to ``evaluations``.
         rng = np.random.default_rng(100 * r + 10 * n + 1)
         graph = helpers.random_graph(rng, n_blocks=5 - r)
         c, mem, _bits = block_arrays(graph)
@@ -619,12 +621,13 @@ class TestExactSolver:
             hosts, ev.src.take(ent, axis=0), ev.kept_c.take(ent, axis=0),
             ev.kept_m.take(ent, axis=0), ev.src_bits.take(ent, axis=0), b, ev.rho_off)
         fits = ((load / ev.comp_caps <= 1.0) & (used / ev.mem_caps <= 1.0)).all(axis=1)
-        scored, skipped = np.flatnonzero(fits), np.flatnonzero(~fits)
-        assert scored.size and skipped.size
-        assert (fits & ~want[3]).any()  # some scored leaves overrun energy alone
-        assert not want[3][skipped].any()
+        assert (~fits).any()
+        assert (fits & ~want[3]).any()  # some leaves in the caps overrun energy alone
+        assert not want[3][~fits].any()
         feasible = np.flatnonzero(want[3])
         earliest = feasible[np.lexsort((want[2][feasible], want[1][feasible]))[0]]
+        best = ev.to_assignment(hosts[earliest * r:(earliest + 1) * r],
+                                ent[earliest * r:(earliest + 1) * r])
         seen, tree = [], solvers._tree_scores
 
         def recorded(ev, batch):
@@ -641,34 +644,141 @@ class TestExactSolver:
             monkeypatch.undo()
             leaves = [np.concatenate(col) for col in zip(*seen)]
             order = np.argsort(leaves[4])
-            np.testing.assert_array_equal(leaves[4][order], scored)
+            scored = leaves[4][order]
+            assert (np.diff(scored) > 0).all() and fits[scored].all()
+            for g, w in zip(leaves[:4], want):
+                np.testing.assert_array_equal(g[order], w[scored])
+            skipped = np.setdiff1d(np.arange(b), scored)
+            assert not (want[3][skipped] & (want[1][skipped] <= want[1][earliest])).any()
             assert scored.size + skipped.size == got.evaluations
             if cells:
                 assert max(len(batch[4]) for batch in seen) <= 7
-            for g, w in zip(leaves[:4], want):
-                np.testing.assert_array_equal(g[order], w[scored])
-            best = ev.to_assignment(hosts[earliest * r:(earliest + 1) * r],
-                                    ent[earliest * r:(earliest + 1) * r])
+            assert got.objective == want[1][earliest]
             np.testing.assert_array_equal(got.assignment.x, best.x)
             np.testing.assert_array_equal(got.assignment.y, best.y)
 
-    def test_two_rate_draws_score_the_same_candidates(self):
+    def test_bound_keeps_the_benchmark_optimum_and_cuts_most_leaves(self, monkeypatch):
         # The benchmark-shaped instance: ResNet-50 on two devices at the
-        # default caps, one request.  The tree cuts on compute and memory,
-        # which the fleet fixes, and not on energy, which the link rates
-        # move, so every rate draw scores the same candidates.
+        # default caps, one request, two rate draws.  The cap cuts alone
+        # leave 211,924 of 1,179,648 candidates, whatever the rates; the
+        # bound scores a small part of those and finds the same plan.
         sc = build_scenario(load_config(overrides=("fleet.devices=2",)))
-        scored, rhos = [], []
         for k in (0, 1):
             rates = sample_rates(2, sc.rate_lo, sc.rate_hi, round_seeds(sc.seed, k)[1], k)
-            ev = _Evaluator(sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy, 1)
-            batch = max(2, solvers._CHUNK_CELLS // (2 * ev.n_blocks))
-            scored.append(np.concatenate([out[4] for out in solvers._tree_scores(ev, batch)]))
-            rhos.append(rates.rho)
-        assert (rhos[0] != rhos[1]).any()
-        assert sum(2 ** int(k) for k in ev.keep.sum(axis=1)) == 1_179_648
-        assert scored[0].size == 211_924
-        np.testing.assert_array_equal(np.sort(scored[0]), np.sort(scored[1]))
+            args = (sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy, 1)
+            scored, tree = {}, solvers._tree_scores
+
+            def counted(ev, batch, key):
+                scored[key] = 0
+                for out in tree(ev, batch):
+                    scored[key] += out[4].size
+                    yield out
+
+            outcome = {}
+            for key in ("bound", "caps only"):
+                monkeypatch.setattr(solvers, "_tree_scores",
+                                    lambda ev, batch, key=key: counted(ev, batch, key))
+                if key == "caps only":
+                    monkeypatch.setattr(solvers, "latency_budget", lambda *a: np.inf)
+                outcome[key] = solve_exact(*args, limits=ExactLimits(max_candidates=1_179_648))
+                monkeypatch.undo()
+            assert scored["caps only"] == 211_924
+            assert scored["bound"] < 211_924 // 4
+            assert outcome["bound"].as_dict() == outcome["caps only"].as_dict()
+            assert outcome["bound"].evaluations == 1_179_648
+
+    @pytest.mark.parametrize("speed", [1.5e5, 1.7e5, 2e5, 2.5e5, 3e5, 7e5])
+    def test_ties_across_batches_keep_the_earliest_optimum(self, monkeypatch, speed):
+        # The three plans with one block on the faster device 1 tie exactly
+        # (three equal blocks, links so fast that transfers vanish from the
+        # latency).  Batches of four nodes grow two levels, then slice the
+        # frontier by the second block's host, so [1, 0, 1] is scored in a
+        # batch before the earliest of the three, [0, 1, 1].  Each tie's
+        # bound is its own objective summed in another order, and the bound
+        # must not cut it.
+        graph = chain3()
+        mem = block_arrays(graph)[1]
+        fleet = Fleet((DeviceSpec(1, 1.5 * mem[0], 1e12, 1e12, speed),
+                       DeviceSpec(2, 1e12, 1e12, 1e12, 1e5)))
+        rates = RateMatrix(np.full((2, 2), 1e300))
+        weights = ObjectiveWeights(0.5, 0.5, latency_ref=100.0)
+        args = (graph, fleet, rates, helpers.profile_for(graph, []), weights,
+                EnergyParams(), 1)
+        seen, tree = [], solvers._tree_scores
+
+        def recorded(ev, batch):
+            for out in tree(ev, batch):
+                seen.append(out[4])
+                yield out
+
+        monkeypatch.setattr(solvers, "_tree_scores", recorded)
+        monkeypatch.setattr(solvers, "_CHUNK_CELLS", 4 * 2 * graph.n_blocks)
+        got = solve_exact(*args)
+        monkeypatch.undo()
+        assert [5] in map(list, seen[:-1])  # [1, 0, 1] in a batch of its own
+        np.testing.assert_array_equal(got.assignment.hosts(0), [0, 1, 1])
+
+    def test_the_bound_charges_each_transfer_for_the_block_that_sends_it(self, monkeypatch):
+        # Three equal blocks whose outputs are 512, 128 and 131,072 bits.
+        # Device 1 holds one block and device 2 two, so one block goes to
+        # device 1; transfers dominate, and [1, 1, 0], which sends block 2's
+        # output once, is the optimum.  Batches of two leaves score [0, 1, 1]
+        # first, and the bound then cuts [1, 0, 1], which sends blocks 1 and
+        # 2's outputs.  The bound on [1, 1, 0] must charge block 2's bits,
+        # not block 3's, or it is cut too.
+        layer = LayerSpec("conv", 1, 2, 2, 2, 8)
+        graph = ResNetGraph(blocks=(
+            BlockSpec(1, 1, "stem", (layer,), False, 16),
+            BlockSpec(2, 2, "conv_block", (layer,), False, 4),
+            BlockSpec(3, 2, "conv_block", (layer,), False, 4096),
+        ), skip=SkipTopology(frozenset()))
+        mem = block_arrays(graph)[1]
+        fleet = Fleet((DeviceSpec(1, 1.5 * mem[0], 1e12, 1e12, 1e5),
+                       DeviceSpec(2, 2.5 * mem[0], 1e12, 1e12, 1e5)))
+        args = (graph, fleet, RateMatrix(np.full((2, 2), 1e3)), helpers.profile_for(graph, []),
+                ObjectiveWeights(0.5, 0.5, latency_ref=100.0), EnergyParams(), 1)
+        seen, tree = [], solvers._tree_scores
+
+        def recorded(ev, batch):
+            for out in tree(ev, batch):
+                seen.append(out[4].tolist())
+                yield out
+
+        monkeypatch.setattr(solvers, "_tree_scores", recorded)
+        monkeypatch.setattr(solvers, "_CHUNK_CELLS", 1)
+        got = solve_exact(*args)
+        monkeypatch.undo()
+        assert seen == [[3], [6]]
+        np.testing.assert_array_equal(got.assignment.hosts(0), [1, 1, 0])
+
+    def test_ties_at_a_zero_objective_keep_the_fastest_plan(self, monkeypatch):
+        # No weight on latency and every drop set at accuracy 1.0: every
+        # plan scores exactly 0.0, so the bound of every node ties the
+        # incumbent from the first batch on, and the latency alone picks the
+        # plan from all of them.  The last device is the fastest, so the
+        # fastest plan is not in the first batches.
+        rng = np.random.default_rng(41)
+        graph = helpers.random_graph(rng, n_blocks=4)
+        drops = helpers.bridgeable_drop_sets(graph)
+        profile = helpers.profile_for(graph, drops, baseline=1.0, floor=1.0)
+        fleet = fleet_with_rates([1e5, 2e5, 4e5])
+        rates = helpers.random_rates(rng, 3)
+        weights = ObjectiveWeights(0.0, 1.0, latency_ref=100.0)
+        for r in (1, 2):
+            args = (graph, fleet, rates, profile, weights, EnergyParams(), r)
+            ev = _Evaluator(*args)
+            hosts, ent = enumerated_candidates(ev)
+            _pen, wo, lat, feas = ev.score(hosts, ent)
+            assert feas.all() and (wo == 0.0).all()
+            first = np.lexsort((lat,))[0]
+            assert first > 3
+            monkeypatch.setattr(solvers, "_CHUNK_CELLS", 1)
+            got = solve_exact(*args, limits=ExactLimits(max_candidates=len(ent) // r))
+            monkeypatch.undo()
+            want = ev.to_assignment(hosts[first * r:(first + 1) * r],
+                                    ent[first * r:(first + 1) * r])
+            np.testing.assert_array_equal(got.assignment.x, want.x)
+            np.testing.assert_array_equal(got.assignment.y, want.y)
 
     @pytest.mark.parametrize("order", ["as made", "reversed", "split"])
     def test_winner_is_the_lowest_objective_then_latency_then_number(self, monkeypatch,
@@ -773,6 +883,20 @@ class TestExactSolver:
         assert exc_info.value.limit == 10
         assert exc_info.value.size > 10
 
+    def test_candidate_numbers_past_int64_are_too_large_whatever_the_limit(self):
+        # Candidate numbers are int64 and would wrap past 2**63 - 1, so a
+        # larger enumeration is refused even under a larger limit.
+        rng = np.random.default_rng(3)
+        graph, fleet, rates, profile, weights = small_problem(rng)
+        ev = _Evaluator(graph, fleet, rates, profile, weights, EnergyParams(), 1)
+        per_request = sum(3 ** int(k) for k in ev.keep.sum(axis=1))
+        r = next(r for r in itertools.count(1) if per_request ** r >= 2 ** 63)
+        with pytest.raises(InstanceTooLarge, match=str(per_request ** r)) as exc_info:
+            solve_exact(graph, fleet, rates, profile, weights, EnergyParams(), r,
+                        limits=ExactLimits(max_candidates=10 ** 40))
+        assert exc_info.value.size == per_request ** r
+        assert exc_info.value.limit == 2 ** 63 - 1
+
     def test_zero_requests_short_circuit(self):
         rng = np.random.default_rng(4)
         graph, fleet, rates, profile, weights = small_problem(rng)
@@ -858,6 +982,27 @@ class TestGaSolver:
             exact = solve_exact(*args, limits=ExactLimits(max_candidates=1_179_648),
                                 memory_mode=sc.memory_mode)
             assert exact.feasible and exact.evaluations == 1_179_648
+            x, y = exact.assignment.x.tolist(), exact.assignment.y.tolist()
+            assert close(exact.objective, oracles.objective(
+                sc.graph, sc.fleet, rates.rho.tolist(), x, y, sc.graph.weight_bytes,
+                sc.profile, w.alpha, w.beta, w.latency_ref))
+            ga = solve_ga(*args, config=replace(sc.ga, seed=solver_seed),
+                          memory_mode=sc.memory_mode)
+            assert ga.objective >= exact.objective - 1e-12
+
+    def test_default_budget_never_beats_the_shipped_fleet_optimum(self):
+        # The shipped 10-device fleet, one request: 2.28e17 candidates a
+        # round, which the exact solver's bound makes practical.
+        sc = build_scenario(load_config())
+        w = sc.weights
+        for k in range(4):
+            _, rate_rng, solver_seed = round_seeds(sc.seed, k)
+            rates = sample_rates(sc.fleet.n_devices, sc.rate_lo, sc.rate_hi, rate_rng,
+                                 round_index=k)
+            args = (sc.graph, sc.fleet, rates, sc.profile, w, sc.energy, 1)
+            exact = solve_exact(*args, limits=ExactLimits(max_candidates=10 ** 18),
+                                memory_mode=sc.memory_mode)
+            assert exact.feasible
             x, y = exact.assignment.x.tolist(), exact.assignment.y.tolist()
             assert close(exact.objective, oracles.objective(
                 sc.graph, sc.fleet, rates.rho.tolist(), x, y, sc.graph.weight_bytes,
