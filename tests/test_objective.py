@@ -19,6 +19,7 @@ from resplan.objective import (
     accuracy_term,
     check_constraints,
     default_latency_ref,
+    latency_budget,
     objective_value,
 )
 
@@ -117,6 +118,18 @@ class TestObjectiveValue:
     def test_zero_requests_drop_the_latency_term(self):
         w = ObjectiveWeights(0.7, 0.3, latency_ref=2.0)
         assert close(objective_value(123.0, 0.9, 0, w), 0.3 * 0.1)
+
+    def test_latency_budget_inverts_the_objective_in_latency(self):
+        w = ObjectiveWeights(0.7, 0.3, latency_ref=2.0)
+        for latency, accuracy, r in ((4.0, 0.9, 2), (0.5, 0.95, 1), (30.0, 0.6, 5)):
+            value = objective_value(latency, accuracy, r, w)
+            assert close(latency_budget(value, accuracy, r, w), latency)
+        # With no weight on latency, or no requests, only the accuracy term
+        # decides: every latency is within budget, or none is.
+        for w, r in ((ObjectiveWeights(0.0, 1.0, latency_ref=2.0), 3), (w, 0)):
+            value = objective_value(1.0, 0.9, r, w)
+            assert latency_budget(value, 0.9, r, w) == math.inf
+            assert latency_budget(value, 0.8, r, w) == -math.inf
 
     def test_full_objective_matches_reference(self):
         rng = np.random.default_rng(99)
