@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import os
 import pathlib
@@ -50,6 +51,7 @@ SUMMARY_COLUMNS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resplan",
@@ -254,6 +256,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _keep_freed_heap() -> None:
     """Have glibc keep up to 4 MB of freed heap instead of returning it.
 

@@ -22,7 +22,7 @@ from .fleet import EnergyParams, check_rate_bounds, two_tier_fleet
 from .graph import build_resnet50
 from .harness import SWEEP_KINDS, ScenarioConfig, SweepAxis, apply_axis_value
 from .objective import ObjectiveWeights, default_latency_ref
-from .profile import SAFE_LOADER, AccuracyProfile, load_profile, read_source
+from .profile import SAFE_LOADER, AccuracyProfile, load_profile, read_source, with_exponent_floats
 from . import solvers
 from .solvers import ExactLimits, GaConfig
 
@@ -166,8 +166,9 @@ def load_config(source=None, overrides=(), seed=None) -> dict:
     return cfg
 
 
+@with_exponent_floats
 class _NoAliasDumper(yaml.SafeDumper):
-    """Writes a value held twice out in full each time, with no anchor or alias."""
+    """Writes every value in full, with no anchor or alias; quotes numeric text."""
 
     def ignore_aliases(self, data):
         return True

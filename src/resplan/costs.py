@@ -30,7 +30,7 @@ from .fleet import EnergyParams, Fleet, RateMatrix
 from .graph import ResNetGraph, block_arrays, effective_edges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     """Decision variables for one round: x[r,i,j] hosts, y[r,j] keep/drop.
 
@@ -81,18 +81,21 @@ class Assignment:
         return np.argmax(self.x[r], axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostBreakdown:
-    """Everything the reporting layer wants from one assignment evaluation."""
+    """Everything the reporting layer wants from one assignment evaluation;
+    the per-device figures are rows of one read-only array, read by name."""
 
     total_latency: float
-    comp_time: np.ndarray      # (N,) seconds computing, per device
-    tx_time: np.ndarray        # (N,) seconds transmitting, per device
-    energy: np.ndarray         # (N,) joules, per device
-    memory_use: np.ndarray     # (N,) bytes resident, per device
-    compute_use: np.ndarray    # (N,) multiplications, per device
+    per_device: np.ndarray     # (5, N): the rows read below
     shared_bits: float
     total_mults: float
+
+    comp_time = property(lambda self: self.per_device[0])    # seconds computing
+    tx_time = property(lambda self: self.per_device[1])      # seconds transmitting
+    energy = property(lambda self: self.per_device[2])       # joules
+    memory_use = property(lambda self: self.per_device[3])   # bytes resident
+    compute_use = property(lambda self: self.per_device[4])  # multiplications
 
 
 def transfer_rates(rho: np.ndarray) -> np.ndarray:
@@ -180,13 +183,11 @@ def evaluate_assignment(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
         transfer_rates(rates.rho))
     latency, ct, joules = chain_costs(terms, load, tx_time, fleet.mult_rates, energy)
     sent = terms[:r * m, 0] > 0.0  # whole bit counts: exact in any order
+    per_device = np.stack([ct[:, 0], tx_time[0], joules[:, 0], mem[0], load[0]])
+    per_device.flags.writeable = False
     return CostBreakdown(
         total_latency=float(latency[0]),
-        comp_time=ct[:, 0],
-        tx_time=tx_time[0],
-        energy=joules[:, 0],
-        memory_use=mem[0],
-        compute_use=load[0],
+        per_device=per_device,
         shared_bits=float(src_bits.ravel()[sent].sum()),
         total_mults=float(load.sum()),
     )

@@ -31,7 +31,7 @@ def check_rate_bounds(lo: float, hi: float) -> None:
                          f"rate_hi={hi!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviceSpec:
     """One device's budgets: memory and compute/energy per round, plus speed."""
 
@@ -47,7 +47,7 @@ class DeviceSpec:
         _check_positive(self, ("memory_cap", "compute_cap", "energy_cap", "mult_rate"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fleet:
     """Ordered device list with array views the cost engine can vectorize over."""
 
@@ -114,7 +114,7 @@ def two_tier_fleet(n_devices: int,
     ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RateMatrix:
     """Bits-per-second between device pairs for one round.
 
@@ -137,7 +137,7 @@ class RateMatrix:
         object.__setattr__(self, "rho", rho)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestBatch:
     """How many inference requests arrived this round."""
 
@@ -149,7 +149,7 @@ class RequestBatch:
             raise ValueError("count must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyParams:
     """Power draw while computing and while transmitting."""
 

@@ -17,7 +17,7 @@ from .profile import AccuracyProfile, g_lookup
 WEIGHT_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectiveWeights:
     """Objective weights plus the two scalars the objective needs as context.
 
@@ -97,22 +97,25 @@ def latency_budget(value: float, accuracy: float, n_requests: int,
     return rest * n_requests * weights.latency_ref / weights.alpha
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeasibilityReport:
     """Constraint-by-constraint verdict with per-device margins.
 
     Margins are cap minus use, so negative means violated.  accuracy is None
     when some request keeps an unprofiled drop set; the accuracy margin is
-    then reported as minus the threshold.
+    then reported as minus the threshold.  Per-device margins are rows of
+    one read-only array, read by name.
     """
 
     feasible: bool
     violations: tuple[str, ...]
     accuracy: Optional[float]
     accuracy_margin: float
-    memory_margin: np.ndarray
-    compute_margin: np.ndarray
-    energy_margin: np.ndarray
+    margins: np.ndarray  # (3, N): the rows read below
+
+    memory_margin = property(lambda self: self.margins[0])
+    compute_margin = property(lambda self: self.margins[1])
+    energy_margin = property(lambda self: self.margins[2])
 
     def as_dict(self) -> dict:
         return {
@@ -141,14 +144,12 @@ def check_constraints(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
     """
     bd = evaluate_assignment(assign, graph, fleet, rates, energy, memory_mode)
     violations: list[str] = []
-    memory_margin = fleet.memory_caps - bd.memory_use
-    compute_margin = fleet.compute_caps - bd.compute_use
-    energy_margin = fleet.energy_caps - bd.energy
-    for name, margin, use, cap, unit in (
-        ("memory", memory_margin, bd.memory_use, fleet.memory_caps, "B"),
-        ("compute", compute_margin, bd.compute_use, fleet.compute_caps, "mults"),
-        ("energy", energy_margin, bd.energy, fleet.energy_caps, "J"),
-    ):
+    caps = np.stack([fleet.memory_caps, fleet.compute_caps, fleet.energy_caps])
+    uses = np.stack([bd.memory_use, bd.compute_use, bd.energy])
+    margins = caps - uses
+    margins.flags.writeable = False
+    for name, margin, use, cap, unit in zip(("memory", "compute", "energy"), margins, uses,
+                                            caps, ("B", "mults", "J")):
         for i in np.flatnonzero(margin < 0):
             violations.append(
                 f"device {i + 1} {name}: {use[i]:.6g} {unit} exceeds cap {cap[i]:.6g} {unit}"
@@ -172,7 +173,5 @@ def check_constraints(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
         violations=tuple(violations),
         accuracy=acc,
         accuracy_margin=acc_margin,
-        memory_margin=memory_margin,
-        compute_margin=compute_margin,
-        energy_margin=energy_margin,
+        margins=margins,
     )

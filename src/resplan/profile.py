@@ -10,6 +10,7 @@ measurements are not redistributable as data.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -20,10 +21,23 @@ from .errors import EmptyFeasibleSet, ParseError, ValidationError
 
 DropSet = frozenset[int]
 
+# YAML 1.2's exponent floats (``1e3``, ``1.0e3``, ``1E-3``), which YAML 1.1
+# reads as text: it wants a dot and a signed exponent.
+EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
+
+
+def with_exponent_floats(cls):
+    """``cls``, a YAML loader or dumper class, resolving ``EXPONENT_FLOAT``."""
+    cls.add_implicit_resolver("tag:yaml.org,2002:float", EXPONENT_FLOAT, list("-+.0123456789"))
+    return cls
+
+
 # The YAML loader for every input document: libyaml's parser when PyYAML was
 # built with it, else the pure-Python one.  Both have ``safe_load``'s
 # constructor and resolver, so they build equal documents.
-SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+SAFE_LOADER = with_exponent_floats(
+    type("SafeLoader", (getattr(yaml, "CSafeLoader", yaml.SafeLoader),), {}))
+
 
 DEFAULT_MAX_DROP = 2
 

@@ -43,7 +43,8 @@ Budget overruns are handled softly, as relative-violation penalties on the
 objective (times ``PENALTY_WEIGHT``).  ``solve_exact`` enumerates the same
 candidate space exhaustively for small instances, the reference the GA is
 compared against.  It grows the candidates as a prefix tree along each
-request's chain, extending the partial sums one kept block at a time.  Load
+request's chain, extending the partial sums one kept block at a time, the
+blocks that drop sets keep in common grown once for all of them.  Load
 and memory only grow along a branch, so it is cut where it first goes over
 a compute or memory cap: what it would grow into is infeasible and could
 not win.  It is also cut by branch and bound: once a feasible leaf is
@@ -72,7 +73,7 @@ from .objective import (FeasibilityReport, ObjectiveWeights, check_constraints, 
 from .profile import AccuracyProfile, allowed_drop_sets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaConfig:
     """The GA's budget and seed; defaults follow the usual mid-size budget.
     Its heuristics are fixed, as the module constants ``TOURNAMENT_SIZE``,
@@ -97,7 +98,7 @@ class GaConfig:
             raise ValueError("elite must be >= 0 and below population_size")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactLimits:
     """Guard rails for the exhaustive solver."""
 
@@ -108,7 +109,7 @@ class ExactLimits:
             raise ValueError("max_candidates must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     """Best assignment found plus the audit trail around it.
 
@@ -163,12 +164,12 @@ def chromosome_length(n_requests: int, n_devices: int, n_blocks: int) -> int:
 # Cells per array pass, bounding its temporaries whatever the fleet size.
 # Unpacking chromosomes, building the repair's table columns and scoring
 # (about 16 arrays of N floats per individual) count individuals x requests
-# x devices x blocks cells, and so does a batch of the exact solver's tree
-# leaves (1 + 3N floats each).  A 100-individual generation on a 10-device
-# fleet fits one such chunk up to 7 requests, so a round's cost there grows
-# with its request count alone.  The repair's block pass counts rows x
-# blocks x device chunks, far fewer: one pass covers a 100-individual
-# generation up to 77 requests on 10 devices and up to 8 on 70.
+# x devices x blocks cells; the exact solver's tree keeps up to R x M
+# frontiers of a batch of nodes (1 + 3N floats each).  A 100-individual
+# generation on a 10-device fleet fits one such chunk up to 7 requests, so a
+# round's cost there grows with its request count alone.  The repair's block
+# pass counts rows x blocks x device chunks, far fewer: one pass covers a
+# 100-individual generation up to 77 requests on 10 devices and up to 8 on 70.
 _CHUNK_CELLS = 1 << 17
 
 # The exact solver numbers its candidates in int64.
@@ -753,13 +754,16 @@ def _tree_scores(ev: _Evaluator, batch: int):
 
     A node is a partial candidate.  Its state column holds the transfer
     latency and each device's load, memory and transmit time, all summed so
-    far; the accuracy summed so far is one scalar per call of ``grow``, as
-    its nodes share their drop sets.  Each request branches over the drop
-    sets at its first block; a kept block copies every node once per host
-    h, adds its load and memory on h and, from a different sender, its
-    transfer to the latency and the sender's transmit time.  Each sum grows
-    in (request, block) order from 0.0, as in ``score``, whose extra terms
-    are zeros, so each leaf scores bit for bit as ``score`` would.
+    far.  Each request's drop sets share one trie of their kept blocks, so
+    the levels they share are grown once and each child of a branch takes
+    the same frontier.  A kept block copies every node once per host h, adds
+    its load and memory on h and, from a different sender, its transfer to
+    the latency and the sender's transmit time.  Where a drop set's chain
+    ends, its accuracy joins the accuracy sum, a scalar.  Each sum grows in
+    (request, block) order from 0.0, as in ``score``, whose extra terms are
+    zeros, so each leaf scores bit for bit as ``score`` would.  A node's
+    number is the earlier requests' number then its hosts, base N, turned
+    into the candidate number where the chain ends.
 
     Two cuts apply to each child.  Load and memory only grow along a
     branch, so a child is cut where its host first goes over a compute or
@@ -767,22 +771,23 @@ def _tree_scores(ev: _Evaluator, batch: int):
     a feasible leaf has been yielded, the lowest such objective is the
     incumbent, and a child is cut when every leaf below it must score above
     the incumbent (branch and bound).  A leaf's accuracy sum is at most the
-    sum so far plus the best drop set's for each later request, added in
-    order as the leaf adds them, so this bound holds in floats too.  Its
-    latency is at least the transfers so far, each device's compute time so
-    far, and the compute still to place at the fastest device's rate: the
-    rest of this chain and, per later request, the least any drop set keeps.
-    The child is cut when that latency is above ``latency_budget``'s for
-    that accuracy and the incumbent raised by ``_BOUND_SLACK`` of itself.
-    The latency bound adds its terms in another order than the leaf does,
-    and the slack is far above the rounding that can cost.  So a leaf that
-    ties the incumbent is never cut, and the earliest optimum is always
-    scored.
+    sum so far plus the best accuracy among the drop sets below the child
+    and then the best drop set's for each later request, added in order as
+    the leaf adds them, so this bound holds in floats too.  Its latency is
+    at least the transfers so far, each device's compute time so far, and
+    the compute still to place at the fastest device's rate: the least that
+    any drop set below the child keeps after it on this chain and, per later
+    request, the least any drop set keeps.  The child is cut when that
+    latency is above ``latency_budget``'s for that accuracy and the
+    incumbent raised by ``_BOUND_SLACK`` of itself.  The latency bound adds
+    its terms in another order than the leaf does, and the slack is far
+    above the rounding that can cost.  So a leaf that ties the incumbent is
+    never cut, and the earliest optimum is always scored.
 
     The frontier is one group of nodes per host of the last kept block,
-    (host, state, numbers).  It grows breadth-first while N times its size
-    fits ``batch`` nodes (at least N), otherwise group by group in slices of
-    ``batch // N`` nodes, so no batch exceeds ``batch``.
+    (host, state, numbers).  Its children are grown from it whole while N
+    times its size fits ``batch`` nodes (at least N), otherwise group by
+    group in slices of ``batch // N`` nodes, so no batch exceeds ``batch``.
     """
     r, n = ev.n_requests, ev.n_devices
     kept = [np.flatnonzero(k) for k in ev.keep]
@@ -796,67 +801,83 @@ def _tree_scores(ev: _Evaluator, batch: int):
     least_c, best_acc, fastest = ev.kept_c.sum(axis=1).min(), ev.acc.max(), ev.e.max()
     cutoff = np.inf
 
-    def place(groups, q, d, acc, i):
-        """Kept block i of drop set d on each host: the children's groups."""
-        j, weight = kept[d][i], n ** (kept[d].size - 1 - i)
-        top = acc  # each later request at the best accuracy, added in order as leaves add
+    def place(groups, q, acc, ds, i):
+        """Kept block i of the drop sets ``ds`` on each host: the groups."""
+        j, sent = kept[ds[0]][i], kept[ds[0]][i - 1]
+        top = acc + max(ev.acc[d] for d in ds)  # as leaves add, each later request at the best
         for _q in range(q + 1, r):
             top += best_acc
         budget = latency_budget(cutoff, top / r, r, ev.weights)
-        own = ev.c[j] / ev.e + (after[d][i] + (r - 1 - q) * least_c) / fastest
+        own = ev.c[j] / ev.e + (min(after[d][i] for d in ds) + (r - 1 - q) * least_c) / fastest
         parts = [([], []) for _h in range(n)]
         for g, state, num in groups:
             load, mem = state[1::3] + ev.c[j], state[2::3] + ev.m[j]
             fit = (load / ev.caps[:, 0] <= 1.0) & (mem / ev.caps[:, 1] <= 1.0)
             if budget < np.inf:  # the latency bound of each child, (host, node)
                 fit &= (state[0] + (state[1::3] / ev.e[:, None]).sum(axis=0)
-                        + (own + (seconds[kept[d][i - 1], g] if i else 0.0))[:, None]) <= budget
+                        + (own + (seconds[sent, g] if i else 0.0))[:, None]) <= budget
+            num = num * n
             for h, idx in enumerate(map(np.flatnonzero, fit)):
                 if idx.size:
                     child = state.take(idx, axis=1)
                     child[1 + 3 * h], child[2 + 3 * h] = load[h].take(idx), mem[h].take(idx)
                     if i and g != h:  # the sender pays; a same-device transfer adds 0.0
-                        sec = seconds[kept[d][i - 1], g, h]
+                        sec = seconds[sent, g, h]
                         child[0] += sec
                         child[3 + 3 * g] += sec
                     parts[h][0].append(child)
-                    parts[h][1].append(num.take(idx) + h * weight)
+                    parts[h][1].append(num.take(idx) + h)
         return [(h, np.concatenate(s, axis=1), np.concatenate(u))
                 for h, (s, u) in enumerate(parts) if u]
 
-    def enter(groups, q, acc):
-        for d in range(len(kept)):
-            yield from grow([(h, state, num * per_request + offsets[d])
-                             for h, state, num in groups], q, d, acc + ev.acc[d], 0)
+    def numbered(num, d):
+        """The candidate numbers of nodes where drop set d's chain ends."""
+        return num + num // sizes[d] * (per_request - sizes[d]) + offsets[d]
 
-    def grow(groups, q, d, acc, i):
+    def walk(groups, q, acc, ds, i):
+        """The trie below the frontier ``groups`` of the drop sets ``ds``
+        after i kept blocks; only a branching node keeps its frontier."""
         nonlocal cutoff
-        k = kept[d].size
-        while i < k and 0 < sum(num.size for *_, num in groups) * n <= batch:
-            groups = place(groups, q, d, acc, i)
-            i += 1
-        if not groups:
+        while groups:
+            below = {}
+            for d in ds:
+                if i < kept[d].size:
+                    below.setdefault(kept[d][i], []).append(d)
+                elif q + 1 < r:
+                    yield from walk([(h, state, numbered(num, d)) for h, state, num in groups],
+                                    q + 1, acc + ev.acc[d], range(len(kept)), 0)
+                else:
+                    leaves = np.concatenate([state for _h, state, _num in groups], axis=1)
+                    terms = np.empty((1 + n, leaves.shape[1]))
+                    terms[0] = leaves[0]
+                    out = ev._finish(terms, leaves[1::3].T, leaves[2::3].T, leaves[3::3].T,
+                                     np.full(leaves.shape[1], acc + ev.acc[d]))
+                    wo = out[1][out[3]]
+                    if wo.size:
+                        cutoff = min(cutoff, (1.0 + _BOUND_SLACK) * wo.min())
+                    yield out + (numbered(np.concatenate([num for *_, num in groups]), d),)
+            if not below:
+                return
+            if sum(num.size for *_, num in groups) * n > batch:
+                step = batch // n
+                parts = [[(h, state[:, lo:lo + step], num[lo:lo + step])]
+                         for h, state, num in groups for lo in range(0, num.size, step)]
+            elif len(below) == 1:
+                (ds,) = below.values()
+                groups, i = place(groups, q, acc, ds, i), i + 1
+                continue
+            else:
+                parts = [groups]
+            for part in parts:
+                for sub in below.values():
+                    yield from walk(place(part, q, acc, sub, i), q, acc, sub, i + 1)
             return
-        if i < k:
-            step = max(1, batch // n)
-            for h, state, num in groups:
-                for lo in range(0, num.size, step):
-                    yield from grow([(h, state[:, lo:lo + step], num[lo:lo + step])],
-                                    q, d, acc, i)
-        elif q + 1 < r:
-            yield from enter(groups, q + 1, acc)
-        else:
-            leaves = np.concatenate([state for _h, state, _num in groups], axis=1)
-            terms = np.empty((1 + n, leaves.shape[1]))
-            terms[0] = leaves[0]
-            out = ev._finish(terms, leaves[1::3].T, leaves[2::3].T, leaves[3::3].T,
-                             np.full(leaves.shape[1], acc))
-            wo = out[1][out[3]]
-            if wo.size:
-                cutoff = min(cutoff, (1.0 + _BOUND_SLACK) * wo.min())
-            yield out + (np.concatenate([num for *_, num in groups]),)
 
-    yield from enter([(0, np.zeros((width, 1)), np.zeros(1, dtype=np.int64))], 0, 0.0)
+    try:
+        yield from walk([(0, np.zeros((width, 1)), np.zeros(1, dtype=np.int64))], 0, 0.0,
+                        range(len(kept)), 0)
+    finally:
+        del walk  # it refers to itself: unbound, its arrays go now, not at a gc
 
 
 def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
@@ -871,8 +892,8 @@ def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     the limit.  Candidates are numbered in enumeration order (drop sets in
     projection order, then hosts with the last kept block varying fastest,
     the last request fastest of all).  They are grown as a prefix tree
-    (``_tree_scores``) that cuts a branch where it first goes over a compute
-    or memory cap, or where its bound on the objective is above the best
+    (``_tree_scores``), shared by the drop sets, that cuts a branch where it
+    first goes over a compute or memory cap, or where its bound is above the best
     feasible leaf scored so far, so only candidates that cannot win are cut;
     the leaves left share the GA's last scoring step, batch by batch.  One
     request on the shipped 10-device fleet is practical with
@@ -899,7 +920,8 @@ def solve_exact(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     _feasibility_certificate(ev)
 
     best = None
-    for _pen, wo, lat, feas, num in _tree_scores(ev, max(n, _CHUNK_CELLS // (r * n * m))):
+    batch = max(n, _CHUNK_CELLS // ((1 + 3 * n) * r * m))
+    for _pen, wo, lat, feas, num in _tree_scores(ev, batch):
         ok = np.flatnonzero(feas)
         if ok.size == 0:
             continue

@@ -305,7 +305,44 @@ class TestYamlLoader:
 
     def test_libyaml_is_used_when_present(self):
         want = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-        assert SAFE_LOADER is want
+        assert SAFE_LOADER.__bases__ == (want,)
+
+    @pytest.mark.parametrize("text", ["1e3", "1.0e3", "1E-3", "-2.5e+2", "+.5e1", "7e0",
+                                      "1.0e+22"])
+    def test_exponent_forms_are_floats(self, text):
+        assert yaml.load(text, Loader=SAFE_LOADER) == float(text)
+
+    @pytest.mark.parametrize("text,want", [("1e", "1e"), ("e3", "e3"), ("1e3x", "1e3x"),
+                                           ("1e3.5", "1e3.5"), ("09", "09"), ("12", 12),
+                                           ("0x1e3", 0x1E3), ("1.5", 1.5)])
+    def test_other_scalars_resolve_as_before(self, text, want):
+        got = yaml.load(text, Loader=SAFE_LOADER)
+        assert got == want and type(got) is type(want)
+        assert got == yaml.safe_load(text)
+
+    def test_exponent_overrides_build(self, tmp_path):
+        sets = ("solver.max_candidates=1e22", "solver.generations=2e1",
+                "fleet.energy_j=1e3", "energy.p_compute_w=5E-1")
+        sc = build_scenario(load_config(overrides=sets))
+        assert sc.exact_limits.max_candidates == 10 ** 22
+        assert sc.ga.generations == 20
+        assert (sc.fleet.energy_caps == 1e3).all()
+        assert sc.energy.p_compute == 0.5
+        doc = "fleet: {energy_j: 1.0e3}\nsolver: {max_candidates: 1e18}"
+        sc = build_scenario(load_config(doc))
+        assert (sc.fleet.energy_caps == 1e3).all()
+        assert sc.exact_limits.max_candidates == 10 ** 18
+        rc = cli.main(["model", "--set", "fleet.energy_j=1e3", "--output",
+                       str(tmp_path / "model.csv")])
+        assert rc == 0
+
+    def test_text_that_reads_as_a_number_is_written_quoted(self):
+        cfg = load_config({"label": "1e3"})
+        text = effective_yaml(cfg)
+        assert "label: '1e3'" in text
+        assert load_config(text)["label"] == "1e3"
+        cfg = load_config(overrides=("solver.max_candidates=1e18",))
+        assert effective_yaml(load_config(effective_yaml(cfg))) == effective_yaml(cfg)
 
     def test_shipped_documents_load_equal_under_both_loaders(self):
         for name, text in self.documents():
@@ -760,7 +797,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("override", [
         "solver.population_size=2.5", "fleet.devices=10.9", "solver.generations=3.7",
-        "fleet.devices=true", "solver.population_size=1e2", "scenario.rounds=2.5",
+        "fleet.devices=true", "solver.population_size=25e-1", "scenario.rounds=2.5",
     ])
     def test_non_integer_counts_exit_two(self, capsys, tmp_path, override):
         rc = cli.main(["solve", "--requests", "1", "--set", override,

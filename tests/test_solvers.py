@@ -51,6 +51,18 @@ def chain3():
     return ResNetGraph(blocks=blocks, skip=SkipTopology(frozenset()))
 
 
+def late_split_chain(sides):
+    """A chain of one-layer blocks, the output side of each given; only
+    blocks 5 and 6 are droppable, bridged by skip edges, so every drop set
+    keeps blocks 1-4.  A block's compute grows with its side squared."""
+    blocks = tuple(
+        BlockSpec(j, 1 if j == 1 else 2,
+                  "stem" if j == 1 else "identity_block" if j in (5, 6) else "conv_block",
+                  (LayerSpec("conv", 1, 2, 2, side, 8),), j in (5, 6), 8)
+        for j, side in enumerate(sides, start=1))
+    return ResNetGraph(blocks=blocks, skip=SkipTopology(frozenset({(6, 4), (7, 5), (7, 4)})))
+
+
 def fleet_with_rates(mult_rates):
     return Fleet(tuple(
         DeviceSpec(i + 1, 1e9, 1e12, 1e6, rate)
@@ -686,6 +698,46 @@ class TestExactSolver:
             assert scored["bound"] < 211_924 // 4
             assert outcome["bound"].as_dict() == outcome["caps only"].as_dict()
             assert outcome["bound"].evaluations == 1_179_648
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("split", ["accuracy", "compute"])
+    def test_drop_sets_that_share_a_long_prefix_keep_the_optimum(self, monkeypatch, split, r):
+        # Every drop set keeps blocks 1-4, which the trie grows once for all
+        # of them.  Batches of two nodes slice the frontier there, so shared
+        # levels are still grown after the first leaves set an incumbent:
+        # the bound of a shared node must hold for every drop set below it.
+        # "accuracy": the optimum keeps every block, below the node that
+        # keeps block 5, whose first drop set, [6], is far less accurate.
+        # "compute": the optimum drops block 6, 36 times block 5's compute,
+        # below shared nodes whose first drop set, [5], keeps it.
+        if split == "accuracy":
+            sides, alpha = [2] * 7, 0.5
+            accuracy = {(): 0.95, (5,): 0.6, (6,): 0.3, (5, 6): 0.2}
+        else:
+            sides, alpha = [2, 2, 2, 2, 2, 12, 2], 0.9
+            accuracy = {(): 0.95, (5,): 0.9, (6,): 0.85}
+        graph = late_split_chain(sides)
+        profile = AccuracyProfile(0.95, {frozenset(d): ProfileEntry(frozenset(d), a)
+                                         for d, a in accuracy.items()}, "test", n_blocks=7)
+        fleet = Fleet(tuple(DeviceSpec(i + 1, 1e12, 1e12, 1e12, s)
+                            for i, s in enumerate([1e3, 2e3])))
+        args = (graph, fleet, RateMatrix(np.full((2, 2), 1e3)), profile,
+                ObjectiveWeights(alpha, 1 - alpha, latency_ref=1.0, accuracy_threshold=0.0),
+                EnergyParams(), r)
+        ev = _Evaluator(*args)
+        assert ev.keep[:, :4].all() and len(ev.drops) == len(accuracy)
+        hosts, ent = enumerated_candidates(ev)
+        _pen, wo, lat, feas = ev.score(hosts, ent)
+        first = np.flatnonzero(feas)[np.lexsort((lat[feas], wo[feas]))[0]]
+        want = ev.to_assignment(hosts[first * r:(first + 1) * r], ent[first * r:(first + 1) * r])
+        assert {ev.drops[k] for k in ent[first * r:(first + 1) * r]} == (
+            {()} if split == "accuracy" else {(6,)})
+        monkeypatch.setattr(solvers, "_CHUNK_CELLS", 1)
+        got = solve_exact(*args, limits=ExactLimits(max_candidates=len(ent) // r))
+        monkeypatch.undo()
+        assert got.objective == wo[first]
+        np.testing.assert_array_equal(got.assignment.x, want.x)
+        np.testing.assert_array_equal(got.assignment.y, want.y)
 
     @pytest.mark.parametrize("speed", [1.5e5, 1.7e5, 2e5, 2.5e5, 3e5, 7e5])
     def test_ties_across_batches_keep_the_earliest_optimum(self, monkeypatch, speed):
