@@ -30,6 +30,9 @@ MB = 1e6          # bytes per (decimal) megabyte
 MBPS = 1e6        # bits/s per Mb/s
 GMULTS = 1e9      # multiplications per G
 
+# The solver section's defaults are the library's: one source for both.
+_GA, _EXACT = GaConfig(), ExactLimits()
+
 DEFAULTS: dict = {
     "label": "scenario",
     "model": {
@@ -63,10 +66,10 @@ DEFAULTS: dict = {
     },
     "solver": {
         "kind": "ga",
-        "population_size": 100,
-        "generations": 200,
-        "elite": 1,
-        "max_candidates": 200000,
+        "population_size": _GA.population_size,
+        "generations": _GA.generations,
+        "elite": _GA.elite,
+        "max_candidates": _EXACT.max_candidates,
     },
     "scenario": {
         "lam": 3.0,

@@ -75,12 +75,15 @@ from .profile import AccuracyProfile, allowed_drop_sets
 
 @dataclass(frozen=True, slots=True)
 class GaConfig:
-    """The GA's budget and seed; defaults follow the usual mid-size budget.
-    Its heuristics are fixed, as the module constants ``TOURNAMENT_SIZE``,
-    ``CROSSOVER_RATE`` and ``PENALTY_WEIGHT``."""
+    """The GA's budget and seed.  The default budget, 200 + 100 x 199 =
+    20,100 evaluations a round, is spent as few large generations: on the
+    default fleet a generation's cost is mostly a fixed price per numpy call,
+    so 200 individuals for 100 generations plan faster than 100 for 200, at
+    the same plan quality.  Its heuristics are fixed, as the module constants
+    ``TOURNAMENT_SIZE``, ``CROSSOVER_RATE`` and ``PENALTY_WEIGHT``."""
 
-    population_size: int = 100
-    generations: int = 200
+    population_size: int = 200
+    generations: int = 100
     elite: int = 1
     seed: int = 0
 
@@ -165,11 +168,11 @@ def chromosome_length(n_requests: int, n_devices: int, n_blocks: int) -> int:
 # Unpacking chromosomes, building the repair's table columns and scoring
 # (about 16 arrays of N floats per individual) count individuals x requests
 # x devices x blocks cells; the exact solver's tree keeps up to R x M
-# frontiers of a batch of nodes (1 + 3N floats each).  A 100-individual
-# generation on a 10-device fleet fits one such chunk up to 7 requests, so a
-# round's cost there grows with its request count alone.  The repair's block
-# pass counts rows x blocks x device chunks, far fewer: one pass covers a
-# 100-individual generation up to 77 requests on 10 devices and up to 8 on 70.
+# frontiers of a batch of nodes (1 + 3N floats each).  A 200-individual
+# generation on a 10-device fleet fits one such chunk up to 3 requests and
+# two up to 7.  The repair's block pass counts rows x blocks x device
+# chunks, far fewer: one pass covers a 200-individual generation up to 38
+# requests on 10 devices and up to 4 on 70.
 _CHUNK_CELLS = 1 << 17
 
 # The exact solver numbers its candidates in int64.

@@ -25,8 +25,10 @@ from resplan.config import (
     effective_yaml,
     load_config,
     preset_text,
+    sweep_variants,
 )
 from resplan.errors import ConfigError, ParseError
+from resplan.harness import CSV_COLUMNS, SWEEP_KINDS
 from resplan.objective import default_latency_ref
 from resplan.profile import SAFE_LOADER, load_profile
 
@@ -154,7 +156,10 @@ class TestBuildScenario:
         assert sc.rate_lo == 7.2e6 and sc.rate_hi == 72.2e6
         assert sc.energy.p_compute == 8.0 and sc.energy.p_transmit == 10.0
         assert sc.lam == 3.0 and sc.rounds == 10 and sc.seed == 0
-        assert sc.ga.population_size == 100 and sc.ga.generations == 200
+        # The default GA budget, read from GaConfig: CLI and library agree.
+        assert (sc.ga.population_size, sc.ga.generations, sc.ga.elite) == (200, 100, 1)
+        assert sc.ga == solvers.GaConfig(seed=sc.seed)
+        assert sc.exact_limits == solvers.ExactLimits()
 
     def test_latency_reference_defaults_to_the_worst_case(self):
         sc = build_scenario(load_config())
@@ -398,9 +403,13 @@ USUAL = {
 }
 
 
-def _values(key):
+def _default(key):
     section, leaf = key.split(".")
-    default = DEFAULTS[section][leaf]
+    return DEFAULTS[section][leaf]
+
+
+def _values(key):
+    default = _default(key)
     scale = max(default) if isinstance(default, list) else default or 1.0
     lo, hi = USUAL.get(key, (0, 4 * scale) if isinstance(scale, int) else (0.0, 4.0 * scale))
     usual = st.integers(lo, hi) if isinstance(lo, int) else st.floats(lo, hi)
@@ -413,6 +422,37 @@ def _values(key):
 _DRAWS = st.lists(st.sampled_from(NUMERIC_KEYS).flatmap(
     lambda key: st.tuples(st.just(key), _values(key))), min_size=1, max_size=3)
 
+# The keys whose value is text, and values of every YAML kind for them.
+STRING_KEYS = ("label", "model.memory_mode", "solver.kind")
+_TEXT_VALUES = st.one_of(
+    st.sampled_from(("inputs", "weights", "both", "ga", "exact", "", "GA")),
+    st.text(max_size=6), st.none(), st.booleans(), st.integers(), st.floats(),
+    st.lists(st.text(max_size=3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+# A key that takes one value, given a list of one or two of its values.
+SCALAR_KEYS = STRING_KEYS + tuple(
+    key for key in NUMERIC_KEYS if not isinstance(_default(key), list))
+_LIST_DRAWS = st.sampled_from(SCALAR_KEYS).flatmap(lambda key: st.tuples(
+    st.just(key), st.lists(_TEXT_VALUES if key in STRING_KEYS else _values(key),
+                           min_size=1, max_size=2)))
+
+# Sweep sections: each axis and an unknown one, with values of the kind the
+# axis takes (an (alpha, beta) pair, else a multiplier or a rate) or not;
+# and sections missing a key or holding a scalar for values.
+def _sweep_values(axis):
+    usual = (st.floats(0.0, 1.0).map(lambda a: [a, 1.0 - a]) if axis == "weights"
+             else st.floats(0.0, 4.0))
+    return st.lists(st.one_of(usual, st.sampled_from(SPECIAL + ([0.5], [0.1, 0.2, 0.3]))),
+                    min_size=1, max_size=2)
+
+
+_SWEEPS = st.one_of(
+    st.sampled_from(SWEEP_KINDS + ("bogus",)).flatmap(lambda axis: st.fixed_dictionaries(
+        {"axis": st.just(axis), "values": _sweep_values(axis)})),
+    st.fixed_dictionaries({}, optional={"axis": st.sampled_from(SWEEP_KINDS + ("", None)),
+                                        "values": st.sampled_from(SPECIAL + ([],))}))
+
 # The budget every scenario that builds is run at, whatever was drawn.
 RUN_BUDGET = (("solver.population_size", 4), ("solver.generations", 2),
               ("scenario.rounds", 1))
@@ -421,8 +461,8 @@ RUN_BUDGET = (("solver.population_size", 4), ("solver.generations", 2),
 def _document(pairs):
     doc = {}
     for key, value in pairs:
-        section, leaf = key.split(".")
-        doc.setdefault(section, {})[leaf] = value
+        *section, leaf = key.split(".")
+        (doc.setdefault(section[0], {}) if section else doc)[leaf] = value
     return doc
 
 
@@ -431,18 +471,57 @@ def assert_names_a_key(exc, keys):
     assert any(name and name in str(exc) for name in names), (str(exc), keys)
 
 
-class TestConfigSpace:
-    """Every value of a numeric config key either builds a scenario that
-    runs to exit 0 or 3 with finite metrics on each solved round, or is a
-    ConfigError that names the key."""
+def assert_solved_rounds_finite(out, command):
+    """Each round row of a run's output is an error round, every metric NaN,
+    or has finite metrics; the latter are as many as the rounds solved."""
+    if command == "simulate":
+        rows = (out / "rounds.csv").read_text().splitlines()[1:]
+        solved = json.loads((out / "summary.json").read_text())["solved_rounds"]
+    else:  # a sweep's rows lead with the variant label, which may hold commas
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        summary = (out / "summary.csv").read_text().splitlines()
+        at = summary[0].split(",").index("solved_rounds") - len(summary[0].split(","))
+        solved = sum(int(line.split(",")[at]) for line in summary[1:])
+    metrics = [[float(v) for v in row.split(",")[-len(CSV_COLUMNS) + 1:-1]] for row in rows]
+    assert all(all(map(math.isfinite, m)) or all(map(math.isnan, m)) for m in metrics), rows
+    assert sum(all(map(math.isfinite, m)) for m in metrics) == solved, rows
 
-    def builds(self, doc, keys):
+
+class TestConfigSpace:
+    """Every value of a config key, numeric or text, a list given for a key
+    that takes one value, and every sweep section: each either builds a
+    scenario that runs to exit 0 or 3 with finite metrics on each solved
+    round, or is a ConfigError that names the key."""
+
+    def builds(self, doc, keys, command):
         try:
-            build_scenario(load_config(doc))
+            cfg = load_config(doc)
+            scenario = build_scenario(cfg)
+            if command == "sweep":
+                axis = build_sweep_axis(cfg)
+                if axis is None:
+                    raise ConfigError("sweep command needs a 'sweep' section")
+                sweep_variants(scenario, axis)
         except ConfigError as exc:
             assert_names_a_key(exc, keys)
             return False
         return True
+
+    def runs_or_names_a_key(self, tmp_path, capsys, pairs, command="simulate"):
+        keys = {key for key, _value in pairs}
+        if not self.builds(_document(pairs), keys, command):
+            return
+        doc = _document(pairs + list(RUN_BUDGET))
+        if not self.builds(doc, keys | {key for key, _value in RUN_BUDGET}, command):
+            return
+        out = tmp_path / "out"
+        config = tmp_path / "cfg.yaml"
+        config.write_text(effective_yaml(doc), encoding="utf-8")
+        rc = cli.main([command, "--config", str(config), "--output-dir", str(out)])
+        capsys.readouterr()
+        assert rc in (0, 3)
+        if rc == 0:
+            assert_solved_rounds_finite(out, command)
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -451,32 +530,35 @@ class TestConfigSpace:
     @example(pairs=[("fleet.devices", 1e300)])  # exited 4: formatting the byte count
     @example(pairs=[("solver.population_size", 10 ** 30)])  # tournament draws over the bound
     def test_numeric_keys_build_or_name_the_key(self, tmp_path, capsys, pairs):
-        keys = {key for key, _value in pairs}
-        if not self.builds(_document(pairs), keys):
-            return
-        doc = _document(pairs + list(RUN_BUDGET))
-        if not self.builds(doc, keys | {key for key, _value in RUN_BUDGET}):
-            return
-        out = tmp_path / "out"
-        config = tmp_path / "cfg.yaml"
-        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
-        rc = cli.main(["simulate", "--config", str(config), "--output-dir", str(out)])
-        capsys.readouterr()
-        assert rc in (0, 3)
-        if rc == 0:
-            summary = json.loads((out / "summary.json").read_text())
-            rows = (out / "rounds.csv").read_text().splitlines()[1:]
-            if summary["solved_rounds"]:
-                assert all(math.isfinite(float(v)) for v in rows[0].split(","))
+        self.runs_or_names_a_key(tmp_path, capsys, pairs)
 
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(STRING_KEYS), value=_TEXT_VALUES)
+    @example(key="solver.kind", value="exact")  # every round too large: error rows
+    def test_text_keys_run_or_name_the_key(self, tmp_path, capsys, key, value):
+        self.runs_or_names_a_key(tmp_path, capsys, [(key, value)])
 
-# The keys whose value is text, and values of every YAML kind for them.
-STRING_KEYS = ("label", "model.memory_mode", "solver.kind")
-_TEXT_VALUES = st.one_of(
-    st.sampled_from(("inputs", "weights", "both", "ga", "exact", "", "GA")),
-    st.text(max_size=6), st.none(), st.booleans(), st.integers(), st.floats(),
-    st.lists(st.text(max_size=3), max_size=2),
-    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pair=_LIST_DRAWS)
+    @example(pair=("fleet.devices", [3]))
+    @example(pair=("scenario.lam", [1.0, 2.0]))
+    def test_lists_for_scalar_keys_run_or_name_the_key(self, tmp_path, capsys, pair):
+        self.runs_or_names_a_key(tmp_path, capsys, [pair])
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(section=_SWEEPS)
+    @example(section={"axis": "lam", "values": [0.0, 4.0]})  # an empty round, a full one
+    @example(section={"axis": "weights", "values": [[1.0, 0.0], [0.0, 1.0]]})
+    @example(section={"axis": "energy", "values": []})
+    @example(section={"axis": "energy", "values": [1.0], "bogus": 3})
+    @example(section=None)  # no sweep: the command needs one
+    @example(section=3)
+    @example(section=[1, 2])
+    def test_sweep_sections_run_or_name_the_key(self, tmp_path, capsys, section):
+        self.runs_or_names_a_key(tmp_path, capsys, [("sweep", section)], command="sweep")
 
 
 class TestStringKeys:
@@ -491,9 +573,8 @@ class TestStringKeys:
     @example(key="model.memory_mode", value=["inputs"])
     @example(key="solver.kind", value={"ga": 1})
     def test_text_keys_build_or_name_the_key(self, key, value):
-        doc = _document([(key, value)]) if "." in key else {key: value}
         try:
-            sc = build_scenario(load_config(doc))
+            sc = build_scenario(load_config(_document([(key, value)])))
         except ConfigError as exc:
             assert_names_a_key(exc, {key})
             return

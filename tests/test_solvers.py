@@ -965,10 +965,11 @@ class TestGaConfig:
             {"population_size": 1},
             {"population_size": 30_000_000},  # its tournament picks pass MEMORY_BOUND
             {"generations": -1},
-            {"elite": 100},
+            {"elite": 200},  # equal to the default population_size
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
+        assert GaConfig().population_size == 200
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             GaConfig(**kwargs)
 
