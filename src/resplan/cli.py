@@ -53,10 +53,14 @@ SUMMARY_COLUMNS = (
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # No parser takes an abbreviated option: a prefix would read simulate's
+    # ``--output -`` (the stdout spelling of model and solve) as
+    # ``--output-dir -`` and write into a directory named "-".
     parser = argparse.ArgumentParser(
         prog="resplan",
         description="Placement optimizer and round simulator for distributed "
                     "residual-network inference on constrained device fleets.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -73,11 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strict", action="store_true",
                        help="fail (exit 3) instead of reporting infeasible results")
 
-    p_model = sub.add_parser("model", help="per-block memory/compute/output table")
+    p_model = sub.add_parser("model", help="per-block memory/compute/output table",
+                             allow_abbrev=False)
     common(p_model)
     p_model.add_argument("--output", default="-", help="CSV path, or - for stdout")
 
-    p_solve = sub.add_parser("solve", help="solve a single round and print JSON")
+    p_solve = sub.add_parser("solve", help="solve a single round and print JSON",
+                             allow_abbrev=False)
     common(p_solve)
     p_solve.add_argument("--requests", type=int, default=None,
                          help="fixed request count (default: Poisson draw)")
@@ -87,13 +93,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="include the per-constraint feasibility report")
     p_solve.add_argument("--output", default="-", help="JSON path, or - for stdout")
 
-    p_sim = sub.add_parser("simulate", help="run all rounds and write rounds.csv")
+    p_sim = sub.add_parser("simulate", help="run all rounds and write rounds.csv",
+                           allow_abbrev=False)
     common(p_sim)
     p_sim.add_argument("--output-dir", default=None,
                        help="directory for rounds.csv, summary.json, "
                             "effective_config.yaml (default $RESPLAN_OUTPUT_DIR or ./resplan_out)")
 
-    p_sweep = sub.add_parser("sweep", help="run the configured sweep and write CSVs")
+    p_sweep = sub.add_parser("sweep", help="run the configured sweep and write CSVs",
+                             allow_abbrev=False)
     common(p_sweep)
     p_sweep.add_argument("--output-dir", default=None,
                          help="directory for sweep.csv, summary.csv, "

@@ -337,57 +337,35 @@ def _placement(hosts: np.ndarray, kept: np.ndarray, n_devices: int) -> np.ndarra
     return x
 
 
-class _Evaluator:
-    """Canonicalize raw chromosomes and score candidates, a batch at a time.
+class _Tables:
+    """A solve's arrays that no fleet or link rate changes: those of one
+    graph, profile, accuracy threshold and memory mode, built once and
+    shared, read-only, by every solve of them (``_tables``).
 
-    Drop sets are indexed by their rank in ``drops`` (largest first, then best
-    accuracy, then lowest block ids).  Rows are (individual, request) pairs in
-    order.  ``src[k, j]`` is the block feeding block j under drop set k.
-    Scores come from ``costs.chain_sums`` and ``chain_costs``, as
-    ``evaluate_assignment``'s do, and agree with them bit for bit.
+    Per block: its multiplications ``c``, resident bytes ``m`` and output
+    ``bits``.  Per drop set, indexed by its rank in ``drops`` (largest first,
+    then best accuracy, then lowest block ids): keep flags ``keep``, the
+    block ``src[k, j]`` feeding block j, the accuracy ``acc``, the loads its
+    kept blocks place (``kept_c``, ``kept_m``) and the bits each block
+    receives (``src_bits``).  The GA's projection of a keep mask onto the
+    drop sets: ``proj_cols``, ``proj_bits`` and ``table``.  For the exact
+    solver's bound: each drop set's kept blocks (``kept``) and the compute
+    after each of them on the chain (``after``); the least compute any drop
+    set keeps (``least_c``) and the best accuracy (``best_acc``).
+
+    The graph and profile are held: the cache keys on their ids, which stay
+    theirs while the tables live.
     """
 
-    def __init__(self, graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
-                 profile: AccuracyProfile, weights: ObjectiveWeights,
-                 energy: EnergyParams, n_requests: int, memory_mode: str = "inputs"):
-        self.graph = graph
-        self.fleet = fleet
-        self.rates = rates
-        self.profile = profile
-        self.n_requests = n_requests
-        self.n_devices = fleet.n_devices
-        self.n_blocks = graph.n_blocks
-        self.weights = weights
-        self.energy = energy
-        self.memory_mode = memory_mode
-
+    def __init__(self, graph: ResNetGraph, profile: AccuracyProfile, threshold: float,
+                 memory_mode: str):
+        self.graph, self.profile = graph, profile
         self.c, self.m, self.bits = block_arrays(graph, memory_mode)
-        self.e = fleet.mult_rates
-        self.rho = rates.rho
-        self.rho_off = transfer_rates(rates.rho)
-        self.mem_caps = fleet.memory_caps
-        self.comp_caps = fleet.compute_caps
-        self.energy_caps = fleet.energy_caps
-        # Per device: the compute, memory and energy caps, in penalty order.
-        self.caps = np.stack([self.comp_caps, self.mem_caps, self.energy_caps], 1)[:, :, None]
-        self.fix_device = int(np.argmax(self.e))
-        self.repair = _RepairTable(self.rho, self.e, self.fix_device)
-
-        self._build_entries(profile, weights.accuracy_threshold)
-        # Per drop set: the loads its kept blocks place and the bits each
-        # block receives; score gathers these by drop-set index.
-        self.kept_c = self.keep * self.c
-        self.kept_m = self.keep * self.m
-        self.src_bits = self.bits[self.src]
-
-    def _build_entries(self, profile, threshold):
-        """Per drop set: keep flags, accuracy and the block feeding each
-        block; plus the projection table over proposed-drop bitmasks."""
-        m = self.n_blocks
+        m = graph.n_blocks
         rows = []
         for ds in allowed_drop_sets(profile, threshold):
             drop = tuple(sorted(ds))
-            if any(not self.graph.blocks[j - 1].droppable for j in drop):
+            if any(not graph.blocks[j - 1].droppable for j in drop):
                 continue  # profiled but not droppable in this graph
             y = np.ones(m, dtype=np.uint8)
             y[[j - 1 for j in drop]] = 0
@@ -395,7 +373,7 @@ class _Evaluator:
             # previous kept block alone; others name themselves (zero cost).
             src = np.arange(m)
             try:
-                for s, d in effective_edges(self.graph, y):
+                for s, d in effective_edges(graph, y):
                     src[d - 1] = s - 1
             except UnbridgeableDrop:
                 continue  # profiled but not executable under this topology
@@ -419,6 +397,84 @@ class _Evaluator:
         for k in reversed(range(len(self.drops))):  # earlier entries win
             mask = sum(bit[j - 1] for j in self.drops[k])
             self.table[(kept & mask) == 0] = k
+        self.kept_c = self.keep * self.c
+        self.kept_m = self.keep * self.m
+        self.src_bits = self.bits[self.src]
+        self.kept = [np.flatnonzero(k) for k in self.keep]
+        self.after = [np.append(np.cumsum(self.c[k][::-1])[::-1][1:], 0.0) for k in self.kept]
+        self.least_c, self.best_acc = self.kept_c.sum(axis=1).min(), self.acc.max()
+        for arr in (self.c, self.m, self.bits, self.keep, self.src, self.acc, self.proj_cols,
+                    self.proj_bits, self.table, self.kept_c, self.kept_m, self.src_bits,
+                    *self.kept, *self.after):
+            arr.flags.writeable = False
+
+
+# The most (graph, profile, accuracy threshold, memory mode) tables held at
+# once.  A scenario uses one, and so does a sweep, whose variants share all
+# four.
+_TABLES_HELD = 8
+_TABLES: dict[tuple, _Tables] = {}
+
+
+def _tables(graph: ResNetGraph, profile: AccuracyProfile, threshold: float,
+            memory_mode: str) -> _Tables:
+    """The shared tables of a graph, profile, threshold and memory mode,
+    built at their first solve; the oldest of ``_TABLES_HELD`` makes room."""
+    key = (id(graph), id(profile), threshold, memory_mode)
+    tables = _TABLES.get(key)
+    if tables is None:
+        tables = _Tables(graph, profile, threshold, memory_mode)
+        if len(_TABLES) >= _TABLES_HELD:
+            del _TABLES[next(iter(_TABLES))]
+        _TABLES[key] = tables
+    return tables
+
+
+class _Evaluator:
+    """Canonicalize raw chromosomes and score candidates, a batch at a time.
+
+    The rate-independent arrays come from the shared ``_Tables`` of the
+    graph, profile, accuracy threshold and memory mode (``tables``; the
+    evaluator names the ones its steps read); only the fleet and rate arrays
+    are built per solve, and the GA's ``_RepairTable`` only when ``repair``
+    asks for it.  Drop sets are indexed by their rank in ``drops``.  Rows are
+    (individual, request) pairs in order.  Scores come from
+    ``costs.chain_sums`` and ``chain_costs``, as ``evaluate_assignment``'s
+    do, and agree with them bit for bit.
+    """
+
+    def __init__(self, graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
+                 profile: AccuracyProfile, weights: ObjectiveWeights,
+                 energy: EnergyParams, n_requests: int, memory_mode: str = "inputs",
+                 repair: bool = False):
+        self.graph = graph
+        self.fleet = fleet
+        self.rates = rates
+        self.profile = profile
+        self.n_requests = n_requests
+        self.n_devices = fleet.n_devices
+        self.n_blocks = graph.n_blocks
+        self.weights = weights
+        self.energy = energy
+        self.memory_mode = memory_mode
+
+        self.tables = t = _tables(graph, profile, weights.accuracy_threshold, memory_mode)
+        self.c, self.m, self.bits = t.c, t.m, t.bits
+        self.drops, self.keep, self.src, self.acc = t.drops, t.keep, t.src, t.acc
+        self.proj_cols, self.proj_bits, self.table = t.proj_cols, t.proj_bits, t.table
+        self.kept_c, self.kept_m, self.src_bits = t.kept_c, t.kept_m, t.src_bits
+
+        self.e = fleet.mult_rates
+        self.rho = rates.rho
+        self.rho_off = transfer_rates(rates.rho)
+        self.mem_caps = fleet.memory_caps
+        self.comp_caps = fleet.compute_caps
+        self.energy_caps = fleet.energy_caps
+        # Per device: the compute, memory and energy caps, in penalty order.
+        self.caps = np.stack([self.comp_caps, self.mem_caps, self.energy_caps], 1)[:, :, None]
+        self.fix_device = int(np.argmax(self.e))
+        if repair:
+            self.repair = _RepairTable(self.rho, self.e, self.fix_device)
 
     def _columns(self, pop: np.ndarray, ent: np.ndarray, out: np.ndarray | None = None):
         """Project raw chromosomes (B, L) onto drop sets, into ``ent``, and
@@ -663,7 +719,7 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     """
     t0 = time.perf_counter()
     ev = _Evaluator(graph, fleet, rates, profile, weights, energy, n_requests,
-                    memory_mode=memory_mode)
+                    memory_mode=memory_mode, repair=True)
     if n_requests == 0:
         return _no_requests(ev, "ga", t0)
     _feasibility_certificate(ev)
@@ -748,6 +804,14 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
                                  evaluations, tuple(history), t0)
 
 
+def _joined(states: list, nums: list) -> tuple:
+    """A host's frontier part from the children each group gave it: the
+    states side by side and the numbers in turn; one group's as they are."""
+    if len(nums) == 1:
+        return states[0], nums[0]
+    return np.concatenate(states, axis=1), np.concatenate(nums)
+
+
 def _tree_scores(ev: _Evaluator, batch: int):
     """Score the exact-solver candidates that could still win, grown as a
     prefix tree along each request's chain of kept blocks; yields
@@ -792,16 +856,14 @@ def _tree_scores(ev: _Evaluator, batch: int):
     times its size fits ``batch`` nodes (at least N), otherwise group by
     group in slices of ``batch // N`` nodes, so no batch exceeds ``batch``.
     """
-    r, n = ev.n_requests, ev.n_devices
-    kept = [np.flatnonzero(k) for k in ev.keep]
+    r, n, t = ev.n_requests, ev.n_devices, ev.tables
+    kept, after = t.kept, t.after
     sizes = [n ** k.size for k in kept]
     per_request, offsets = sum(sizes), np.cumsum([0] + sizes)
     width = 1 + 3 * n  # rows 1 + 3h to 3 + 3h: device h's load, memory, transmit
     seconds = ev.bits[:, None, None] / ev.rho_off.reshape(n, n)  # [block, sender, receiver]
-    # For the bound: per drop set and kept block, the compute after it on
-    # the chain; per later request, the least compute and the best accuracy.
-    after = [np.append(np.cumsum(ev.c[k][::-1])[::-1][1:], 0.0) for k in kept]
-    least_c, best_acc, fastest = ev.kept_c.sum(axis=1).min(), ev.acc.max(), ev.e.max()
+    # For the bound, per later request: the least compute and best accuracy.
+    least_c, best_acc, fastest = t.least_c, t.best_acc, ev.e.max()
     cutoff = np.inf
 
     def place(groups, q, acc, ds, i):
@@ -820,7 +882,8 @@ def _tree_scores(ev: _Evaluator, batch: int):
                 fit &= (state[0] + (state[1::3] / ev.e[:, None]).sum(axis=0)
                         + (own + (seconds[sent, g] if i else 0.0))[:, None]) <= budget
             num = num * n
-            for h, idx in enumerate(map(np.flatnonzero, fit)):
+            for h, row in enumerate(fit):
+                idx = row.nonzero()[0]
                 if idx.size:
                     child = state.take(idx, axis=1)
                     child[1 + 3 * h], child[2 + 3 * h] = load[h].take(idx), mem[h].take(idx)
@@ -830,8 +893,7 @@ def _tree_scores(ev: _Evaluator, batch: int):
                         child[3 + 3 * g] += sec
                     parts[h][0].append(child)
                     parts[h][1].append(num.take(idx) + h)
-        return [(h, np.concatenate(s, axis=1), np.concatenate(u))
-                for h, (s, u) in enumerate(parts) if u]
+        return [(h, *_joined(s, u)) for h, (s, u) in enumerate(parts) if u]
 
     def numbered(num, d):
         """The candidate numbers of nodes where drop set d's chain ends."""

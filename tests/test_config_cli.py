@@ -999,3 +999,23 @@ class TestExitCodes:
     def test_preset_and_config_are_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["model", "--preset", "sweep_weights", "--config", "x.yaml"])
+
+    @pytest.mark.parametrize("argv,option", [
+        (["simulate", "--output", "-"], "--output"),
+        (["sweep", "--output", "-", "--set", "sweep.axis=energy",
+          "--set", "sweep.values=[1.0]"], "--output"),
+        (["solve", "--requests", "1", "--out", "x.json"], "--out"),
+        (["model", "--pre", "sweep_weights"], "--pre"),
+        (["--hel", "model"], "--hel"),
+    ])
+    def test_abbreviated_options_exit_two_and_write_nothing(self, capsys, tmp_path,
+                                                            monkeypatch, argv, option):
+        # A prefix match would read simulate's "--output -" as "--output-dir -"
+        # and write its files into a directory named "-".
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("RESPLAN_OUTPUT_DIR", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + FAST)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -20,7 +20,7 @@ from resplan.costs import Assignment, chain_sums
 from resplan.errors import InfeasibleInstance, InstanceTooLarge, UncoveredBlock
 from resplan.fleet import DeviceSpec, EnergyParams, Fleet, RateMatrix, sample_rates
 from resplan.graph import BlockSpec, LayerSpec, ResNetGraph, SkipTopology, block_arrays
-from resplan.harness import round_seeds, run_round
+from resplan.harness import round_seeds, run_round, run_scenario
 from resplan.objective import ObjectiveWeights
 from resplan.profile import AccuracyProfile, ProfileEntry
 from resplan.solvers import (
@@ -238,7 +238,7 @@ class TestEvaluator:
     def evaluator(self, rng, n_requests=2, **kw):
         graph, fleet, rates, profile, weights = small_problem(rng, **kw)
         return _Evaluator(graph, fleet, rates, profile, weights, EnergyParams(),
-                          n_requests=n_requests)
+                          n_requests=n_requests, repair=True)
 
     def test_drop_sets_that_drop_a_fixed_block_or_cannot_be_bridged_are_left_out(self):
         # Block 2 is fixed but the skip edge (3, 1) spans it; the topology
@@ -378,7 +378,7 @@ class TestEvaluator:
         sc = build_scenario(load_config({"fleet": {"devices": devices}}))
         rates = sample_rates(devices, rng=np.random.default_rng(0))
         ev = _Evaluator(sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy,
-                        n_requests=requests)
+                        n_requests=requests, repair=True)
         passes = []
         block_pass = ev.repair._block_pass
         monkeypatch.setattr(ev.repair, "_block_pass", lambda offers, out: passes.append(
@@ -397,7 +397,7 @@ class TestEvaluator:
         profile = helpers.profile_for(graph, helpers.bridgeable_drop_sets(graph))
         weights = ObjectiveWeights(0.5, 0.5, latency_ref=100.0)
         ev = _Evaluator(graph, fleet, rates, profile, weights, EnergyParams(),
-                        n_requests=r)
+                        n_requests=r, repair=True)
         length = chromosome_length(r, 70, ev.n_blocks)
         size = 2 * solvers._CHUNK_CELLS // (r * 70 * ev.n_blocks) + 1  # three chunks
         pop = np.packbits(rng.integers(0, 2, size=(size, length), dtype=np.uint8), axis=1)
@@ -466,7 +466,7 @@ class TestEvaluator:
         profile = helpers.profile_for(graph, helpers.bridgeable_drop_sets(graph))
         weights = ObjectiveWeights(0.5, 0.5, latency_ref=100.0)
         ev = _Evaluator(graph, fleet, rates, profile, weights, EnergyParams(),
-                        n_requests=3)
+                        n_requests=3, repair=True)
         length = chromosome_length(3, 70, ev.n_blocks)
         pop = rng.integers(0, 2, size=(20, length), dtype=np.uint8)
         pen, wo, latency, feasible, hosts, ent = ev.evaluate(np.packbits(pop, axis=1))
@@ -640,16 +640,22 @@ class TestExactSolver:
         earliest = feasible[np.lexsort((want[2][feasible], want[1][feasible]))[0]]
         best = ev.to_assignment(hosts[earliest * r:(earliest + 1) * r],
                                 ent[earliest * r:(earliest + 1) * r])
-        seen, tree = [], solvers._tree_scores
+        seen, tree, joined, join = [], solvers._tree_scores, [], solvers._joined
 
         def recorded(ev, batch):
             for out in tree(ev, batch):
                 seen.append(out)
                 yield out
 
+        def counted(states, nums):  # the groups that gave a host children
+            joined[-1].append(len(nums))
+            return join(states, nums)
+
         for cells in (None, 7 * r * n * graph.n_blocks):
             seen.clear()
+            joined.append([])
             monkeypatch.setattr(solvers, "_tree_scores", recorded)
+            monkeypatch.setattr(solvers, "_joined", counted)
             if cells:
                 monkeypatch.setattr(solvers, "_CHUNK_CELLS", cells)
             got = solve_exact(*args, limits=ExactLimits(max_candidates=b))
@@ -668,6 +674,12 @@ class TestExactSolver:
             assert got.objective == want[1][earliest]
             np.testing.assert_array_equal(got.assignment.x, best.x)
             np.testing.assert_array_equal(got.assignment.y, best.y)
+        # At the default batch the tree takes both of ``place``'s returns: a
+        # host's part from one frontier group as it is, and parts joined from
+        # several.  A join needs two hosts in use, which the "first" caps
+        # leave no 2-device fleet.
+        assert 1 in joined[0]
+        assert max(joined[0]) >= 2 or (caps == "first" and n == 2)
 
     def test_bound_keeps_the_benchmark_optimum_and_cuts_most_leaves(self, monkeypatch):
         # The benchmark-shaped instance: ResNet-50 on two devices at the
@@ -1218,3 +1230,92 @@ class TestGreedySeed:
             for j, host in enumerate(assign.hosts(r)):
                 loads[host] += oracles.block_compute(graph.blocks[j])
         assert (loads <= fleet.compute_caps + 1e-9).all()
+
+
+class TestSharedTables:
+    """The tables built once per graph, profile, accuracy threshold and
+    memory mode, and shared by every solve of them."""
+
+    @staticmethod
+    def solves(mode, threshold):
+        """One round's exact and GA solves on two devices whose memory binds
+        in the ``weights`` mode, as dicts."""
+        sc = build_scenario(load_config(overrides=(
+            "fleet.devices=2", "fleet.memory_mb=[45.0, 60.0]", f"model.memory_mode={mode}",
+            f"weights.accuracy_threshold={threshold}")))
+        rates = sample_rates(2, sc.rate_lo, sc.rate_hi, round_seeds(sc.seed, 0)[1], 0)
+        args = (sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy, 1)
+        return (sc.graph, sc.profile), [
+            solve_exact(*args, limits=ExactLimits(max_candidates=1_179_648),
+                        memory_mode=mode).as_dict(),
+            solve_ga(*args, config=GaConfig(16, 4), memory_mode=mode).as_dict()]
+
+    def test_each_threshold_and_memory_mode_solves_as_on_an_empty_cache(self, monkeypatch):
+        # The shipped graph and profile are one object each, so only the
+        # threshold and the memory mode in the key tell these tables apart.
+        # Both change the plans, so a key that left one out would hand a
+        # solve another's tables.
+        monkeypatch.setattr(solvers, "_TABLES", {})
+        cases = [("inputs", 0.8), ("weights", 0.8), ("inputs", 0.9), ("weights", 0.9)]
+        shared = [self.solves(*case) for case in cases]
+        assert len({tuple(map(id, objects)) for objects, _ in shared}) == 1
+        assert len(solvers._TABLES) == len(cases)
+        alone = []
+        for case in cases:
+            solvers._TABLES.clear()
+            alone.append(self.solves(*case)[1])
+        assert [dicts for _, dicts in shared] == alone
+        assert alone[0] != alone[1] and alone[0] != alone[2]
+
+    def test_a_scenario_builds_its_tables_once(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_TABLES", {})
+        built, tables = [], solvers._Tables
+        monkeypatch.setattr(solvers, "_Tables", lambda *a: built.append(a) or tables(*a))
+        sc = build_scenario(load_config(overrides=(
+            "solver.population_size=8", "solver.generations=2")))
+        assert sc.rounds == 10
+        result = run_scenario(sc)
+        assert result.summary["solved_rounds"] >= 5
+        assert built == [(sc.graph, sc.profile, sc.weights.accuracy_threshold,
+                          sc.memory_mode)]
+
+    def test_shared_arrays_are_read_only(self):
+        sc = build_scenario(load_config(overrides=("fleet.devices=2",)))
+        ev = _Evaluator(sc.graph, sc.fleet, helpers.random_rates(np.random.default_rng(5), 2),
+                        sc.profile, sc.weights, sc.energy, 1, repair=True)
+        t = ev.tables
+        arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)] + t.kept + t.after
+        assert len(arrays) == 12 + 2 * len(t.drops)
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr.reshape(-1)[:1] = 0
+        for name in ("c", "m", "bits", "keep", "src", "acc", "proj_cols", "proj_bits",
+                     "table", "kept_c", "kept_m", "src_bits"):
+            assert getattr(ev, name) is getattr(t, name)
+        assert ev.drops is t.drops
+
+    def test_only_the_ga_builds_a_repair_table(self, monkeypatch):
+        sc = build_scenario(load_config(overrides=("fleet.devices=2",)))
+        rates = sample_rates(2, sc.rate_lo, sc.rate_hi, round_seeds(sc.seed, 0)[1], 0)
+        args = (sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy, 1)
+        built, table = [], solvers._RepairTable
+        monkeypatch.setattr(solvers, "_RepairTable", lambda *a: built.append(a) or table(*a))
+        solve_exact(*args, limits=ExactLimits(max_candidates=1_179_648))
+        assert built == []
+        solve_ga(*args, config=GaConfig(8, 2))
+        assert len(built) == 1
+
+    def test_the_cache_holds_at_most_its_bound(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_TABLES", {})
+        sc = build_scenario(load_config(overrides=("fleet.devices=2",)))
+        rates = helpers.random_rates(np.random.default_rng(6), 2)
+        held = solvers._TABLES_HELD
+        thresholds = [0.5 + 0.01 * k for k in range(held + 3)]
+        for k, threshold in enumerate(thresholds):
+            weights = replace(sc.weights, accuracy_threshold=threshold)
+            ev = _Evaluator(sc.graph, sc.fleet, rates, sc.profile, weights, sc.energy, 1)
+            assert len(solvers._TABLES) == min(k + 1, held)
+            assert next(reversed(solvers._TABLES.values())) is ev.tables
+        # The oldest went first: the last ``held`` thresholds are the ones kept.
+        assert [key[2] for key in solvers._TABLES] == thresholds[-held:]
