@@ -55,6 +55,14 @@ batches through ``_Evaluator._finish``, the last step of ``score``;
 one-request round on the shipped 10-device fleet (2.28e17 candidates)
 solves in well under a second once ``max_candidates`` allows it.  Both
 solvers first run a necessary-condition feasibility certificate.
+
+What no fleet or link rate changes is built once per graph, profile,
+accuracy threshold and memory mode, and shared read-only by every solve of
+them (``_Tables``, held in a cache of ``_TABLES_HELD``): each block's loads
+and output bits; the allowed drop sets with their keep flags, feeding
+blocks, accuracies and kept loads; the GA's projection table; and the exact
+solver's bound constants per drop set.  A solve builds only its fleet and
+rate arrays, and the GA its repair table as well.
 """
 from __future__ import annotations
 
@@ -381,7 +389,7 @@ class _Tables:
         # Largest subset first, then best accuracy, then lowest block ids, so
         # the first entry inside a proposed drop set is its projection.
         rows.sort(key=lambda t: (-len(t[0]), -t[3], t[0]))
-        self.drops = [t[0] for t in rows]
+        self.drops = tuple(t[0] for t in rows)
         self.keep = np.array([t[1] for t in rows], dtype=bool)
         self.src = np.array([t[2] for t in rows])
         self.acc = np.array([t[3] for t in rows], dtype=float)
@@ -400,8 +408,9 @@ class _Tables:
         self.kept_c = self.keep * self.c
         self.kept_m = self.keep * self.m
         self.src_bits = self.bits[self.src]
-        self.kept = [np.flatnonzero(k) for k in self.keep]
-        self.after = [np.append(np.cumsum(self.c[k][::-1])[::-1][1:], 0.0) for k in self.kept]
+        self.kept = tuple(np.flatnonzero(k) for k in self.keep)
+        self.after = tuple(np.append(np.cumsum(self.c[k][::-1])[::-1][1:], 0.0)
+                           for k in self.kept)
         self.least_c, self.best_acc = self.kept_c.sum(axis=1).min(), self.acc.max()
         for arr in (self.c, self.m, self.bits, self.keep, self.src, self.acc, self.proj_cols,
                     self.proj_bits, self.table, self.kept_c, self.kept_m, self.src_bits,

@@ -257,7 +257,7 @@ class TestEvaluator:
         rates = helpers.random_rates(np.random.default_rng(37), 2)
         weights = ObjectiveWeights(0.9, 0.1, latency_ref=1e-3)
         ev = _Evaluator(graph, fleet, rates, profile, weights, EnergyParams(), n_requests=2)
-        assert ev.drops == [(3,), (4,), (5,), ()]
+        assert ev.drops == ((3,), (4,), (5,), ())
         results = [solve_exact(graph, fleet, rates, profile, weights, EnergyParams(), 2),
                    solve_ga(graph, fleet, rates, profile, weights, EnergyParams(), 2,
                             GaConfig(population_size=20, generations=10))]
@@ -1282,9 +1282,9 @@ class TestSharedTables:
     def test_shared_arrays_are_read_only(self):
         sc = build_scenario(load_config(overrides=("fleet.devices=2",)))
         ev = _Evaluator(sc.graph, sc.fleet, helpers.random_rates(np.random.default_rng(5), 2),
-                        sc.profile, sc.weights, sc.energy, 1, repair=True)
+                        sc.profile, sc.weights, sc.energy, 1)
         t = ev.tables
-        arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)] + t.kept + t.after
+        arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)] + [*t.kept, *t.after]
         assert len(arrays) == 12 + 2 * len(t.drops)
         for arr in arrays:
             assert not arr.flags.writeable
