@@ -433,8 +433,8 @@ def _tables(graph: ResNetGraph, profile: AccuracyProfile, threshold: float,
     tables = _TABLES.get(key)
     if tables is None:
         tables = _Tables(graph, profile, threshold, memory_mode)
-        if len(_TABLES) >= _TABLES_HELD:
-            del _TABLES[next(iter(_TABLES))]
+        if len(_TABLES) >= _TABLES_HELD:  # another thread's solve may evict it first
+            _TABLES.pop(next(iter(_TABLES)), None)
         _TABLES[key] = tables
     return tables
 
