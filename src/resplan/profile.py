@@ -68,7 +68,8 @@ class AccuracyProfile:
     """Lookup from dropped-block set to measured accuracy.
 
     Always contains the empty set at the baseline accuracy; every other entry
-    is capped by the baseline (dropping blocks never helps).
+    is capped by the baseline (dropping blocks never helps).  The entries
+    are a read-only copy of the mapping given, so a profile never changes.
     """
 
     baseline: float
@@ -78,6 +79,7 @@ class AccuracyProfile:
     max_drop: int = DEFAULT_MAX_DROP
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         if not 0.0 <= self.baseline <= 1.0:
             raise ValidationError(f"baseline {self.baseline} outside [0,1]")
         if frozenset() not in self.entries:
@@ -190,7 +192,7 @@ def load_profile(source) -> AccuracyProfile:
 
     return AccuracyProfile(
         baseline=baseline,
-        entries=MappingProxyType(entries),
+        entries=entries,
         source_label=str(doc["source_label"]),
         n_blocks=n_blocks,
         max_drop=max_drop,

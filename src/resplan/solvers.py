@@ -57,12 +57,13 @@ solves in well under a second once ``max_candidates`` allows it.  Both
 solvers first run a necessary-condition feasibility certificate.
 
 What no fleet or link rate changes is built once per graph, profile,
-accuracy threshold and memory mode, and shared read-only by every solve of
-them (``_Tables``, held in a cache of ``_TABLES_HELD``): each block's loads
-and output bits; the allowed drop sets with their keep flags, feeding
-blocks, accuracies and kept loads; the GA's projection table; and the exact
-solver's bound constants per drop set.  A solve builds only its fleet and
-rate arrays, and the GA its repair table as well.
+accuracy threshold and memory mode (``_Tables``): each block's loads and
+output bits; the allowed drop sets with their keep flags, feeding blocks,
+accuracies and kept loads; the GA's projection table; and the exact
+solver's bound constants per drop set.  The last solve's tables are kept,
+read-only, and reused by the next solve of the same four, as a scenario's
+rounds and a sweep's variants are.  Each solve builds its fleet and rate
+arrays, and the GA its repair table as well.
 """
 from __future__ import annotations
 
@@ -347,8 +348,8 @@ def _placement(hosts: np.ndarray, kept: np.ndarray, n_devices: int) -> np.ndarra
 
 class _Tables:
     """A solve's arrays that no fleet or link rate changes: those of one
-    graph, profile, accuracy threshold and memory mode, built once and
-    shared, read-only, by every solve of them (``_tables``).
+    graph, profile, accuracy threshold and memory mode, read-only, and
+    reused by the next solve of the same four (``_tables``).
 
     Per block: its multiplications ``c``, resident bytes ``m`` and output
     ``bits``.  Per drop set, indexed by its rank in ``drops`` (largest first,
@@ -361,8 +362,9 @@ class _Tables:
     after each of them on the chain (``after``); the least compute any drop
     set keeps (``least_c``) and the best accuracy (``best_acc``).
 
-    The graph and profile are held: the cache keys on their ids, which stay
-    theirs while the tables live.
+    The graph and profile are held: ``_tables`` keys on their ids, which
+    stay theirs while the tables live.  Both are frozen, the profile's
+    entries included, so the tables cannot go stale.
     """
 
     def __init__(self, graph: ResNetGraph, profile: AccuracyProfile, threshold: float,
@@ -418,35 +420,32 @@ class _Tables:
             arr.flags.writeable = False
 
 
-# The most (graph, profile, accuracy threshold, memory mode) tables held at
-# once.  A scenario uses one, and so does a sweep, whose variants share all
-# four.
-_TABLES_HELD = 8
-_TABLES: dict[tuple, _Tables] = {}
+# The last solve's key (graph id, profile id, accuracy threshold, memory
+# mode) and its tables.  A scenario's rounds share all four, and so do a
+# sweep's variants; the tables hold the graph and profile, so their ids
+# cannot be reused while the key stands.
+_LAST_TABLES: tuple = (None, None)
 
 
 def _tables(graph: ResNetGraph, profile: AccuracyProfile, threshold: float,
             memory_mode: str) -> _Tables:
-    """The shared tables of a graph, profile, threshold and memory mode,
-    built at their first solve; the oldest of ``_TABLES_HELD`` makes room."""
+    """The shared tables of a graph, profile, threshold and memory mode:
+    the last solve's when it had the same four, otherwise built anew."""
+    global _LAST_TABLES
     key = (id(graph), id(profile), threshold, memory_mode)
-    tables = _TABLES.get(key)
-    if tables is None:
-        tables = _Tables(graph, profile, threshold, memory_mode)
-        if len(_TABLES) >= _TABLES_HELD:  # another thread's solve may evict it first
-            _TABLES.pop(next(iter(_TABLES)), None)
-        _TABLES[key] = tables
-    return tables
+    if _LAST_TABLES[0] != key:
+        _LAST_TABLES = (key, _Tables(graph, profile, threshold, memory_mode))
+    return _LAST_TABLES[1]
 
 
 class _Evaluator:
     """Canonicalize raw chromosomes and score candidates, a batch at a time.
 
-    The rate-independent arrays come from the shared ``_Tables`` of the
-    graph, profile, accuracy threshold and memory mode (``tables``; the
-    evaluator names the ones its steps read); only the fleet and rate arrays
-    are built per solve, and the GA's ``_RepairTable`` only when ``repair``
-    asks for it.  Drop sets are indexed by their rank in ``drops``.  Rows are
+    The rate-independent arrays come from the ``_Tables`` of the graph,
+    profile, accuracy threshold and memory mode (``tables``, built once per
+    four and reused by consecutive solves of them; the evaluator names the
+    ones its steps read); only the fleet and rate arrays are built per
+    solve, and the GA's ``_RepairTable`` only when ``repair`` asks for it.  Drop sets are indexed by their rank in ``drops``.  Rows are
     (individual, request) pairs in order.  Scores come from
     ``costs.chain_sums`` and ``chain_costs``, as ``evaluate_assignment``'s
     do, and agree with them bit for bit.

@@ -132,6 +132,16 @@ class TestLoadProfile:
         with pytest.raises(ValidationError):
             ProfileEntry(drop_set=frozenset({2}), accuracy=1.5)
 
+    def test_a_profile_built_from_a_dict_cannot_change(self):
+        # The solvers keep a profile's drop-set tables between solves, so
+        # neither the profile nor the dict it was built from may edit it.
+        entries = {frozenset(): ProfileEntry(drop_set=frozenset(), accuracy=0.95)}
+        prof = AccuracyProfile(0.95, entries, "t", 5)
+        with pytest.raises(TypeError):
+            prof.entries[frozenset({3})] = ProfileEntry(drop_set=frozenset({3}), accuracy=0.9)
+        entries[frozenset({3})] = ProfileEntry(drop_set=frozenset({3}), accuracy=0.9)
+        assert prof.accuracy_for({3}) is None and len(prof.entries) == 1
+
 
 class TestLookup:
     def test_g_lookup_maps_keep_vectors_to_entries(self):

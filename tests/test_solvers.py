@@ -6,7 +6,9 @@ settings)."""
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -1233,8 +1235,8 @@ class TestGreedySeed:
 
 
 class TestSharedTables:
-    """The tables built once per graph, profile, accuracy threshold and
-    memory mode, and shared by every solve of them."""
+    """The tables of a graph, profile, accuracy threshold and memory mode,
+    kept after a solve and reused by the next solve of the same four."""
 
     @staticmethod
     def solves(mode, threshold):
@@ -1253,22 +1255,22 @@ class TestSharedTables:
     def test_each_threshold_and_memory_mode_solves_as_on_an_empty_cache(self, monkeypatch):
         # The shipped graph and profile are one object each, so only the
         # threshold and the memory mode in the key tell these tables apart.
-        # Both change the plans, so a key that left one out would hand a
-        # solve another's tables.
-        monkeypatch.setattr(solvers, "_TABLES", {})
-        cases = [("inputs", 0.8), ("weights", 0.8), ("inputs", 0.9), ("weights", 0.9)]
+        # Each case differs from the one before in one of them, and each
+        # change moves the plans, so a key that left one out would hand a
+        # solve the last solve's tables.
+        monkeypatch.setattr(solvers, "_LAST_TABLES", (None, None))
+        cases = [("inputs", 0.8), ("weights", 0.8), ("weights", 0.9), ("inputs", 0.9)]
         shared = [self.solves(*case) for case in cases]
         assert len({tuple(map(id, objects)) for objects, _ in shared}) == 1
-        assert len(solvers._TABLES) == len(cases)
         alone = []
         for case in cases:
-            solvers._TABLES.clear()
+            solvers._LAST_TABLES = (None, None)
             alone.append(self.solves(*case)[1])
         assert [dicts for _, dicts in shared] == alone
-        assert alone[0] != alone[1] and alone[0] != alone[2]
+        assert alone[0] != alone[1] != alone[2] != alone[3]
 
     def test_a_scenario_builds_its_tables_once(self, monkeypatch):
-        monkeypatch.setattr(solvers, "_TABLES", {})
+        monkeypatch.setattr(solvers, "_LAST_TABLES", (None, None))
         built, tables = [], solvers._Tables
         monkeypatch.setattr(solvers, "_Tables", lambda *a: built.append(a) or tables(*a))
         sc = build_scenario(load_config(overrides=(
@@ -1306,16 +1308,21 @@ class TestSharedTables:
         solve_ga(*args, config=GaConfig(8, 2))
         assert len(built) == 1
 
-    def test_the_cache_holds_at_most_its_bound(self, monkeypatch):
-        monkeypatch.setattr(solvers, "_TABLES", {})
+    def test_only_the_last_tables_are_kept(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_LAST_TABLES", (None, None))
         sc = build_scenario(load_config(overrides=("fleet.devices=2",)))
         rates = helpers.random_rates(np.random.default_rng(6), 2)
-        held = solvers._TABLES_HELD
-        thresholds = [0.5 + 0.01 * k for k in range(held + 3)]
-        for k, threshold in enumerate(thresholds):
+
+        def tables(threshold):
             weights = replace(sc.weights, accuracy_threshold=threshold)
-            ev = _Evaluator(sc.graph, sc.fleet, rates, sc.profile, weights, sc.energy, 1)
-            assert len(solvers._TABLES) == min(k + 1, held)
-            assert next(reversed(solvers._TABLES.values())) is ev.tables
-        # The oldest went first: the last ``held`` thresholds are the ones kept.
-        assert [key[2] for key in solvers._TABLES] == thresholds[-held:]
+            return _Evaluator(sc.graph, sc.fleet, rates, sc.profile, weights,
+                              sc.energy, 1).tables
+
+        first = tables(0.8)
+        assert tables(0.8) is first
+        gone = weakref.ref(first)
+        del first
+        second = tables(0.9)
+        gc.collect()
+        assert gone() is None
+        assert solvers._LAST_TABLES[1] is second and tables(0.9) is second
