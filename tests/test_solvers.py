@@ -30,6 +30,7 @@ from resplan.solvers import (
     GaConfig,
     _Evaluator,
     _greedy_seed,
+    _polish,
     chromosome_length,
     repair_allocation,
     solve_exact,
@@ -1079,9 +1080,9 @@ class TestGaSolver:
             assert ga.objective >= exact.objective - 1e-12
 
     def test_reported_objective_is_the_ranked_score_bit_for_bit(self):
-        # The GA ranks by _Evaluator.score; the result reports
+        # The GA and its polish rank by _Evaluator.score; the result reports
         # evaluate_assignment's latency.  Both run the one cost model in
-        # costs.py, so a feasible round's objective is its best score.
+        # costs.py, so a feasible round's objective is its plan's score.
         feasible = 0
         for seed in range(4):
             sc = build_scenario(load_config(seed=seed))
@@ -1090,8 +1091,36 @@ class TestGaSolver:
                 if res is None or not res.feasible or not res.history:
                     continue  # unsolved, infeasible, or no requests
                 feasible += 1
-                assert res.objective == res.history[-1], (seed, k)
+                r, a = res.assignment.n_requests, res.assignment
+                rates = sample_rates(sc.fleet.n_devices, sc.rate_lo, sc.rate_hi,
+                                     round_seeds(sc.seed, k)[1], round_index=k)
+                ev = _Evaluator(sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy,
+                                r, memory_mode=sc.memory_mode)
+                hosts = np.array([a.hosts(q) for q in range(r)])
+                ent = np.array([ev.drops.index(tuple(int(j) + 1 for j in np.flatnonzero(y == 0)))
+                                for y in a.y])
+                _pen, wo, _lat, feas = ev.score(hosts, ent)
+                assert feas[0] and res.objective == wo[0], (seed, k)
         assert feasible >= 30
+
+    def test_ga_counts_its_own_search_and_reports_the_polished_plan(self):
+        # The polish scores moves after the last generation: they are not
+        # evaluations and add no history entry, and its plan can only be
+        # better than the GA's best.  Seed 0, round 7 is one it improves.
+        sc = build_scenario(load_config(seed=0))
+        p, g, elite = sc.ga.population_size, sc.ga.generations, sc.ga.elite
+        below = set()
+        for k in range(sc.rounds):
+            _, res = run_round(sc, k)
+            if res is None or not res.history:
+                continue
+            assert res.evaluations == p + g * (p - elite) == 16_120
+            assert len(res.history) == g + 1 == 81
+            if res.feasible:
+                assert res.objective <= res.history[-1], k
+                if res.objective < res.history[-1]:
+                    below.add(k)
+        assert 7 in below
 
     def test_abundant_budgets_recover_the_full_network(self, resnet50,
                                                         shipped_profile):
@@ -1175,6 +1204,73 @@ class TestGaSolver:
         assert res.assignment.is_resolved()
         if elite >= 1:
             assert all(b <= a for a, b in zip(res.history, res.history[1:]))
+
+
+class TestPolish:
+    """The local search on the GA's best plan: a kept block onto a chain
+    neighbour's host, or a request onto another drop set."""
+
+    @staticmethod
+    def key(ev, hosts, ent):
+        """The GA's ranking key of one plan."""
+        pen, _wo, lat, feas = ev.score(hosts, ent)
+        return pen[0], not feas[0], lat[0]
+
+    @staticmethod
+    def random_plans(devices, compute, seed):
+        """An evaluator on the shipped model and random canonical plans, 1-3
+        requests each: a random drop set per request, a random host per kept
+        block, and each dropped block on the previous block's host."""
+        rng = np.random.default_rng(seed)
+        sc = build_scenario(load_config(overrides=(f"fleet.devices={devices}",)))
+        fleet = sc.fleet.scaled(compute=compute, energy=compute)
+        rates = sample_rates(devices, sc.rate_lo, sc.rate_hi, rng)
+        for r in (1, 2, 3):
+            ev = _Evaluator(sc.graph, fleet, rates, sc.profile, sc.weights, sc.energy, r,
+                            memory_mode=sc.memory_mode)
+            for _ in range(3):
+                ent = rng.integers(0, len(ev.drops), size=r)
+                hosts = rng.integers(0, devices, size=(r, ev.n_blocks))
+                for j in range(1, ev.n_blocks):
+                    hosts[:, j] = np.where(ev.keep[ent, j], hosts[:, j], hosts[:, j - 1])
+                yield ev, hosts, ent
+
+    # Compute and energy at 0.05 of the shipped budgets leave no plan
+    # feasible; at 1.0 the polish reaches feasible plans.
+    @pytest.mark.parametrize("devices", [10, 70])
+    @pytest.mark.parametrize("compute", [1.0, 0.05])
+    def test_the_key_never_rises(self, devices, compute):
+        feasible = 0
+        for ev, hosts, ent in self.random_plans(devices, compute, seed=devices):
+            before = self.key(ev, hosts, ent)
+            new_hosts, new_ent = _polish(ev, hosts.copy(), ent.copy())
+            after = self.key(ev, new_hosts, new_ent)
+            assert after <= before
+            assert ev.to_assignment(new_hosts, new_ent).is_resolved()
+            feasible += not after[1]
+        assert (feasible > 0) == (compute == 1.0)
+
+    def test_a_polished_plan_is_a_fixed_point(self):
+        for ev, hosts, ent in self.random_plans(10, 1.0, seed=3):
+            once = _polish(ev, hosts, ent)
+            twice = _polish(ev, *once)
+            np.testing.assert_array_equal(twice[0], once[0])
+            np.testing.assert_array_equal(twice[1], once[1])
+
+    def test_a_lone_block_on_a_slow_device_moves_back(self):
+        # Blocks 1 and 3 on the fast device, block 2 alone on the slow one:
+        # moving it back saves two transfers and the slow compute.
+        graph = chain3()
+        profile = AccuracyProfile(0.95, {frozenset(): ProfileEntry(frozenset(), 0.95)}, "t",
+                                  n_blocks=3)
+        rates = helpers.random_rates(np.random.default_rng(5), 2)
+        weights = ObjectiveWeights(0.5, 0.5, latency_ref=1e-3)
+        ev = _Evaluator(graph, fleet_with_rates([9e5, 1e5]), rates, profile, weights,
+                        EnergyParams(), 1)
+        hosts, ent = np.array([[0, 1, 0]]), np.array([0])
+        new_hosts, new_ent = _polish(ev, hosts.copy(), ent)
+        np.testing.assert_array_equal(new_hosts, [[0, 0, 0]])
+        assert self.key(ev, new_hosts, new_ent)[2] < self.key(ev, hosts, ent)[2]
 
 
 class TestMemoryMode:
