@@ -25,12 +25,16 @@ row's N x M placement bits) grow with the fleet, so only they are built in
 bounded chunks; the 17-step block pass then runs once over the whole
 generation, on a large fleet too.  Each distinct placement (hosts plus
 drop sets) of a generation is scored once and its scores are shared.
-After the last generation the best plan is polished (``_polish``): a
-best-improvement local search that moves one kept block onto the host of
-the kept block before or after it in its request's chain, or gives one
-request another allowed drop set, and takes a step only when the GA's
-ranking key strictly falls.  Its scored moves are not counted as
-evaluations.
+After the last generation the best plan is polished (``_polish``) by a
+two-neighbourhood descent.  Its narrow step moves one kept block onto the
+host of the kept block before or after it in its request's chain, or gives
+one request another allowed drop set.  Only when none of those strictly
+lowers the GA's ranking key does its wide step move one kept block onto any
+device that hosts a kept block of the plan.  Either step takes its best
+move only when the key strictly falls, and every move sends the descent
+back to the narrow step; it stops when neither step improves.  The default
+budget is 64 generations (``GaConfig``).  The polish's scored moves are not
+counted as evaluations.
 
 The score gathers each row's drop-set arrays and runs the cost model of
 ``costs.py`` (``chain_sums``, then ``chain_costs``), the one that
@@ -90,17 +94,20 @@ from .profile import AccuracyProfile, allowed_drop_sets
 
 @dataclass(frozen=True, slots=True)
 class GaConfig:
-    """The GA's budget and seed.  The default budget, 200 + 80 x 199 =
-    16,120 evaluations a round, is spent as few large generations: on the
+    """The GA's budget and seed.  The default budget, 200 + 64 x 199 =
+    12,936 evaluations a round, is spent as few large generations: on the
     default fleet a generation's cost is mostly a fixed price per numpy call,
     so 200 individuals a generation plan faster than 100 at the same plan
-    quality.  With the best plan polished after the search, generations 81
-    to 100 bought less than the polish does, and fewer than 80 lost plan
-    quality on some GA seeds.  Its heuristics are fixed, as the module
-    constants ``TOURNAMENT_SIZE``, ``CROSSOVER_RATE`` and ``PENALTY_WEIGHT``."""
+    quality.  With the best plan polished after the search (``_polish``),
+    generations 65 to 100 bought less than the polish does.  Why 64: at 56
+    plan quality fell on a GA seed; 60 held it, but speeds the benchmark's
+    large-fleet workload by a fifth or more, which reads as a peak-memory
+    regression while the benchmark keeps every pass (ROADMAP item 5).  Its
+    heuristics are fixed, as the module constants ``TOURNAMENT_SIZE``,
+    ``CROSSOVER_RATE`` and ``PENALTY_WEIGHT``."""
 
     population_size: int = 200
-    generations: int = 80
+    generations: int = 64
     elite: int = 1
     seed: int = 0
 
@@ -339,7 +346,9 @@ def _stacked(parts: list) -> tuple:
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(keys, return_index=True, return_inverse=True)[1:]``: the
     first index of each distinct key, in key order, and each key's rank
-    among them, without ``np.unique``'s per-call overhead."""
+    among them, without ``np.unique``'s per-call overhead.  It also keeps
+    ``numpy.ma`` out of the process: ``np.unique`` imports it on first use,
+    about 1.3 MB of resident memory that no solve otherwise needs."""
     order = keys.argsort(kind="stable")
     ordered = keys[order]
     new = np.empty(keys.size, dtype=bool)
@@ -714,34 +723,37 @@ def _best(pen: np.ndarray, lat: np.ndarray, feas: np.ndarray) -> tuple:
 
 
 def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
-    """Best-improvement local search from a resolved plan: hosts (R, M) and
+    """Variable-neighbourhood descent from a resolved plan: hosts (R, M) and
     drop-set indices (R,) in, the plan it stops at out.
 
-    A move changes one request.  It puts one kept block on the host of the
-    kept block just before or just after it in the request's chain (moves
-    that change nothing, or repeat the one before, are skipped), or it gives
-    the request another allowed drop set, every host left as the plan holds
-    it.  Each step scores all its moves through ``score``, in batches of at
-    most ``_CHUNK_CELLS`` cells, and ranks them by the GA's key (penalized
-    score, then infeasible, then latency; the earliest move wins a tie).  It
-    takes the best move only when that is strictly better than the plan, so
-    the key falls at every step and the search stops.
+    A move changes one request: it puts one kept block on another host, or
+    gives the request another allowed drop set, every host left as the plan
+    holds it.  The narrow step's moves put a kept block on the host of the
+    kept block just before or just after it in its request's chain (moves
+    that change nothing, or repeat the one before, are skipped), or change a
+    request's drop set.  Only when no narrow move strictly lowers the GA's
+    key does the wide step run: it puts each kept block of each request on
+    each other device that hosts a kept block of any request in the plan.
+    Each step scores all its moves through ``score``, in batches of at most
+    ``_CHUNK_CELLS`` cells, and ranks them by the GA's key (penalized score,
+    then infeasible, then latency; the earliest move wins a tie).  It takes
+    the best move only when that is strictly better than the plan, and then
+    starts again from the narrow step; so the key falls at every move, and
+    the descent stops when neither step has an improving move.
     """
     r, m = hosts.shape
     step = max(1, _CHUNK_CELLS // (r * ev.n_devices * m))
     # One row per request: its hosts, then its drop set in column m.
     plan = np.concatenate([hosts, ent[:, None]], axis=1)
+    others = np.arange(len(ev.drops))
 
     def ranked(plans):
         """``_best`` of plans (b, R, M + 1)."""
         pen, _wo, lat, feas = ev.score(plans[:, :, :m].reshape(-1, m), plans[:, :, m].ravel())
         return _best(pen, lat, feas)
 
-    best, _ = ranked(plan[None])
-    others = np.arange(len(ev.drops))
-    while True:
-        # Each move sets plan[req, col] = val.
-        reqs, cols, vals = [], [], []
+    def narrow():
+        """Chain-neighbour and drop-set moves, as (request, column, value)."""
         for q in range(r):
             k = ev.tables.kept[plan[q, m]]
             h = plan[q, k]
@@ -749,21 +761,35 @@ def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
             to[to[:, 1] == to[:, 0], 1] = -1
             at, side = np.nonzero((to >= 0) & (to != h[:, None]))
             drops = others[others != plan[q, m]]
-            reqs.append(np.full(at.size + drops.size, q))
-            cols.append(np.append(k.take(at), np.full(drops.size, m)))
-            vals.append(np.append(to[at, side], drops))
-        reqs, cols, vals = np.concatenate(reqs), np.concatenate(cols), np.concatenate(vals)
-        move = None
-        for lo in range(0, reqs.size, step):
-            hi = min(lo + step, reqs.size)
-            plans = np.repeat(plan[None], hi - lo, axis=0)
-            plans[np.arange(hi - lo), reqs[lo:hi], cols[lo:hi]] = vals[lo:hi]
-            key, i = ranked(plans)
-            if key < best:
-                best, move = key, lo + i
-        if move is None:
+            yield (np.full(at.size + drops.size, q),
+                   np.append(k.take(at), np.full(drops.size, m)), np.append(to[at, side], drops))
+
+    def wide():
+        """Each kept block onto each other device that the plan uses."""
+        kept = [ev.tables.kept[e] for e in plan[:, m]]
+        hosting = np.concatenate([plan[q, k] for q, k in enumerate(kept)])
+        used = np.flatnonzero(np.bincount(hosting))  # not np.unique: see _distinct
+        for q, k in enumerate(kept):
+            at, to = np.nonzero(plan[q, k][:, None] != used)
+            yield np.full(at.size, q), k.take(at), used.take(to)
+
+    best, _ = ranked(plan[None])
+    while True:
+        for moves in (narrow, wide):
+            reqs, cols, vals = (np.concatenate(part) for part in zip(*moves()))
+            move = None
+            for lo in range(0, reqs.size, step):
+                hi = min(lo + step, reqs.size)
+                plans = np.repeat(plan[None], hi - lo, axis=0)
+                plans[np.arange(hi - lo), reqs[lo:hi], cols[lo:hi]] = vals[lo:hi]
+                key, i = ranked(plans)
+                if key < best:
+                    best, move = key, lo + i
+            if move is not None:
+                plan[reqs[move], cols[move]] = vals[move]
+                break
+        else:
             return plan[:, :m], plan[:, m]
-        plan[reqs[move], cols[move]] = vals[move]
 
 
 def _flip_positions(rng: np.random.Generator, rate: float, size: int) -> np.ndarray:
