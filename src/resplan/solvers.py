@@ -348,7 +348,7 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first index of each distinct key, in key order, and each key's rank
     among them, without ``np.unique``'s per-call overhead.  It also keeps
     ``numpy.ma`` out of the process: ``np.unique`` imports it on first use,
-    about 1.3 MB of resident memory that no solve otherwise needs."""
+    over a megabyte of resident memory that no solve otherwise needs."""
     order = keys.argsort(kind="stable")
     ordered = keys[order]
     new = np.empty(keys.size, dtype=bool)

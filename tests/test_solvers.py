@@ -1280,9 +1280,9 @@ class TestPolish:
     def test_a_request_alone_on_a_slow_device_joins_a_used_fast_one(self):
         # Request 2 sits whole on the slow device 1, so no chain neighbour
         # offers another host and only the empty drop set is allowed: no
-        # narrow move exists.  The wide step puts its last block on device
-        # 0, which request 1 uses, and the narrow step then brings the rest;
-        # device 2, the fastest but unused, is never offered.
+        # narrow move exists.  The wide step puts one of its blocks on
+        # device 0, which request 1 uses, and the narrow step then brings the
+        # rest; device 2, the fastest but unused, is never offered.
         graph = chain3()
         profile = AccuracyProfile(0.95, {frozenset(): ProfileEntry(frozenset(), 0.95)}, "t",
                                   n_blocks=3)
@@ -1296,8 +1296,8 @@ class TestPolish:
         assert self.key(ev, new_hosts, new_ent)[2] < self.key(ev, hosts, ent)[2]
 
     def test_solves_leave_numpy_ma_unimported(self):
-        # np.unique imports numpy.ma on its first call, which adds about
-        # 1.3 MB to the process; no solve path may call it.
+        # np.unique imports numpy.ma on its first call, which adds over a
+        # megabyte of resident memory; no solve path may call it.
         code = "\n".join((
             "import sys",
             "from resplan.config import build_scenario, load_config",
