@@ -26,15 +26,13 @@ bounded chunks; the 17-step block pass then runs once over the whole
 generation, on a large fleet too.  Each distinct placement (hosts plus
 drop sets) of a generation is scored once and its scores are shared.
 After the last generation the best plan is polished (``_polish``) by a
-two-neighbourhood descent.  Its narrow step moves one kept block onto the
-host of the kept block before or after it in its request's chain, or gives
-one request another allowed drop set.  Only when none of those strictly
-lowers the GA's ranking key does its wide step move one kept block onto any
-device that hosts a kept block of the plan.  Either step takes its best
-move only when the key strictly falls, and every move sends the descent
-back to the narrow step; it stops when neither step improves.  The default
-budget is 64 generations (``GaConfig``).  The polish's scored moves are not
-counted as evaluations.
+best-improvement descent: a move puts one kept block onto another device
+that hosts a kept block of the plan, or gives one request another allowed
+drop set, and the best move is taken while it strictly lowers the GA's
+ranking key.  A move is scored as its request's one new row, added to the
+sums of the plan's other rows, over the devices the plan names; so a step
+costs one row a move, not one plan.  The default budget is 64 generations
+(``GaConfig``).  The polish's scored moves are not counted as evaluations.
 
 The score gathers each row's drop-set arrays and runs the cost model of
 ``costs.py`` (``chain_sums``, then ``chain_costs``), the one that
@@ -77,6 +75,7 @@ arrays, and the GA its repair table as well.
 """
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 
@@ -196,7 +195,8 @@ def chromosome_length(n_requests: int, n_devices: int, n_blocks: int) -> int:
 # Unpacking chromosomes, building the repair's table columns and scoring
 # (about 16 arrays of N floats per individual) count individuals x requests
 # x devices x blocks cells; the exact solver's tree keeps up to R x M
-# frontiers of a batch of nodes (1 + 3N floats each).  A 200-individual
+# frontiers of a batch of nodes (1 + 3N floats each); the polish counts
+# 3N + M cells a move, N the devices its plan names.  A 200-individual
 # generation on a 10-device fleet fits one such chunk up to 3 requests and
 # two up to 7.  The repair's block pass counts rows x blocks x device
 # chunks, far fewer: one pass covers a 200-individual generation up to 38
@@ -588,6 +588,19 @@ class _Evaluator:
             for some in (first[i:i + step] for i in range(0, first.size, step))])
         return tuple(col.take(inverse) for col in scores) + (hosts, ent)
 
+    def on_devices(self, devices: np.ndarray) -> _Evaluator:
+        """This evaluator with its fleet cut to ``devices`` (ascending ids),
+        for rows whose hosts are all among them, numbered by their place in
+        ``devices``.  A device that hosts nothing adds only zeros to
+        ``_finish``'s sums, so such rows score the same, bit for bit, as on
+        the whole fleet."""
+        sub = copy.copy(self)
+        sub.n_devices = devices.size
+        sub.e = self.e.take(devices)
+        sub.caps = self.caps.take(devices, axis=0)
+        sub.rho_off = transfer_rates(self.rho[np.ix_(devices, devices)])
+        return sub
+
     def to_assignment(self, hosts: np.ndarray, ent: np.ndarray) -> Assignment:
         kept = self.keep.take(ent, axis=0)
         return Assignment(_placement(hosts, kept, self.n_devices),
@@ -723,73 +736,97 @@ def _best(pen: np.ndarray, lat: np.ndarray, feas: np.ndarray) -> tuple:
 
 
 def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
-    """Variable-neighbourhood descent from a resolved plan: hosts (R, M) and
+    """Best-improvement descent from a resolved plan: hosts (R, M) and
     drop-set indices (R,) in, the plan it stops at out.
 
-    A move changes one request: it puts one kept block on another host, or
-    gives the request another allowed drop set, every host left as the plan
-    holds it.  The narrow step's moves put a kept block on the host of the
-    kept block just before or just after it in its request's chain (moves
-    that change nothing, or repeat the one before, are skipped), or change a
-    request's drop set.  Only when no narrow move strictly lowers the GA's
-    key does the wide step run: it puts each kept block of each request on
-    each other device that hosts a kept block of any request in the plan.
-    Each step scores all its moves through ``score``, in batches of at most
-    ``_CHUNK_CELLS`` cells, and ranks them by the GA's key (penalized score,
-    then infeasible, then latency; the earliest move wins a tie).  It takes
-    the best move only when that is strictly better than the plan, and then
-    starts again from the narrow step; so the key falls at every move, and
-    the descent stops when neither step has an improving move.
+    A move changes one request: it puts one kept block on another device
+    that hosts a kept block of any request in the plan, or gives the request
+    another allowed drop set, every host left as the plan holds it.  A step
+    scores every move as one row, the request's new row, whose sums are
+    added to those of the plan's other rows before ``_finish``; the fleet is
+    cut to the devices the plan names (``_Evaluator.on_devices``).  So a
+    move costs one row over those devices, not R rows over the fleet.  Moves
+    are scored in batches of at most ``_CHUNK_CELLS`` cells and ranked by
+    the GA's key (penalized score, then infeasible, then latency; the
+    earliest move wins a tie).  Added in another order than ``score`` adds
+    a plan, a move's key can differ from its plan's in the last bits, so
+    the best move is scored again as a plan and taken only when that key is
+    strictly below the plan's: the key falls at every step, and the descent
+    stops when no move strictly improves.
     """
     r, m = hosts.shape
-    step = max(1, _CHUNK_CELLS // (r * ev.n_devices * m))
     # One row per request: its hosts, then its drop set in column m.
     plan = np.concatenate([hosts, ent[:, None]], axis=1)
-    others = np.arange(len(ev.drops))
+    every = np.arange(len(ev.drops))
+    # others[q, p]: whether request p is one of request q's others.
+    others = ~np.eye(r, dtype=bool)[:, :, None]
 
-    def ranked(plans):
-        """``_best`` of plans (b, R, M + 1)."""
-        pen, _wo, lat, feas = ev.score(plans[:, :, :m].reshape(-1, m), plans[:, :, m].ravel())
-        return _best(pen, lat, feas)
+    def ranked(plan):
+        pen, _wo, lat, feas = ev.score(plan[:, :m], plan[:, m])
+        return _best(pen, lat, feas)[0]
 
-    def narrow():
-        """Chain-neighbour and drop-set moves, as (request, column, value)."""
-        for q in range(r):
-            k = ev.tables.kept[plan[q, m]]
-            h = plan[q, k]
-            to = np.stack([np.append(-1, h[:-1]), np.append(h[1:], -1)], axis=1)
-            to[to[:, 1] == to[:, 0], 1] = -1
-            at, side = np.nonzero((to >= 0) & (to != h[:, None]))
-            drops = others[others != plan[q, m]]
-            yield (np.full(at.size + drops.size, q),
-                   np.append(k.take(at), np.full(drops.size, m)), np.append(to[at, side], drops))
+    def sums(sub, rows):
+        """Transfer terms (M, b), load, memory and transmit seconds (b, N)
+        and accuracy (b,) of rows (b, M + 1), one request each."""
+        e = rows[:, m]
+        terms, load, mem, tx = chain_sums(
+            rows[:, :m], ev.src.take(e, axis=0), ev.kept_c.take(e, axis=0),
+            ev.kept_m.take(e, axis=0), ev.src_bits.take(e, axis=0), rows.shape[0], sub.rho_off)
+        return terms[:m], load, mem, tx, ev.acc.take(e)
 
-    def wide():
-        """Each kept block onto each other device that the plan uses."""
-        kept = [ev.tables.kept[e] for e in plan[:, m]]
-        hosting = np.concatenate([plan[q, k] for q, k in enumerate(kept)])
-        used = np.flatnonzero(np.bincount(hosting))  # not np.unique: see _distinct
-        for q, k in enumerate(kept):
-            at, to = np.nonzero(plan[q, k][:, None] != used)
-            yield np.full(at.size, q), k.take(at), used.take(to)
-
-    best, _ = ranked(plan[None])
+    best = ranked(plan)
     while True:
-        for moves in (narrow, wide):
-            reqs, cols, vals = (np.concatenate(part) for part in zip(*moves()))
-            move = None
-            for lo in range(0, reqs.size, step):
-                hi = min(lo + step, reqs.size)
-                plans = np.repeat(plan[None], hi - lo, axis=0)
-                plans[np.arange(hi - lo), reqs[lo:hi], cols[lo:hi]] = vals[lo:hi]
-                key, i = ranked(plans)
-                if key < best:
-                    best, move = key, lo + i
-            if move is not None:
-                plan[reqs[move], cols[move]] = vals[move]
-                break
-        else:
+        # Every device the plan names, dropped blocks' hosts too; the step
+        # numbers them by place.  Not np.unique: see _distinct.
+        devices = np.flatnonzero(np.bincount(plan[:, :m].ravel()))
+        sub = ev.on_devices(devices)
+        local = plan.copy()
+        local[:, :m] = devices.searchsorted(plan[:, :m])
+        kept = [ev.tables.kept[e] for e in plan[:, m]]
+        used = np.flatnonzero(np.bincount(np.concatenate(
+            [local[q, k] for q, k in enumerate(kept)])))
+        # Per request q: the sums of the other rows.
+        terms, load, mem, tx, acc = sums(sub, local)
+        o_terms, o_load, o_mem, o_tx, o_acc = (np.where(others, x[None], 0.0).sum(axis=1)
+                                               for x in (terms.T, load, mem, tx, acc[:, None]))
+        o_terms, o_acc = o_terms.sum(axis=1), o_acc[:, 0]
+        # Each move sets local[reqs[i], cols[i]] = vals[i].
+        reqs, cols, vals = [], [], []
+        for q, k in enumerate(kept):
+            at, to = np.nonzero(local[q, k][:, None] != used)
+            drops = every[every != plan[q, m]]
+            reqs.append(np.full(at.size + drops.size, q))
+            cols.append(np.append(k.take(at), np.full(drops.size, m)))
+            vals.append(np.append(used.take(to), drops))
+        reqs, cols, vals = np.concatenate(reqs), np.concatenate(cols), np.concatenate(vals)
+        step = max(1, _CHUNK_CELLS // (3 * devices.size + m))
+        move = None
+        for lo in range(0, reqs.size, step):
+            hi = min(lo + step, reqs.size)
+            q = reqs[lo:hi]
+            rows = local.take(q, axis=0)
+            rows[np.arange(hi - lo), cols[lo:hi]] = vals[lo:hi]
+            t, load, mem, tx, acc = sums(sub, rows)
+            full = np.empty((1 + m + devices.size, hi - lo))
+            full[0] = o_terms.take(q)
+            full[1:1 + m] = t
+            pen, _wo, lat, feas = sub._finish(
+                full, load + o_load.take(q, axis=0), mem + o_mem.take(q, axis=0),
+                tx + o_tx.take(q, axis=0), acc + o_acc.take(q))
+            key, i = _best(pen, lat, feas)
+            if key < best and (move is None or key < move[0]):
+                move = key, lo + i
+        if move is None:
             return plan[:, :m], plan[:, m]
+        i = move[1]
+        q, col = reqs[i], cols[i]
+        old = plan[q, col]
+        plan[q, col] = devices[vals[i]] if col < m else vals[i]
+        key = ranked(plan)
+        if not key < best:
+            plan[q, col] = old
+            return plan[:, :m], plan[:, m]
+        best = key
 
 
 def _flip_positions(rng: np.random.Generator, rate: float, size: int) -> np.ndarray:

@@ -1210,9 +1210,8 @@ class TestGaSolver:
 
 
 class TestPolish:
-    """The descent on the GA's best plan: its narrow step puts a kept block
-    onto a chain neighbour's host, or a request onto another drop set; its
-    wide step puts a kept block onto any device the plan uses."""
+    """The descent on the GA's best plan: a move puts a kept block onto any
+    device the plan uses, or a request onto another drop set."""
 
     @staticmethod
     def key(ev, hosts, ent):
@@ -1221,16 +1220,19 @@ class TestPolish:
         return pen[0], not feas[0], lat[0]
 
     @staticmethod
-    def random_plans(devices, compute, seed):
+    def random_plans(devices, compute, seed, transmit=1.0):
         """An evaluator on the shipped model and random canonical plans, 1-3
         requests each: a random drop set per request, a random host per kept
-        block, and each dropped block on the previous block's host."""
+        block, and each dropped block on the previous block's host.  The
+        compute and energy budgets are scaled by ``compute``, the transmit
+        power by ``transmit``."""
         rng = np.random.default_rng(seed)
         sc = build_scenario(load_config(overrides=(f"fleet.devices={devices}",)))
         fleet = sc.fleet.scaled(compute=compute, energy=compute)
+        energy = EnergyParams(sc.energy.p_compute, sc.energy.p_transmit * transmit)
         rates = sample_rates(devices, sc.rate_lo, sc.rate_hi, rng)
         for r in (1, 2, 3):
-            ev = _Evaluator(sc.graph, fleet, rates, sc.profile, sc.weights, sc.energy, r,
+            ev = _Evaluator(sc.graph, fleet, rates, sc.profile, sc.weights, energy, r,
                             memory_mode=sc.memory_mode)
             for _ in range(3):
                 ent = rng.integers(0, len(ev.drops), size=r)
@@ -1279,10 +1281,10 @@ class TestPolish:
 
     def test_a_request_alone_on_a_slow_device_joins_a_used_fast_one(self):
         # Request 2 sits whole on the slow device 1, so no chain neighbour
-        # offers another host and only the empty drop set is allowed: no
-        # narrow move exists.  The wide step puts one of its blocks on
-        # device 0, which request 1 uses, and the narrow step then brings the
-        # rest; device 2, the fastest but unused, is never offered.
+        # offers another host and only the empty drop set is allowed: a
+        # search over chain-neighbour and drop-set moves stops here.  The
+        # descent puts its blocks one by one on device 0, which request 1
+        # uses; device 2, the fastest but unused, is never offered.
         graph = chain3()
         profile = AccuracyProfile(0.95, {frozenset(): ProfileEntry(frozenset(), 0.95)}, "t",
                                   n_blocks=3)
@@ -1294,6 +1296,78 @@ class TestPolish:
         new_hosts, new_ent = _polish(ev, hosts.copy(), ent.copy())
         np.testing.assert_array_equal(new_hosts, [[0, 0, 0], [0, 0, 0]])
         assert self.key(ev, new_hosts, new_ent)[2] < self.key(ev, hosts, ent)[2]
+
+    # At 0.3 of the shipped compute and energy budgets, with 100 times the
+    # transmit power, the caps bind and transfers weigh on energy, so every
+    # overrun term ranks the moves too.
+    @pytest.mark.parametrize("devices", [10, 70])
+    @pytest.mark.parametrize("compute,transmit", [(1.0, 1.0), (0.3, 100.0)])
+    def test_each_step_takes_a_best_move_scored_as_a_whole_plan(self, devices, compute,
+                                                                  transmit, monkeypatch):
+        # Each move scored plainly, as a whole plan through ``score``: every
+        # step of the polish takes a move whose key is the least, and the
+        # plan it stops at has no better move.  A move is scored in the
+        # polish as one row added to the other rows' sums, which can move a
+        # key in its last bits, so keys within 1e-12 count as equal (moves
+        # of two alike requests can tie exactly).
+        def near_or_below(a, b):
+            return a <= b or (a[1] == b[1] and np.isclose(a[0], b[0], rtol=1e-12, atol=0)
+                              and np.isclose(a[2], b[2], rtol=1e-12, atol=0))
+
+        def keys_of_moves(ev, plan):
+            m = plan.shape[1] - 1
+            kept = [ev.tables.kept[e] for e in plan[:, m]]
+            used = {int(d) for q, k in enumerate(kept) for d in plan[q, k]}
+            cells = [(q, j, d) for q, k in enumerate(kept) for j in k for d in used
+                     if d != plan[q, j]]
+            cells += [(q, m, e) for q in range(plan.shape[0]) for e in range(len(ev.drops))
+                      if e != plan[q, m]]
+            tried = np.repeat(plan[None], len(cells), axis=0)
+            for i, (q, col, val) in enumerate(cells):
+                tried[i, q, col] = val
+            # A plan scores the same alone or in a batch.
+            pen, _wo, lat, feas = score(ev, tried[:, :, :m].reshape(-1, m), tried[:, :, m].ravel())
+            return list(zip(pen, ~feas, lat))
+
+        score, plans = _Evaluator.score, []
+
+        def whole(ev, hosts, ent):
+            # The polish scores only whole plans through ``score``.
+            plans.append(np.concatenate([hosts, ent[:, None]], axis=1))
+            return score(ev, hosts, ent)
+
+        monkeypatch.setattr(_Evaluator, "score", whole)
+        steps = 0
+        for ev, hosts, ent in self.random_plans(devices, compute, seed=7, transmit=transmit):
+            plans.clear()
+            got = _polish(ev, hosts.copy(), ent.copy())
+            m = hosts.shape[1]
+            keys = [(k[0][0], not k[3][0], k[2][0])
+                    for k in (score(ev, p[:, :m], p[:, m]) for p in plans)]
+            # The last plan scored can be a move whose key, as a whole plan,
+            # is no lower; the polish then keeps the plan before it.
+            final = np.concatenate([got[0], got[1][:, None]], axis=1)
+            if not np.array_equal(plans[-1], final):
+                assert near_or_below(keys[-1], keys[-2]) and not keys[-1] < keys[-2]
+                del plans[-1], keys[-1]
+            np.testing.assert_array_equal(plans[-1], final)
+            for i, (plan, nxt) in enumerate(zip(plans, plans[1:])):
+                least = min(keys_of_moves(ev, plan))
+                assert np.count_nonzero(plan != nxt) == 1
+                assert keys[i + 1] < keys[i]
+                assert near_or_below(keys[i + 1], least)
+                steps += 1
+            assert all(near_or_below(keys[-1], k) for k in keys_of_moves(ev, plans[-1]))
+        assert steps > 9
+
+    @pytest.mark.parametrize("devices", [10, 70])
+    def test_rows_score_the_same_on_the_devices_they_use(self, devices):
+        for ev, hosts, ent in self.random_plans(devices, 1.0, seed=11):
+            used = np.flatnonzero(np.bincount(hosts.ravel()))
+            whole = ev.score(hosts, ent)
+            cut = ev.on_devices(used).score(used.searchsorted(hosts), ent)
+            for a, b in zip(cut, whole):
+                np.testing.assert_array_equal(a, b)
 
     def test_solves_leave_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on its first call, which adds over a
