@@ -87,8 +87,9 @@ def main() -> None:
           f"gen {len(hist) - 1} {hist[-1]:.6f}"
           + (f" (improved in {steps} generations)" if steps
              else " (the seeded initial population already held the optimum)"))
-    print("  polish of the best plan (block moves onto the devices it uses, and")
-    print(f"  drop-set moves): {hist[-1]:.6f} -> objective {ga.objective:.6f}")
+    print("  polish of the best plan and of the last generation's best other plan")
+    print("  (block moves onto the devices a plan uses, and drop-set moves), the")
+    print(f"  better one kept: {hist[-1]:.6f} -> objective {ga.objective:.6f}")
 
     print("\nWhy block 3 gets dropped: it holds ~38 of the 39 Mmult in the")
     print("network, so skipping it saves seconds of compute while costing")

@@ -25,14 +25,17 @@ row's N x M placement bits) grow with the fleet, so only they are built in
 bounded chunks; the 17-step block pass then runs once over the whole
 generation, on a large fleet too.  Each distinct placement (hosts plus
 drop sets) of a generation is scored once and its scores are shared.
-After the last generation the best plan is polished (``_polish``) by a
-best-improvement descent: a move puts one kept block onto another device
-that hosts a kept block of the plan, or gives one request another allowed
-drop set, and the best move is taken while it strictly lowers the GA's
-ranking key.  A move is scored as its request's one new row, added to the
-sums of the plan's other rows, over the devices the plan names; so a step
-costs one row a move, not one plan.  The default budget is 64 generations
-(``GaConfig``).  The polish's scored moves are not counted as evaluations.
+After the last generation a best-improvement descent (``_polish``) runs
+from ``POLISH_STARTS`` plans: the best plan of the search, then the best
+plan of the last generation that differs from it.  A move puts one kept
+block onto another device that hosts a kept block of the plan, or gives one
+request another allowed drop set, and the best move is taken while it
+strictly lowers the GA's ranking key.  A move is scored as its request's one
+new row, added to the sums of the plan's other rows, over the devices the
+plan names; so a step costs one row a move, not one plan.  The polished plan
+with the least key is returned, the best plan's on a tie, so a second start
+can only help.  The default budget is 48 generations (``GaConfig``).  The
+polish's scored moves are not counted as evaluations.
 
 The score gathers each row's drop-set arrays and runs the cost model of
 ``costs.py`` (``chain_sums``, then ``chain_costs``), the one that
@@ -93,20 +96,22 @@ from .profile import AccuracyProfile, allowed_drop_sets
 
 @dataclass(frozen=True, slots=True)
 class GaConfig:
-    """The GA's budget and seed.  The default budget, 200 + 64 x 199 =
-    12,936 evaluations a round, is spent as few large generations: on the
+    """The GA's budget and seed.  The default budget, 200 + 48 x 199 =
+    9,752 evaluations a round, is spent as few large generations: on the
     default fleet a generation's cost is mostly a fixed price per numpy call,
     so 200 individuals a generation plan faster than 100 at the same plan
-    quality.  With the best plan polished after the search (``_polish``),
-    generations 65 to 100 bought less than the polish does.  Why 64: at 56
-    plan quality fell on a GA seed; 60 held it, but speeds the benchmark's
-    large-fleet workload by a fifth or more, which reads as a peak-memory
-    regression while the benchmark keeps every pass (ROADMAP item 5).  Its
-    heuristics are fixed, as the module constants ``TOURNAMENT_SIZE``,
-    ``CROSSOVER_RATE`` and ``PENALTY_WEIGHT``."""
+    quality.  Why 48: after the search both the best plan and the best other
+    plan of the last generation are polished (``POLISH_STARTS``), and with
+    the two starts 48 generations plan as well as 64 did with the best plan's
+    polish alone, which at 48 lost plan quality.  A deeper cut would speed the
+    benchmark's large-fleet workload by a fifth or more, which reads as a
+    peak-memory regression while the benchmark keeps every pass (ROADMAP
+    item 5).  Its heuristics are fixed, as the module constants
+    ``TOURNAMENT_SIZE``, ``CROSSOVER_RATE``, ``PENALTY_WEIGHT`` and
+    ``POLISH_STARTS``."""
 
     population_size: int = 200
-    generations: int = 64
+    generations: int = 48
     elite: int = 1
     seed: int = 0
 
@@ -217,6 +222,7 @@ MEMORY_BOUND = 1 << 30
 TOURNAMENT_SIZE = 3    # picks per tournament when the GA selects a parent
 CROSSOVER_RATE = 0.9   # chance a child crosses over rather than copies a parent
 PENALTY_WEIGHT = 10.0  # score per unit of summed relative budget overrun
+POLISH_STARTS = 2      # plans polished after the search: the best, then the last generation's
 
 
 def round_bytes(n_devices: int) -> int:
@@ -737,7 +743,8 @@ def _best(pen: np.ndarray, lat: np.ndarray, feas: np.ndarray) -> tuple:
 
 def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
     """Best-improvement descent from a resolved plan: hosts (R, M) and
-    drop-set indices (R,) in, the plan it stops at out.
+    drop-set indices (R,) in, the plan it stops at out.  ``solve_ga`` runs it
+    from each of ``_polish_starts``' plans and keeps the best result.
 
     A move changes one request: it puts one kept block on another device
     that hosts a kept block of any request in the plan, or gives the request
@@ -829,6 +836,29 @@ def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
         best = key
 
 
+def _polish_starts(hosts: np.ndarray, ent: np.ndarray, pen: np.ndarray, lat: np.ndarray,
+                   feas: np.ndarray, gen_hosts: np.ndarray, gen_ent: np.ndarray) -> list:
+    """The plans ``_polish`` starts from: the search's best plan, hosts (R, M)
+    and drop-set indices (R,), then the best plans of the last generation's
+    children (the first population's, with no generations) that differ from
+    every start before them, up to ``POLISH_STARTS`` in all.  They come as
+    ``evaluate`` returns them: per individual its scores ``pen``, ``lat``,
+    ``feas`` and R rows of ``gen_hosts`` and ``gen_ent``.  Plans are ranked by
+    ``_best``'s key, the earliest first among equals; children with no other
+    distinct plan give one start."""
+    r, m = hosts.shape
+    plans = np.concatenate([gen_hosts.reshape(-1, r * m), gen_ent.reshape(-1, r)], axis=1)
+    starts = [np.append(hosts.ravel(), ent)]
+    differs = np.ones(plans.shape[0], dtype=bool)
+    for _ in range(POLISH_STARTS - 1):
+        differs &= (plans != starts[-1]).any(axis=1)
+        if not differs.any():
+            break
+        some = np.flatnonzero(differs)
+        starts.append(plans[some[_best(pen.take(some), lat.take(some), feas.take(some))[1]]])
+    return [(s[:r * m].reshape(r, m), s[r * m:]) for s in starts]
+
+
 def _flip_positions(rng: np.random.Generator, rate: float, size: int) -> np.ndarray:
     """Indices where a Bernoulli(rate > 0) draw over ``size`` bits comes up 1.
 
@@ -890,12 +920,14 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     # exact score ties.  That leaves weighted runs untouched but still pulls
     # pure-accuracy runs toward co-located, low-transfer placements.  The
     # best candidate so far keys on ``_best``'s key; the earliest evaluated
-    # wins a tie.
-    best = None
+    # wins a tie.  ``last`` holds the last scored batch: the last
+    # generation's children, or the first population.
+    best = last = None
 
     def evaluate(batch):
-        nonlocal best
-        pen, _wo, lat, feas, hosts, ent = ev.evaluate(batch)
+        nonlocal best, last
+        last = None  # the previous generation's plans are not held while scoring
+        pen, _wo, lat, feas, hosts, ent = last = ev.evaluate(batch)
         key, i = _best(pen, lat, feas)
         if best is None or key < best[0]:
             best = (key, hosts[i * r:(i + 1) * r].copy(), ent[i * r:(i + 1) * r].copy())
@@ -942,7 +974,13 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
         history.append(history[-1] if low == history[-1] else low)
 
     evaluations = size + config.generations * (size - elite)
-    hosts, ent = _polish(ev, best[1], best[2])
+    pen, _wo, lat, feas, hosts, ent = last
+    polished = [_polish(ev, h, e) for h, e in
+                _polish_starts(best[1], best[2], pen, lat, feas, hosts, ent)]
+    # The polished plan with the least key; the first start wins a tie.
+    pen, _wo, lat, feas = ev.score(np.concatenate([h for h, _e in polished]),
+                                   np.concatenate([e for _h, e in polished]))
+    hosts, ent = polished[_best(pen, lat, feas)[1]]
     return _result_from_resolved(ev, hosts, ent, "ga", config.generations, evaluations,
                                  tuple(history), t0)
 

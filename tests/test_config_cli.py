@@ -7,7 +7,9 @@ from __future__ import annotations
 import copy
 import json
 import math
+import re
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,9 +159,22 @@ class TestBuildScenario:
         assert sc.energy.p_compute == 8.0 and sc.energy.p_transmit == 10.0
         assert sc.lam == 3.0 and sc.rounds == 10 and sc.seed == 0
         # The default GA budget, read from GaConfig: CLI and library agree.
-        assert (sc.ga.population_size, sc.ga.generations, sc.ga.elite) == (200, 64, 1)
+        assert (sc.ga.population_size, sc.ga.generations, sc.ga.elite) == (200, 48, 1)
         assert sc.ga == solvers.GaConfig(seed=sc.seed)
         assert sc.exact_limits == solvers.ExactLimits()
+
+    def test_the_quoted_default_budget_is_the_real_one(self):
+        # The README and the GaConfig docstring quote the default budget;
+        # a change to it must change both quotes.
+        ga = solvers.GaConfig()
+        p, g, elite = ga.population_size, ga.generations, ga.elite
+        readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+        quoted = re.findall(r"(\d+) individuals for (\d+) generations \(([\d,]+) evaluations "
+                            r"a round\)", readme)
+        assert quoted == [(str(p), str(g), f"{p + g * (p - elite):,}")]
+        doc = " ".join(solvers.GaConfig.__doc__.split())
+        quoted = re.findall(r"(\d+) \+ (\d+) x (\d+) = ([\d,]+) evaluations a round", doc)
+        assert quoted == [(str(p), str(g), str(p - elite), f"{p + g * (p - elite):,}")]
 
     def test_latency_reference_defaults_to_the_worst_case(self):
         sc = build_scenario(load_config())

@@ -1117,8 +1117,8 @@ class TestGaSolver:
             _, res = run_round(sc, k)
             if res is None or not res.history:
                 continue
-            assert res.evaluations == p + g * (p - elite) == 12_936
-            assert len(res.history) == g + 1 == 65
+            assert res.evaluations == p + g * (p - elite) == 9_752
+            assert len(res.history) == g + 1 == 49
             if res.feasible:
                 assert res.objective <= res.history[-1], k
                 if res.objective < res.history[-1]:
@@ -1389,6 +1389,92 @@ class TestPolish:
         done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+class TestPolishStarts:
+    """The GA polishes the search's best plan and the best distinct plans of
+    its last generation, and returns the polished plan with the least key."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """Each ``_polish`` call of the next solves, as (start, polished)."""
+        calls, polish = [], solvers._polish
+
+        def record(ev, hosts, ent):
+            got = polish(ev, hosts, ent)
+            calls.append(((hosts.copy(), ent.copy()), got))
+            return got
+
+        monkeypatch.setattr(solvers, "_polish", record)
+        return calls
+
+    @staticmethod
+    def same(a, b):
+        return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("devices", [10, 70])
+    def test_two_starts_never_lose_to_the_best_plan_alone(self, devices, monkeypatch):
+        # Random rounds: the shipped model and fleet size, random link
+        # rates, 1-3 requests, the default budget.
+        rng = np.random.default_rng(devices)
+        sc = build_scenario(load_config(overrides=(f"fleet.devices={devices}",)))
+        calls = self.recorded(monkeypatch)
+        second_starts = 0
+        for r in (1, 2, 3):
+            for _ in range(2):
+                rates = sample_rates(devices, sc.rate_lo, sc.rate_hi, rng)
+                calls.clear()
+                res = solve_ga(sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy, r,
+                               config=replace(sc.ga, seed=int(rng.integers(1 << 32))),
+                               memory_mode=sc.memory_mode)
+                ev = _Evaluator(sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy,
+                                r, memory_mode=sc.memory_mode)
+                assert 1 <= len(calls) <= solvers.POLISH_STARTS
+                (first, alone), *rest = calls
+                # The first start is the search's best plan.
+                assert TestPolish.key(ev, *first)[0] == min(res.history)
+                got = (np.array([res.assignment.hosts(q) for q in range(r)]),
+                       np.array([ev.drops.index(tuple(int(j) + 1 for j in np.flatnonzero(y == 0)))
+                                 for y in res.assignment.y]))
+                assert TestPolish.key(ev, *got) <= TestPolish.key(ev, *alone)
+                for start, _polished in rest:
+                    assert not self.same(start, first)
+                    assert TestPolish.key(ev, *first) <= TestPolish.key(ev, *start)
+                    second_starts += 1
+        assert second_starts > 0
+
+    def test_a_generation_of_one_plan_gives_one_start(self):
+        hosts, ent = np.array([[0, 1, 1], [2, 2, 0]]), np.array([3, 0])
+        b = 4
+        gen_hosts, gen_ent = np.tile(hosts, (b, 1)), np.tile(ent, b)
+        pen, lat, feas = np.arange(b, dtype=float), np.zeros(b), np.ones(b, dtype=bool)
+        starts = solvers._polish_starts(hosts, ent, pen, lat, feas, gen_hosts, gen_ent)
+        assert len(starts) == 1 and self.same(starts[0], (hosts, ent))
+        # Individuals 1 and 3 hold another drop set, individual 2 another
+        # host, all three scoring alike: the earliest of them is the second
+        # start.
+        gen_ent[1 * 2 + 1] = gen_ent[3 * 2 + 1] = 1
+        gen_hosts[2 * 2, 0] = 1
+        pen[1:] = 0.5
+        starts = solvers._polish_starts(hosts, ent, pen, lat, feas, gen_hosts, gen_ent)
+        assert len(starts) == solvers.POLISH_STARTS == 2
+        assert self.same(starts[0], (hosts, ent))
+        assert self.same(starts[1], (hosts, np.array([3, 1])))
+
+    def test_the_second_start_wins_seed_1_round_3(self, monkeypatch):
+        # A default-config round where the last generation's best other plan
+        # polishes to a plan the best plan's descent does not reach.
+        calls = self.recorded(monkeypatch)
+        sc = build_scenario(load_config(seed=1))
+        _, res = run_round(sc, 3)
+        assert res.feasible and len(calls) == 2
+        rates = sample_rates(sc.fleet.n_devices, sc.rate_lo, sc.rate_hi,
+                             round_seeds(sc.seed, 3)[1], round_index=3)
+        ev = _Evaluator(sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy,
+                        res.assignment.n_requests, memory_mode=sc.memory_mode)
+        (_, first), (_, second) = calls
+        assert TestPolish.key(ev, *second) < TestPolish.key(ev, *first)
+        assert res.objective == ev.score(*second)[1][0] < ev.score(*first)[1][0]
 
 
 class TestMemoryMode:
