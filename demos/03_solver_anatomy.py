@@ -88,8 +88,8 @@ def main() -> None:
           + (f" (improved in {steps} generations)" if steps
              else " (the seeded initial population already held the optimum)"))
     print("  polish of the best plan and of the last generation's best other plan")
-    print("  (block moves onto the devices a plan uses, and drop-set moves), the")
-    print(f"  better one kept: {hist[-1]:.6f} -> objective {ga.objective:.6f}")
+    print("  (block, run-of-blocks and drop-set moves onto the devices a plan uses),")
+    print(f"  the better one kept: {hist[-1]:.6f} -> objective {ga.objective:.6f}")
 
     print("\nWhy block 3 gets dropped: it holds ~38 of the 39 Mmult in the")
     print("network, so skipping it saves seconds of compute while costing")

@@ -159,7 +159,7 @@ class TestBuildScenario:
         assert sc.energy.p_compute == 8.0 and sc.energy.p_transmit == 10.0
         assert sc.lam == 3.0 and sc.rounds == 10 and sc.seed == 0
         # The default GA budget, read from GaConfig: CLI and library agree.
-        assert (sc.ga.population_size, sc.ga.generations, sc.ga.elite) == (200, 48, 1)
+        assert (sc.ga.population_size, sc.ga.generations, sc.ga.elite) == (200, 40, 1)
         assert sc.ga == solvers.GaConfig(seed=sc.seed)
         assert sc.exact_limits == solvers.ExactLimits()
 
