@@ -33,12 +33,10 @@ that hosts a kept block of the plan, or gives one request another allowed
 drop set, and the best move is taken while it strictly lowers the GA's
 ranking key.  A move is scored as its request's one new row, added to the
 sums of the plan's other rows, over the devices the plan names; so a step
-costs one row a move, not one plan, and the rows of the requests it did not
-move are kept for the next step.  A descent that reaches a plan an earlier
-one passed through stops with that descent's plan.  The polished plan with
-the least key is returned, the best plan's on a tie, so a second start can
-only help.  The default budget is 40 generations (``GaConfig``).  The
-polish's scored moves are not counted as evaluations.
+costs one row a move, not one plan.  The polished plan with the least key
+is returned, the best plan's on a tie, so a second start can only help.
+The default budget is 40 generations (``GaConfig``).  The polish's scored
+moves are not counted as evaluations.
 
 The score gathers each row's drop-set arrays and runs the cost model of
 ``costs.py`` (``chain_sums``, then ``chain_costs``), the one that
@@ -203,9 +201,8 @@ def chromosome_length(n_requests: int, n_devices: int, n_blocks: int) -> int:
 # Unpacking chromosomes, building the repair's table columns and scoring
 # (about 16 arrays of N floats per individual) count individuals x requests
 # x devices x blocks cells; the exact solver's tree keeps up to R x M
-# frontiers of a batch of nodes (1 + 3N floats each); the polish sums and
-# scores moves of 3N + M cells each, N the devices its plan names (and keeps
-# up to ``_HELD_CELLS`` of their sums between steps).  A 200-individual
+# frontiers of a batch of nodes (1 + 3N floats each); the polish counts
+# 3N + M cells a move, N the devices its plan names.  A 200-individual
 # generation on a 10-device fleet fits one such chunk up to 3 requests and
 # two up to 7.  The repair's block pass counts rows x blocks x device
 # chunks, far fewer: one pass covers a 200-individual generation up to 38
@@ -222,11 +219,6 @@ _BOUND_SLACK = 1e-9
 
 # The most bytes a round's per-fleet arrays, or a GA population, may take.
 MEMORY_BOUND = 1 << 30
-
-# The most cells (8 bytes each) of move sums the polish keeps from one step
-# to the next, 3N + M + 1 a move; a plan with more moves sums them again at
-# every step, chunk by chunk.  Up to about 10 requests on 70 devices fit.
-_HELD_CELLS = 1 << 20
 
 TOURNAMENT_SIZE = 3    # picks per tournament when the GA selects a parent
 CROSSOVER_RATE = 0.9   # chance a child crosses over rather than copies a parent
@@ -750,7 +742,7 @@ def _best(pen: np.ndarray, lat: np.ndarray, feas: np.ndarray) -> tuple:
     return (pen[i], not feas[i], lat[i]), i
 
 
-def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray, seen: dict):
+def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
     """Best-improvement descent from a resolved plan: hosts (R, M) and
     drop-set indices (R,) in, the plan it stops at out.  ``solve_ga`` runs it
     from each of ``_polish_starts``' plans and keeps the best result.
@@ -771,19 +763,6 @@ def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray, seen: dict):
     the best move is scored again as a plan and taken only when that key is
     strictly below the plan's: the key falls at every step, and the descent
     stops when no move strictly improves.
-
-    A step changes one request's row, so the others' rows, their moves and
-    the moves' row sums are kept for the next step; only the moved
-    request's are built and summed again.  When the set of devices the plan
-    names shrinks, the kept ones are numbered anew, and the moves onto the
-    devices gone are dropped; when the set of devices its kept blocks use
-    changes otherwise, every request's moves change and all are built
-    anew.  The moves' sums are kept only while they fit ``_HELD_CELLS``;
-    past that they are summed again at each step, chunk by chunk.
-
-    The descent is a function of its plan alone.  ``seen`` maps each plan
-    that earlier descents passed through to the plan they stopped at; a
-    descent that reaches one stops and returns that plan, and adds its own.
     """
     r, m = hosts.shape
     # One row per request: its hosts, then its drop set in column m.
@@ -805,23 +784,22 @@ def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray, seen: dict):
             ev.kept_m.take(e, axis=0), ev.src_bits.take(e, axis=0), rows.shape[0], sub.rho_off)
         return terms[:m], load, mem, tx, ev.acc.take(e)
 
-    def moves(local, kept, used, reqs):
-        """The moves of requests ``reqs`` (ascending) as arrays (request,
-        first column, last column, value), in each request's order: each
+    def moves(local, kept, used):
+        """Every request's moves as arrays (request, first column, last
+        column, value), request by request and in each request's order: each
         move sets those columns of its row to the value.  Hosts are numbered
         as in ``local``, whose kept blocks are ``kept`` (R, M); ``used`` is
         every device they use."""
-        rows, k = local.take(reqs, axis=0), kept.take(reqs, axis=0)
-        h = rows[:, :m]
-        bq, bj, bu = np.nonzero(k[:, :, None] & (h[:, :, None] != used))
-        dq, de = np.nonzero(every != rows[:, m:])
+        h = local[:, :m]
+        bq, bj, bu = np.nonzero(kept[:, :, None] & (h[:, :, None] != used))
+        dq, de = np.nonzero(every != local[:, m:])
         # A kept block on the host of the kept block before it (the one it
         # is fed by) extends that block's run; the stem starts one.
         flat = h.ravel()
-        fed = ev.src.take(rows[:, m], axis=0) + np.arange(0, flat.size, m)[:, None]
+        fed = ev.src.take(local[:, m], axis=0) + np.arange(0, flat.size, m)[:, None]
         joined = flat.take(fed) == h
         joined[:, 0] = False
-        at = np.flatnonzero(k)  # kept cells, request by request
+        at = np.flatnonzero(kept)  # kept cells, request by request
         heads = np.flatnonzero(~joined.ravel().take(at))
         tails = np.append(heads[1:], at.size) - 1
         runs = tails > heads
@@ -833,95 +811,36 @@ def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray, seen: dict):
                np.concatenate([bj, np.full(dq.size, m), last % m]),
                np.concatenate([used.take(bu), de, used.take(ru)]))
         order = out[0].argsort(kind="stable")
-        return (reqs.take(out[0].take(order)), *(x.take(order) for x in out[1:]))
-
-    def moved_sums(sub, local, some):
-        """The new rows' sums of the moves ``some``, one move a row: terms
-        (b, M), load, memory and transmit seconds (b, N) and accuracy (b,),
-        built in chunks of at most ``_CHUNK_CELLS`` cells."""
-        step = max(1, _CHUNK_CELLS // (3 * sub.n_devices + m))
-        parts = []
-        for lo in range(0, some[0].size, step):
-            q, first, last, val = (x[lo:lo + step] for x in some)
-            rows = local.take(q, axis=0)
-            np.copyto(rows, val[:, None], where=(col >= first[:, None]) & (col <= last[:, None]))
-            terms, *rest = sums(sub, rows)
-            parts.append((terms.T, *rest))
-        return list(_stacked(parts))
+        return tuple(x.take(order) for x in out)
 
     best = ranked(plan)
-    # mv: the moves (request, first column, last column, value), request by
-    # request; held: their rows' sums, or None when they would take more
-    # than _HELD_CELLS; own: the sums of each request's row in the plan.
-    passed, devices, moved = [], None, None
     while True:
-        end = seen.get(here := plan.tobytes())
-        if end is not None:
-            break
-        passed.append(here)
         # Every device the plan names, dropped blocks' hosts too; the step
-        # numbers them by place.  A move only puts blocks on named devices,
-        # so the set can only shrink.  Not np.unique: see _distinct.
-        named = np.flatnonzero(np.bincount(plan[:, :m].ravel()))
-        if devices is None or named.size < devices.size:
-            if devices is None:
-                local = plan.copy()
-                local[:, :m] = named.searchsorted(plan[:, :m])
-            else:
-                # Number the devices left anew.  The moves onto the others
-                # go; no row left names those, so their columns are zeros.
-                stay = devices.searchsorted(named)
-                renum = np.full(devices.size, -1)
-                renum[stay] = np.arange(named.size)
-                local[:, :m] = renum.take(local[:, :m])
-                used = renum.take(used)
-                used = used[used >= 0]
-                vals = np.where(los < m, renum.take(vals, mode="clip"), vals)
-                ok = vals >= 0
-                mv = [reqs[ok], los[ok], his[ok], vals[ok]]
-                if held is not None:
-                    t, load, mem, tx, acc = held
-                    held = [t[ok], *(x[ok].take(stay, axis=1) for x in (load, mem, tx)), acc[ok]]
-                own[1:4] = [x.take(stay, axis=1) for x in own[1:4]]
-            devices, sub = named, ev.on_devices(named)
+        # numbers them by place.  Not np.unique: see _distinct.
+        devices = np.flatnonzero(np.bincount(plan[:, :m].ravel()))
+        sub = ev.on_devices(devices)
+        local = plan.copy()
+        local[:, :m] = devices.searchsorted(plan[:, :m])
         kept = ev.keep.take(local[:, m], axis=0)
-        now = np.flatnonzero(np.bincount(local[:, :m][kept]))
-        if moved is None or not np.array_equal(now, used):
-            used = now
-            mv = list(moves(local, kept, used, np.arange(r)))
-            if mv[0].size == 0:
-                end = plan[:, :m], plan[:, m]
-                break
-            held = (moved_sums(sub, local, mv)
-                    if mv[0].size * (3 * devices.size + m + 1) <= _HELD_CELLS else None)
-            terms, load, mem, tx, acc = sums(sub, local)
-            own = [terms.T, load, mem, tx, acc[:, None]]
-        else:
-            # Only the moved request's row and moves are new.
-            a, b = mv[0].searchsorted(moved), mv[0].searchsorted(moved, side="right")
-            new = moves(local, kept, used, np.array([moved]))
-            if held is not None:
-                held = [np.concatenate([x[:a], y, x[b:]])
-                        for x, y in zip(held, moved_sums(sub, local, new))]
-            mv = [np.concatenate([x[:a], y, x[b:]]) for x, y in zip(mv, new)]
-            terms, load, mem, tx, acc = sums(sub, local[moved:moved + 1])
-            for x, y in zip(own, (terms.T, load, mem, tx, acc[:, None])):
-                x[moved] = y[0]
-        reqs, los, his, vals = mv
+        used = np.flatnonzero(np.bincount(local[:, :m][kept]))
+        reqs, firsts, lasts, vals = moves(local, kept, used)
         # Per request q: the sums of the other rows.
+        terms, load, mem, tx, acc = sums(sub, local)
         o_terms, o_load, o_mem, o_tx, o_acc = (np.where(others, x[None], 0.0).sum(axis=1)
-                                               for x in own)
+                                               for x in (terms.T, load, mem, tx, acc[:, None]))
         o_terms, o_acc = o_terms.sum(axis=1), o_acc[:, 0]
         step = max(1, _CHUNK_CELLS // (3 * devices.size + m))
         move = None
         for lo in range(0, reqs.size, step):
             hi = min(lo + step, reqs.size)
             q = reqs[lo:hi]
-            t, load, mem, tx, acc = (moved_sums(sub, local, [x[lo:hi] for x in mv]) if held is None
-                                     else [x[lo:hi] for x in held])
+            rows = local.take(q, axis=0)
+            np.copyto(rows, vals[lo:hi, None],
+                      where=(col >= firsts[lo:hi, None]) & (col <= lasts[lo:hi, None]))
+            t, load, mem, tx, acc = sums(sub, rows)
             full = np.empty((1 + m + devices.size, hi - lo))
             full[0] = o_terms.take(q)
-            full[1:1 + m] = t.T
+            full[1:1 + m] = t
             pen, _wo, lat, feas = sub._finish(
                 full, load + o_load.take(q, axis=0), mem + o_mem.take(q, axis=0),
                 tx + o_tx.take(q, axis=0), acc + o_acc.take(q))
@@ -929,22 +848,16 @@ def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray, seen: dict):
             if key < best and (move is None or key < move[0]):
                 move = key, lo + i
         if move is None:
-            end = plan[:, :m], plan[:, m]
-            break
+            return plan[:, :m], plan[:, m]
         i = move[1]
-        moved, a, b = reqs[i], los[i], his[i] + 1
-        old = plan[moved, a:b].copy()
-        plan[moved, a:b] = devices[vals[i]] if a < m else vals[i]
+        q, a, b = reqs[i], firsts[i], lasts[i] + 1
+        old = plan[q, a:b].copy()
+        plan[q, a:b] = devices[vals[i]] if a < m else vals[i]
         key = ranked(plan)
         if not key < best:
-            plan[moved, a:b] = old
-            end = plan[:, :m], plan[:, m]
-            break
+            plan[q, a:b] = old
+            return plan[:, :m], plan[:, m]
         best = key
-        local[moved, a:b] = vals[i]
-    for here in passed:
-        seen[here] = end
-    return end
 
 
 def _polish_starts(hosts: np.ndarray, ent: np.ndarray, pen: np.ndarray, lat: np.ndarray,
@@ -1086,8 +999,7 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
 
     evaluations = size + config.generations * (size - elite)
     pen, _wo, lat, feas, hosts, ent = last
-    seen = {}  # every plan a descent has passed through, to the plan it stopped at
-    polished = [_polish(ev, h, e, seen) for h, e in
+    polished = [_polish(ev, h, e) for h, e in
                 _polish_starts(best[1], best[2], pen, lat, feas, hosts, ent)]
     # The polished plan with the least key; the first start wins a tie.
     pen, _wo, lat, feas = ev.score(np.concatenate([h for h, _e in polished]),

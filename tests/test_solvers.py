@@ -1249,7 +1249,7 @@ class TestPolish:
         feasible = 0
         for ev, hosts, ent in self.random_plans(devices, compute, seed=devices):
             before = self.key(ev, hosts, ent)
-            new_hosts, new_ent = _polish(ev, hosts.copy(), ent.copy(), {})
+            new_hosts, new_ent = _polish(ev, hosts.copy(), ent.copy())
             after = self.key(ev, new_hosts, new_ent)
             assert after <= before
             assert ev.to_assignment(new_hosts, new_ent).is_resolved()
@@ -1259,8 +1259,8 @@ class TestPolish:
     @pytest.mark.parametrize("devices", [10, 70])
     def test_a_polished_plan_is_a_fixed_point(self, devices):
         for ev, hosts, ent in self.random_plans(devices, 1.0, seed=3):
-            once = _polish(ev, hosts, ent, {})
-            twice = _polish(ev, *once, {})
+            once = _polish(ev, hosts, ent)
+            twice = _polish(ev, *once)
             np.testing.assert_array_equal(twice[0], once[0])
             np.testing.assert_array_equal(twice[1], once[1])
 
@@ -1275,7 +1275,7 @@ class TestPolish:
         ev = _Evaluator(graph, fleet_with_rates([9e5, 1e5]), rates, profile, weights,
                         EnergyParams(), 1)
         hosts, ent = np.array([[0, 1, 0]]), np.array([0])
-        new_hosts, new_ent = _polish(ev, hosts.copy(), ent, {})
+        new_hosts, new_ent = _polish(ev, hosts.copy(), ent)
         np.testing.assert_array_equal(new_hosts, [[0, 0, 0]])
         assert self.key(ev, new_hosts, new_ent)[2] < self.key(ev, hosts, ent)[2]
 
@@ -1293,7 +1293,7 @@ class TestPolish:
         ev = _Evaluator(graph, fleet_with_rates([9e5, 1e5, 2e6]), rates, profile, weights,
                         EnergyParams(), 2)
         hosts, ent = np.array([[0, 0, 0], [1, 1, 1]]), np.array([0, 0])
-        new_hosts, new_ent = _polish(ev, hosts.copy(), ent.copy(), {})
+        new_hosts, new_ent = _polish(ev, hosts.copy(), ent.copy())
         np.testing.assert_array_equal(new_hosts, [[0, 0, 0], [0, 0, 0]])
         assert self.key(ev, new_hosts, new_ent)[2] < self.key(ev, hosts, ent)[2]
 
@@ -1315,7 +1315,7 @@ class TestPolish:
             single = hosts.copy()
             single[q, j] = 1 - q
             assert self.key(ev, single, ent) > self.key(ev, hosts, ent)
-        new_hosts, new_ent = _polish(ev, hosts.copy(), ent.copy(), {})
+        new_hosts, new_ent = _polish(ev, hosts.copy(), ent.copy())
         np.testing.assert_array_equal(new_hosts, [[0, 0], [0, 0]])
         assert self.key(ev, new_hosts, new_ent) < self.key(ev, hosts, ent)
 
@@ -1371,7 +1371,7 @@ class TestPolish:
         steps = runs = 0
         for ev, hosts, ent in self.random_plans(devices, compute, seed=7, transmit=transmit):
             plans.clear()
-            got = _polish(ev, hosts.copy(), ent.copy(), {})
+            got = _polish(ev, hosts.copy(), ent.copy())
             m = hosts.shape[1]
             keys = [(k[0][0], not k[3][0], k[2][0])
                     for k in (score(ev, p[:, :m], p[:, m]) for p in plans)]
@@ -1391,19 +1391,6 @@ class TestPolish:
                 runs += np.count_nonzero(plan[:, :m] != nxt[:, :m]) > 1
             assert all(near_or_below(keys[-1], k) for k in moves_of(ev, plans[-1])[1])
         assert steps > 9 and runs > 0
-
-    @pytest.mark.parametrize("devices", [10, 70])
-    def test_moves_summed_again_at_each_step_descend_alike(self, devices, monkeypatch):
-        # Past _HELD_CELLS the polish sums every move again at each step
-        # instead of keeping the sums between steps: the same descent.
-        plans = list(self.random_plans(devices, 1.0, seed=13))
-        kept = [_polish(ev, hosts.copy(), ent.copy(), {}) for ev, hosts, ent in plans]
-        monkeypatch.setattr(solvers, "_HELD_CELLS", 0)
-        for (ev, hosts, ent), (k_hosts, k_ent) in zip(plans, kept):
-            got_hosts, got_ent = _polish(ev, hosts.copy(), ent.copy(), {})
-            np.testing.assert_array_equal(got_hosts, k_hosts)
-            np.testing.assert_array_equal(got_ent, k_ent)
-        assert sum(not np.array_equal(h, k) for (_ev, h, _e), (k, _k) in zip(plans, kept)) > 3
 
     @pytest.mark.parametrize("devices", [10, 70])
     def test_rows_score_the_same_on_the_devices_they_use(self, devices):
@@ -1445,8 +1432,8 @@ class TestPolishStarts:
         """Each ``_polish`` call of the next solves, as (start, polished)."""
         calls, polish = [], solvers._polish
 
-        def record(ev, hosts, ent, seen):
-            got = polish(ev, hosts, ent, seen)
+        def record(ev, hosts, ent):
+            got = polish(ev, hosts, ent)
             calls.append(((hosts.copy(), ent.copy()), got))
             return got
 
@@ -1520,30 +1507,6 @@ class TestPolishStarts:
         (_, first), (_, second) = calls
         assert TestPolish.key(ev, *second) < TestPolish.key(ev, *first)
         assert res.objective == ev.score(*second)[1][0] < ev.score(*first)[1][0]
-
-    def test_a_descent_that_meets_an_earlier_one_ends_as_it_would_alone(self, monkeypatch):
-        # The second descent stops at the first plan it reaches that the
-        # first descent passed through, and returns the first's end plan.
-        # The descent is a function of its plan, so every solve is the same
-        # as with each descent run to its end on its own.
-        sc = build_scenario(load_config(seed=0))
-        calls = self.recorded(monkeypatch)
-        stopped, met = [], 0
-        for k in range(sc.rounds):
-            calls.clear()
-            stopped.append(run_round(sc, k))
-            met += len(calls) == 2 and calls[1][1] is calls[0][1]
-        polish = solvers._polish
-        # Each descent on its own, seeing no plan of another.
-        monkeypatch.setattr(solvers, "_polish",
-                            lambda ev, hosts, ent, seen: polish(ev, hosts, ent, {}))
-        for k, (record, res) in enumerate(stopped):
-            alone = run_round(sc, k)
-            assert alone[0] == record
-            assert (res is None) == (alone[1] is None)
-            if res is not None:
-                assert alone[1].as_dict() == res.as_dict()
-        assert met > 0
 
 
 class TestMemoryMode:
