@@ -17,17 +17,17 @@ The GA works one generation at a time: it draws every tournament
 (``TOURNAMENT_SIZE`` picks), crossover (at ``CROSSOVER_RATE``) and mutation
 (at one over the chromosome length, about one bit a child) of a generation
 at once, then canonicalizes all the children in array passes over their
-(individual, request) rows.  The projection is a table lookup on the
-kept-block bitmask, the repair one table lookup per block (an add and a
-gather on fleets of up to 10 devices).  Only the
-repair's table columns (each row's offered bitmask per block, read from the
+(individual, request) rows.  The projection is one matmul of the keep bits
+against the drop sets' dropped blocks and an argmin, the repair one table
+lookup per block (an add and a gather on fleets of up to 10 devices).  Only
+the repair's table columns (each row's offered bitmask per block, read from the
 row's N x M placement bits) grow with the fleet, so only they are built in
 bounded chunks; the 17-step block pass then runs once over the whole
 generation, on a large fleet too.  Each distinct placement (hosts plus
 drop sets) of a generation is scored once and its scores are shared.
 After the last generation a best-improvement descent (``_polish``) runs
-from ``POLISH_STARTS`` plans: the best plan of the search, then the best
-plan of the last generation that differs from it.  A move puts one kept
+from two plans: the best plan of the search, then the best plan of the
+last generation that differs from it, when there is one.  A move puts one kept
 block, or a run of consecutive kept blocks on one host, onto another device
 that hosts a kept block of the plan, or gives one request another allowed
 drop set, and the best move is taken while it strictly lowers the GA's
@@ -71,7 +71,7 @@ solvers first run a necessary-condition feasibility certificate.
 What no fleet or link rate changes is built once per graph, profile,
 accuracy threshold and memory mode (``_Tables``): each block's loads and
 output bits; the allowed drop sets with their keep flags, feeding blocks,
-accuracies and kept loads; the GA's projection table; and the exact
+accuracies, dropped blocks and kept loads; and the exact
 solver's bound constants per drop set.  The last solve's tables are kept,
 read-only, and reused by the next solve of the same four, as a scenario's
 rounds and a sweep's variants are.  Each solve builds its fleet and rate
@@ -102,14 +102,14 @@ class GaConfig:
     default fleet a generation's cost is mostly a fixed price per numpy call,
     so 200 individuals a generation plan faster than 100 at the same plan
     quality.  Why 40: after the search both the best plan and the best other
-    plan of the last generation are polished (``POLISH_STARTS``), and with
+    plan of the last generation are polished (``_polish_starts``), and with
     the polish's run moves 40 generations plan better than 48 did without
     them.  A deeper cut would speed the benchmark's large-fleet workload by
     a sixth or more, which reads as a peak-memory regression while the
     benchmark keeps every pass (ROADMAP item 5): at 36 generations a
     prototype read 3% to 6% more peak memory there, against a 5% bound.  Its
     heuristics are fixed, as the module constants ``TOURNAMENT_SIZE``,
-    ``CROSSOVER_RATE``, ``PENALTY_WEIGHT`` and ``POLISH_STARTS``."""
+    ``CROSSOVER_RATE`` and ``PENALTY_WEIGHT``."""
 
     population_size: int = 200
     generations: int = 40
@@ -223,7 +223,6 @@ MEMORY_BOUND = 1 << 30
 TOURNAMENT_SIZE = 3    # picks per tournament when the GA selects a parent
 CROSSOVER_RATE = 0.9   # chance a child crosses over rather than copies a parent
 PENALTY_WEIGHT = 10.0  # score per unit of summed relative budget overrun
-POLISH_STARTS = 2      # plans polished after the search: the best, then the last generation's
 
 
 def round_bytes(n_devices: int) -> int:
@@ -384,8 +383,8 @@ class _Tables:
     then best accuracy, then lowest block ids): keep flags ``keep``, the
     block ``src[k, j]`` feeding block j, the accuracy ``acc``, the loads its
     kept blocks place (``kept_c``, ``kept_m``) and the bits each block
-    receives (``src_bits``).  The GA's projection of a keep mask onto the
-    drop sets: ``proj_cols``, ``proj_bits`` and ``table``.  For the exact
+    receives (``src_bits``), and its dropped blocks as float32 ones
+    (``dropped``), against which the GA projects keep bits.  For the exact
     solver's bound: each drop set's kept blocks (``kept``) and the compute
     after each of them on the chain (``after``); the least compute any drop
     set keeps (``least_c``) and the best accuracy (``best_acc``).
@@ -423,18 +422,7 @@ class _Tables:
         self.keep = np.array([t[1] for t in rows], dtype=bool)
         self.src = np.array([t[2] for t in rows])
         self.acc = np.array([t[3] for t in rows], dtype=float)
-        # table[mask] projects a keep mask over the blocks some drop set drops
-        # (bit k: block proj_cols[k] kept): the first entry that drops no
-        # kept block.  The empty drop set is always allowed.
-        self.proj_cols = np.array(sorted({j - 1 for d in self.drops for j in d}),
-                                  dtype=np.intp)
-        self.proj_bits = np.exp2(np.arange(self.proj_cols.size, dtype=np.float32))
-        bit = {j: 1 << k for k, j in enumerate(self.proj_cols.tolist())}
-        kept = np.arange(1 << self.proj_cols.size)
-        self.table = np.zeros(kept.size, dtype=np.intp)
-        for k in reversed(range(len(self.drops))):  # earlier entries win
-            mask = sum(bit[j - 1] for j in self.drops[k])
-            self.table[(kept & mask) == 0] = k
+        self.dropped = (~self.keep).astype(np.float32)
         self.kept_c = self.keep * self.c
         self.kept_m = self.keep * self.m
         self.src_bits = self.bits[self.src]
@@ -442,9 +430,8 @@ class _Tables:
         self.after = tuple(np.append(np.cumsum(self.c[k][::-1])[::-1][1:], 0.0)
                            for k in self.kept)
         self.least_c, self.best_acc = self.kept_c.sum(axis=1).min(), self.acc.max()
-        for arr in (self.c, self.m, self.bits, self.keep, self.src, self.acc, self.proj_cols,
-                    self.proj_bits, self.table, self.kept_c, self.kept_m, self.src_bits,
-                    *self.kept, *self.after):
+        for arr in (self.c, self.m, self.bits, self.keep, self.src, self.acc, self.dropped,
+                    self.kept_c, self.kept_m, self.src_bits, *self.kept, *self.after):
             arr.flags.writeable = False
 
 
@@ -473,7 +460,8 @@ class _Evaluator:
     profile, accuracy threshold and memory mode (``tables``, built once per
     four and reused by consecutive solves of them; the evaluator names the
     ones its steps read); only the fleet and rate arrays are built per
-    solve, and the GA's ``_RepairTable`` only when ``repair`` asks for it.  Drop sets are indexed by their rank in ``drops``.  Rows are
+    solve, and the GA's ``_RepairTable`` only when ``repair`` asks for it.
+    Drop sets are indexed by their rank in ``drops``.  Rows are
     (individual, request) pairs in order.  Scores come from
     ``costs.chain_sums`` and ``chain_costs``, as ``evaluate_assignment``'s
     do, and agree with them bit for bit.
@@ -497,7 +485,7 @@ class _Evaluator:
         self.tables = t = _tables(graph, profile, weights.accuracy_threshold, memory_mode)
         self.c, self.m, self.bits = t.c, t.m, t.bits
         self.drops, self.keep, self.src, self.acc = t.drops, t.keep, t.src, t.acc
-        self.proj_cols, self.proj_bits, self.table = t.proj_cols, t.proj_bits, t.table
+        self.dropped = t.dropped
         self.kept_c, self.kept_m, self.src_bits = t.kept_c, t.kept_m, t.src_bits
 
         self.e = fleet.mult_rates
@@ -514,11 +502,12 @@ class _Evaluator:
 
     def _columns(self, pop: np.ndarray, ent: np.ndarray, out: np.ndarray | None = None):
         """Project raw chromosomes (B, L) onto drop sets, into ``ent``, and
-        return their repair table columns (written to ``out`` when given)."""
+        return their repair table columns (written to ``out`` when given).
+        A row's drop set is the first in ``drops`` order that drops no block
+        the row keeps; the empty set drops none."""
         r, n, m = self.n_requests, self.n_devices, self.n_blocks
         split = r * n * m
-        y = pop[:, split:].reshape(-1, m).take(self.proj_cols, axis=1)
-        self.table.take((y @ self.proj_bits).astype(np.intp), out=ent)
+        np.argmin(pop[:, split:].reshape(-1, m) @ self.dropped.T, axis=1, out=ent)
         return self.repair.columns(pop[:, :split].reshape(-1, r, n, m),
                                    self.keep.take(ent, axis=0), out)
 
@@ -528,11 +517,16 @@ class _Evaluator:
         Returns arrays (penalized, objective, latency, feasible).
         """
         b = hosts.shape[0] // self.n_requests
-        terms, load, mem, tx_time = chain_sums(
-            hosts, self.src.take(ent, axis=0), self.kept_c.take(ent, axis=0),
-            self.kept_m.take(ent, axis=0), self.src_bits.take(ent, axis=0), b, self.rho_off)
+        terms, load, mem, tx_time = self.sums(hosts, ent, b)
         acc = _ordered_sum(self.acc.take(ent.reshape(b, -1).T))
         return self._finish(terms, load, mem, tx_time, acc)
+
+    def sums(self, hosts: np.ndarray, ent: np.ndarray, b: int):
+        """``costs.chain_sums`` of b candidates' rows: hosts (rows, M) under
+        drop sets ``ent`` (rows,), their arrays taken by drop set."""
+        return chain_sums(hosts, self.src.take(ent, axis=0), self.kept_c.take(ent, axis=0),
+                          self.kept_m.take(ent, axis=0), self.src_bits.take(ent, axis=0), b,
+                          self.rho_off)
 
     def _finish(self, terms, load, mem, tx_time, acc):
         """Scores of b candidates from their sums; ``score`` and the exact
@@ -745,7 +739,7 @@ def _best(pen: np.ndarray, lat: np.ndarray, feas: np.ndarray) -> tuple:
 def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
     """Best-improvement descent from a resolved plan: hosts (R, M) and
     drop-set indices (R,) in, the plan it stops at out.  ``solve_ga`` runs it
-    from each of ``_polish_starts``' plans and keeps the best result.
+    from each of ``_polish_starts``' one or two plans and keeps the best.
 
     A move changes one request.  Its moves, in this order: one kept block
     onto another device that hosts a kept block of any request in the plan;
@@ -774,15 +768,6 @@ def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
     def ranked(plan):
         pen, _wo, lat, feas = ev.score(plan[:, :m], plan[:, m])
         return _best(pen, lat, feas)[0]
-
-    def sums(sub, rows):
-        """Transfer terms (M, b), load, memory and transmit seconds (b, N)
-        and accuracy (b,) of rows (b, M + 1), one request each."""
-        e = rows[:, m]
-        terms, load, mem, tx = chain_sums(
-            rows[:, :m], ev.src.take(e, axis=0), ev.kept_c.take(e, axis=0),
-            ev.kept_m.take(e, axis=0), ev.src_bits.take(e, axis=0), rows.shape[0], sub.rho_off)
-        return terms[:m], load, mem, tx, ev.acc.take(e)
 
     def moves(local, kept, used):
         """Every request's moves as arrays (request, first column, last
@@ -825,9 +810,10 @@ def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
         used = np.flatnonzero(np.bincount(local[:, :m][kept]))
         reqs, firsts, lasts, vals = moves(local, kept, used)
         # Per request q: the sums of the other rows.
-        terms, load, mem, tx, acc = sums(sub, local)
+        terms, load, mem, tx = sub.sums(local[:, :m], local[:, m], r)
         o_terms, o_load, o_mem, o_tx, o_acc = (np.where(others, x[None], 0.0).sum(axis=1)
-                                               for x in (terms.T, load, mem, tx, acc[:, None]))
+                                               for x in (terms[:m].T, load, mem, tx,
+                                                         ev.acc.take(local[:, m:])))
         o_terms, o_acc = o_terms.sum(axis=1), o_acc[:, 0]
         step = max(1, _CHUNK_CELLS // (3 * devices.size + m))
         move = None
@@ -837,13 +823,13 @@ def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
             rows = local.take(q, axis=0)
             np.copyto(rows, vals[lo:hi, None],
                       where=(col >= firsts[lo:hi, None]) & (col <= lasts[lo:hi, None]))
-            t, load, mem, tx, acc = sums(sub, rows)
+            t, load, mem, tx = sub.sums(rows[:, :m], rows[:, m], hi - lo)
             full = np.empty((1 + m + devices.size, hi - lo))
             full[0] = o_terms.take(q)
-            full[1:1 + m] = t
+            full[1:1 + m] = t[:m]
             pen, _wo, lat, feas = sub._finish(
                 full, load + o_load.take(q, axis=0), mem + o_mem.take(q, axis=0),
-                tx + o_tx.take(q, axis=0), acc + o_acc.take(q))
+                tx + o_tx.take(q, axis=0), ev.acc.take(rows[:, m]) + o_acc.take(q))
             key, i = _best(pen, lat, feas)
             if key < best and (move is None or key < move[0]):
                 move = key, lo + i
@@ -863,22 +849,17 @@ def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
 def _polish_starts(hosts: np.ndarray, ent: np.ndarray, pen: np.ndarray, lat: np.ndarray,
                    feas: np.ndarray, gen_hosts: np.ndarray, gen_ent: np.ndarray) -> list:
     """The plans ``_polish`` starts from: the search's best plan, hosts (R, M)
-    and drop-set indices (R,), then the best plans of the last generation's
-    children (the first population's, with no generations) that differ from
-    every start before them, up to ``POLISH_STARTS`` in all.  They come as
-    ``evaluate`` returns them: per individual its scores ``pen``, ``lat``,
-    ``feas`` and R rows of ``gen_hosts`` and ``gen_ent``.  Plans are ranked by
-    ``_best``'s key, the earliest first among equals; children with no other
-    distinct plan give one start."""
+    and drop-set indices (R,), then the best plan of the last generation's
+    children (the first population's, with no generations) that differs
+    from it, when one does.  The children come as ``evaluate`` returns
+    them: per individual its scores ``pen``, ``lat``, ``feas`` and R rows of
+    ``gen_hosts`` and ``gen_ent``.  Plans are ranked by ``_best``'s key, the
+    earliest first among equals."""
     r, m = hosts.shape
     plans = np.concatenate([gen_hosts.reshape(-1, r * m), gen_ent.reshape(-1, r)], axis=1)
     starts = [np.append(hosts.ravel(), ent)]
-    differs = np.ones(plans.shape[0], dtype=bool)
-    for _ in range(POLISH_STARTS - 1):
-        differs &= (plans != starts[-1]).any(axis=1)
-        if not differs.any():
-            break
-        some = np.flatnonzero(differs)
+    some = np.flatnonzero((plans != starts[0]).any(axis=1))
+    if some.size:
         starts.append(plans[some[_best(pen.take(some), lat.take(some), feas.take(some))[1]]])
     return [(s[:r * m].reshape(r, m), s[r * m:]) for s in starts]
 

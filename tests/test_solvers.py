@@ -288,6 +288,54 @@ class TestEvaluator:
             np.testing.assert_array_equal(back.x, x)
             np.testing.assert_array_equal(back.y, y)
 
+    @staticmethod
+    def projected(ev, y, rng):
+        """The drop-set index the GA gives each keep-bit row of ``y``, one
+        request an individual, under random placement bits."""
+        x = rng.integers(0, 2, size=(y.shape[0], ev.n_devices * ev.n_blocks), dtype=np.uint8)
+        return ev.evaluate(np.packbits(np.concatenate([x, y], axis=1), axis=1))[5]
+
+    def test_keep_bits_project_onto_the_first_drop_set_they_drop_whole(self):
+        # Random keep bits, the stem's included, mostly proposing drops that
+        # are no allowed set: each row gets the first entry of ``drops``
+        # whose blocks it all drops.  The empty set qualifies for any row.
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            ev = self.evaluator(rng, n_requests=1, n_blocks=int(rng.integers(3, 9)))
+            y = rng.integers(0, 2, size=(50, ev.n_blocks), dtype=np.uint8)
+            want = [next(k for k, d in enumerate(ev.drops)
+                         if not y_r[[j - 1 for j in d]].any()) for y_r in y]
+            np.testing.assert_array_equal(self.projected(ev, y, rng), want)
+
+    @pytest.mark.parametrize("acc56", [0.86, 0.85])
+    def test_a_pair_beats_its_singles_then_accuracy_then_ids_break_ties(self, acc56):
+        # Identity blocks 3-6, each bridged alone, and the pairs (3, 4) and
+        # (5, 6) bridged too; the singles are more accurate than either pair.
+        layer = LayerSpec("conv", 1, 2, 2, 2, 8)
+        blocks = (BlockSpec(1, 1, "stem", (layer,), False, 8),
+                  BlockSpec(2, 2, "conv_block", (layer,), False, 8)) + tuple(
+            BlockSpec(j, 2, "identity_block", (layer,), True, 8) for j in (3, 4, 5, 6)) + (
+            BlockSpec(7, 2, "conv_block", (layer,), False, 8),)
+        edges = {(j + 1, j - 1) for j in (3, 4, 5, 6)} | {(5, 2), (7, 4)}
+        graph = ResNetGraph(blocks, SkipTopology(frozenset(edges)))
+        accuracy = {(): 0.95, (3,): 0.9, (4,): 0.9, (5,): 0.9, (6,): 0.9, (3, 4): 0.85,
+                    (5, 6): acc56}
+        profile = AccuracyProfile(0.95, {frozenset(d): ProfileEntry(frozenset(d), a)
+                                         for d, a in accuracy.items()}, "t", n_blocks=7)
+        rng = np.random.default_rng(44)
+        ev = _Evaluator(graph, fleet_with_rates([5e5, 9e5]), helpers.random_rates(rng, 2),
+                        profile, ObjectiveWeights(0.5, 0.5, latency_ref=1.0), EnergyParams(),
+                        n_requests=1, repair=True)
+        pairs = [(5, 6), (3, 4)] if acc56 > 0.85 else [(3, 4), (5, 6)]
+        assert ev.drops == (*pairs, (3,), (4,), (5,), (6,), ())
+        proposals = {(3, 4): (3, 4), (3, 4, 5): (3, 4), (3, 4, 5, 6): pairs[0],
+                     (4, 5): (4,), (5, 6, 7): (5, 6), (1, 2, 7): ()}
+        y = np.ones((len(proposals), 7), dtype=np.uint8)
+        for row, drop in zip(y, proposals):
+            row[[j - 1 for j in drop]] = 0
+        got = self.projected(ev, y, rng)
+        assert [ev.drops[k] for k in got] == list(proposals.values())
+
     def test_the_stem_is_kept_and_hosted_whatever_the_bits_say(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
@@ -1461,7 +1509,7 @@ class TestPolishStarts:
                                memory_mode=sc.memory_mode)
                 ev = _Evaluator(sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy,
                                 r, memory_mode=sc.memory_mode)
-                assert 1 <= len(calls) <= solvers.POLISH_STARTS
+                assert 1 <= len(calls) <= 2
                 (first, alone), *rest = calls
                 # The first start is the search's best plan.
                 assert TestPolish.key(ev, *first)[0] == min(res.history)
@@ -1489,7 +1537,7 @@ class TestPolishStarts:
         gen_hosts[2 * 2, 0] = 1
         pen[1:] = 0.5
         starts = solvers._polish_starts(hosts, ent, pen, lat, feas, gen_hosts, gen_ent)
-        assert len(starts) == solvers.POLISH_STARTS == 2
+        assert len(starts) == 2
         assert self.same(starts[0], (hosts, ent))
         assert self.same(starts[1], (hosts, np.array([3, 1])))
 
@@ -1619,13 +1667,13 @@ class TestSharedTables:
                         sc.profile, sc.weights, sc.energy, 1)
         t = ev.tables
         arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)] + [*t.kept, *t.after]
-        assert len(arrays) == 12 + 2 * len(t.drops)
+        assert len(arrays) == 10 + 2 * len(t.drops)
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr.reshape(-1)[:1] = 0
-        for name in ("c", "m", "bits", "keep", "src", "acc", "proj_cols", "proj_bits",
-                     "table", "kept_c", "kept_m", "src_bits"):
+        for name in ("c", "m", "bits", "keep", "src", "acc", "dropped", "kept_c", "kept_m",
+                     "src_bits"):
             assert getattr(ev, name) is getattr(t, name)
         assert ev.drops is t.drops
 
