@@ -106,7 +106,7 @@ class GaConfig:
     the polish's run moves 40 generations plan better than 48 did without
     them.  A deeper cut would speed the benchmark's large-fleet workload by
     a sixth or more, which reads as a peak-memory regression while the
-    benchmark keeps every pass (ROADMAP item 5): at 36 generations a
+    benchmark keeps every pass (ROADMAP item 2): at 36 generations a
     prototype read 3% to 6% more peak memory there, against a 5% bound.  Its
     heuristics are fixed, as the module constants ``TOURNAMENT_SIZE``,
     ``CROSSOVER_RATE`` and ``PENALTY_WEIGHT``."""
@@ -729,6 +729,18 @@ def _no_requests(ev: _Evaluator, solver: str, t0: float) -> SolveResult:
     return _result_from_resolved(ev, empty, empty[:, 0], solver, 0, 0, (), t0)
 
 
+def _in_order(x: np.ndarray) -> np.ndarray:
+    """Sums of ``x`` over its axis 1, added one index after another whatever
+    its layout: ``sum`` adds a contiguous axis pairwise from 8 terms."""
+    return np.add.accumulate(x, axis=1)[:, -1]
+
+
+def _other_rows(x: np.ndarray) -> np.ndarray:
+    """Per request q, the sums (R, K) of the other requests' rows of ``x``
+    (R, K), added in request order; q's own row adds an exact zero."""
+    return _in_order(np.where(~np.eye(x.shape[0], dtype=bool)[:, :, None], x[None], 0.0))
+
+
 def _best(pen: np.ndarray, lat: np.ndarray, feas: np.ndarray) -> tuple:
     """The GA's ranking key (penalized score, then infeasible, then latency)
     of the best candidate, and its index; the earliest wins a tie."""
@@ -747,9 +759,11 @@ def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
     on one host, as many as there are) onto another such device, with the
     dropped blocks between them.  Every other host is left as the plan holds
     it.  A step scores every move as one row, the request's new row, whose
-    sums are added to those of the plan's other rows before ``_finish``; the
-    fleet is cut to the devices the plan names (``_Evaluator.on_devices``).
-    So a move costs one row over those devices, not R rows over the fleet.
+    sums are added to those of the plan's other rows (``_other_rows``, in
+    request order, then the transfer terms in block order) before
+    ``_finish``; the fleet is cut to the devices the plan names
+    (``_Evaluator.on_devices``).  So a move costs one row over those
+    devices, not R rows over the fleet.
     Moves are scored in batches of at most ``_CHUNK_CELLS`` cells and ranked
     by the GA's key (penalized score, then infeasible, then latency; the
     earliest move wins a tie).  Added in another order than ``score`` adds
@@ -762,8 +776,6 @@ def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
     # One row per request: its hosts, then its drop set in column m.
     plan = np.concatenate([hosts, ent[:, None]], axis=1)
     every, col = np.arange(len(ev.drops)), np.arange(m + 1)
-    # others[q, p]: whether request p is one of request q's others.
-    others = ~np.eye(r, dtype=bool)[:, :, None]
 
     def ranked(plan):
         pen, _wo, lat, feas = ev.score(plan[:, :m], plan[:, m])
@@ -811,10 +823,9 @@ def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
         reqs, firsts, lasts, vals = moves(local, kept, used)
         # Per request q: the sums of the other rows.
         terms, load, mem, tx = sub.sums(local[:, :m], local[:, m], r)
-        o_terms, o_load, o_mem, o_tx, o_acc = (np.where(others, x[None], 0.0).sum(axis=1)
-                                               for x in (terms[:m].T, load, mem, tx,
-                                                         ev.acc.take(local[:, m:])))
-        o_terms, o_acc = o_terms.sum(axis=1), o_acc[:, 0]
+        o_terms, o_load, o_mem, o_tx, o_acc = map(
+            _other_rows, (terms[:m].T, load, mem, tx, ev.acc.take(local[:, m:])))
+        o_terms, o_acc = _in_order(o_terms), o_acc[:, 0]
         step = max(1, _CHUNK_CELLS // (3 * devices.size + m))
         move = None
         for lo in range(0, reqs.size, step):

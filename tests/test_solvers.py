@@ -1449,6 +1449,28 @@ class TestPolish:
             for a, b in zip(cut, whole):
                 np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("r", [8, 9, 20])
+    def test_other_rows_add_in_request_then_block_order_whatever_the_layout(self, r):
+        # numpy sums a contiguous axis pairwise from 8 terms, so a sum that
+        # followed the layout would differ between these copies in the last
+        # bits.
+        rng = np.random.default_rng(r)
+        x = rng.random((r, 17)) * 10.0 ** rng.integers(-6, 3, size=(r, 17))
+        want_rows = np.zeros((r, 17))
+        want_total = np.zeros(r)
+        for q in range(r):
+            for j in range(17):
+                for p in range(r):
+                    if p != q:
+                        want_rows[q, j] += x[p, j]
+                want_total[q] += want_rows[q, j]
+        for copy in (np.ascontiguousarray(x), np.asfortranarray(x)):
+            rows = solvers._other_rows(copy)
+            np.testing.assert_array_equal(rows, want_rows)
+            np.testing.assert_array_equal(solvers._in_order(rows), want_total)
+            np.testing.assert_array_equal(solvers._in_order(np.asfortranarray(rows)),
+                                          want_total)
+
     def test_solves_leave_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on its first call, which adds over a
         # megabyte of resident memory; no solve path may call it.
