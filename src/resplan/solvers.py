@@ -18,7 +18,7 @@ The GA works one generation at a time: it draws every tournament
 (at one over the chromosome length, about one bit a child) of a generation
 at once, then canonicalizes all the children in array passes over their
 (individual, request) rows.  The projection is one matmul of the keep bits
-against the drop sets' dropped blocks and an argmin, the repair one table
+against the drop sets' dropped blocks and an argmax, the repair one table
 lookup per block (an add and a gather on fleets of up to 10 devices).  Only
 the repair's table columns (each row's offered bitmask per block, read from the
 row's N x M placement bits) grow with the fleet, so only they are built in
@@ -507,7 +507,7 @@ class _Evaluator:
         the row keeps; the empty set drops none."""
         r, n, m = self.n_requests, self.n_devices, self.n_blocks
         split = r * n * m
-        np.argmin(pop[:, split:].reshape(-1, m) @ self.dropped.T, axis=1, out=ent)
+        np.argmax(pop[:, split:].reshape(-1, m) @ self.dropped.T == 0, axis=1, out=ent)
         return self.repair.columns(pop[:, :split].reshape(-1, r, n, m),
                                    self.keep.take(ent, axis=0), out)
 
