@@ -8,6 +8,7 @@ All output files are deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import json
@@ -35,20 +36,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
-
-SUMMARY_COLUMNS = (
-    "variant",
-    "rounds",
-    "solved_rounds",
-    "feasible_rounds",
-    "total_requests",
-    "mean_accuracy",
-    "mean_latency_s",
-    "mean_shared_data_bits",
-    "mean_computation_mults",
-    "mean_energy_j",
-    "mean_objective",
-)
 
 
 @functools.cache
@@ -110,34 +97,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> dict:
+def _load(args):
+    """The config and the scenario built from it, once for every command."""
     source = None if args.config is None else pathlib.Path(args.config)
     if args.preset:
         source = config_mod.preset_text(args.preset)
-    return config_mod.load_config(source, overrides=args.overrides, seed=args.seed)
+    cfg = config_mod.load_config(source, overrides=args.overrides, seed=args.seed)
+    return cfg, config_mod.build_scenario(cfg)
 
 
-def _out_dir(args) -> str:
-    path = args.output_dir or os.environ.get("RESPLAN_OUTPUT_DIR") or "resplan_out"
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _open_out(path: str):
+@contextlib.contextmanager
+def _output(path: str):
+    """``--output`` opened for writing; ``-`` is stdout, which stays open."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
 
 
-def cmd_model(args) -> int:
-    cfg = _load(args)
-    scenario = config_mod.build_scenario(cfg)
+def _write_rounds(args, cfg, csv_name: str, run):
+    """Write effective_config.yaml, then one CSV row per round as
+    ``run(on_record)`` reports it; sweep.csv leads with the variant label.
+
+    Returns the output directory and what ``run`` returned.
+    """
+    out_dir = args.output_dir or os.environ.get("RESPLAN_OUTPUT_DIR") or "resplan_out"
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "effective_config.yaml"), "w",
+              encoding="utf-8") as fh:
+        fh.write(config_mod.effective_yaml(cfg))
+
+    labelled = csv_name == "sweep.csv"
+    with open(os.path.join(out_dir, csv_name), "w", encoding="utf-8") as fh:
+        fh.write(",".join(("variant",) * labelled + CSV_COLUMNS) + "\n")
+
+        def on_record(label, record):
+            cells = [label] * labelled + [format_value(v) for v in record.csv_row()]
+            fh.write(",".join(cells) + "\n")
+            fh.flush()
+
+        return out_dir, run(on_record)
+
+
+def cmd_model(args, cfg, scenario) -> int:
     graph = scenario.graph
     columns = ("block_id", "stage", "kind", "droppable", "memory_inputs_bytes",
                "memory_weights_bytes", "memory_both_bytes", "compute_mults",
                "output_bits")
-    fh, close = _open_out(args.output)
-    try:
+    with _output(args.output) as fh:
         fh.write(",".join(columns) + "\n")
         for b in graph.blocks:
             row = (
@@ -149,15 +157,10 @@ def cmd_model(args) -> int:
                 output_bits(b, graph.weight_bytes),
             )
             fh.write(",".join(str(v) for v in row) + "\n")
-    finally:
-        if close:
-            fh.close()
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    cfg = _load(args)
-    scenario = config_mod.build_scenario(cfg)
+def cmd_solve(args, cfg, scenario) -> int:
     for flag, value in (("--requests", args.requests), ("--round", args.round_index)):
         if value is not None and value < 0:
             raise ConfigError(f"{flag} must be >= 0")
@@ -183,12 +186,8 @@ def cmd_solve(args) -> int:
     doc = result.as_dict()
     if not args.explain:
         doc.pop("report")
-    fh, close = _open_out(args.output)
-    try:
+    with _output(args.output) as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    finally:
-        if close:
-            fh.close()
     if args.strict and not result.feasible:
         print("solve: best assignment violates constraints (strict mode)",
               file=sys.stderr)
@@ -196,61 +195,35 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    scenario = config_mod.build_scenario(cfg)
-    out_dir = _out_dir(args)
+def cmd_simulate(args, cfg, scenario) -> int:
+    out_dir, result = _write_rounds(
+        args, cfg, "rounds.csv",
+        lambda on_record: run_scenario(scenario, strict=args.strict, on_record=on_record))
 
-    with open(os.path.join(out_dir, "effective_config.yaml"), "w",
-              encoding="utf-8") as fh:
-        fh.write(config_mod.effective_yaml(cfg))
-
-    rounds_path = os.path.join(out_dir, "rounds.csv")
-    with open(rounds_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-
-        def on_record(_label, record):
-            fh.write(",".join(format_value(v) for v in record.csv_row()) + "\n")
-            fh.flush()
-
-        result = run_scenario(scenario, strict=args.strict, on_record=on_record)
-
+    # Strict JSON: a mean over no solved round is null, not NaN.
+    summary = dict(result.summary)
+    if not summary["solved_rounds"]:
+        summary.update((key, None) for key in summary if key.startswith("mean_"))
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(result.summary, indent=2, sort_keys=True) + "\n")
-    print(f"simulate: {result.summary['rounds']} rounds, "
-          f"{result.summary['feasible_rounds']} feasible, files in {out_dir}")
+        fh.write(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    print(f"simulate: {summary['rounds']} rounds, "
+          f"{summary['feasible_rounds']} feasible, files in {out_dir}")
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load(args)
-    scenario = config_mod.build_scenario(cfg)
+def cmd_sweep(args, cfg, scenario) -> int:
     axis = config_mod.build_sweep_axis(cfg)
     if axis is None:
         raise ConfigError("sweep command needs a 'sweep' section in the config")
     variants = config_mod.sweep_variants(scenario, axis)
-    out_dir = _out_dir(args)
-
-    with open(os.path.join(out_dir, "effective_config.yaml"), "w",
-              encoding="utf-8") as fh:
-        fh.write(config_mod.effective_yaml(cfg))
-
-    sweep_path = os.path.join(out_dir, "sweep.csv")
-    with open(sweep_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(("variant",) + CSV_COLUMNS) + "\n")
-
-        def on_record(label, record):
-            cells = [label] + [format_value(v) for v in record.csv_row()]
-            fh.write(",".join(cells) + "\n")
-            fh.flush()
-
-        results = sweep(variants, strict=args.strict, on_record=on_record)
+    out_dir, results = _write_rounds(
+        args, cfg, "sweep.csv",
+        lambda on_record: sweep(variants, strict=args.strict, on_record=on_record))
 
     with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
+        fh.write(",".join(("variant", *results[0].summary)) + "\n")
         for res in results:
-            cells = [res.label] + [format_value(res.summary[c])
-                                   for c in SUMMARY_COLUMNS[1:]]
+            cells = [res.label] + [format_value(v) for v in res.summary.values()]
             fh.write(",".join(cells) + "\n")
     print(f"sweep: {len(results)} variants, files in {out_dir}")
     return EXIT_OK
@@ -291,7 +264,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command](args, *_load(args))
     except (ConfigError, ParseError, ValidationError, InstanceTooLarge) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

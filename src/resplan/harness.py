@@ -285,12 +285,8 @@ def apply_axis_value(base: ScenarioConfig, kind: str, value, label: str
             accuracy_threshold=w.accuracy_threshold))
     if kind == "lam":
         return replace(base, label=label, lam=value)
-    if kind == "energy":
-        return replace(base, label=label, fleet=base.fleet.scaled(energy=value))
-    if kind == "compute":
-        return replace(base, label=label, fleet=base.fleet.scaled(compute=value))
-    if kind == "rate":
-        return replace(base, label=label, fleet=base.fleet.scaled(rate=value))
+    if kind in ("energy", "compute", "rate"):  # Fleet.scaled's keywords
+        return replace(base, label=label, fleet=base.fleet.scaled(**{kind: value}))
     raise ValueError(f"unknown sweep kind {kind!r}")
 
 

@@ -766,11 +766,12 @@ def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
     devices, not R rows over the fleet.
     Moves are scored in batches of at most ``_CHUNK_CELLS`` cells and ranked
     by the GA's key (penalized score, then infeasible, then latency; the
-    earliest move wins a tie).  Added in another order than ``score`` adds
-    a plan, a move's key can differ from its plan's in the last bits, so
-    the best move is scored again as a plan and taken only when that key is
-    strictly below the plan's: the key falls at every step, and the descent
-    stops when no move strictly improves.
+    earliest move wins a tie of the rounded keys, so moves whose keys tie
+    in exact arithmetic are ranked by rounding).  Added in another order
+    than ``score`` adds a plan, a move's key can differ from its plan's in
+    the last bits, so the best move is scored again as a plan and taken
+    only when that key is strictly below the plan's: the key falls at every
+    step, and the descent stops when no move strictly improves.
     """
     r, m = hosts.shape
     # One row per request: its hosts, then its drop set in column m.

@@ -17,7 +17,7 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from resplan import cli, solvers
+from resplan import cli, harness, solvers
 from resplan.config import (
     DEFAULTS,
     PRESET_NAMES,
@@ -30,7 +30,7 @@ from resplan.config import (
     sweep_variants,
 )
 from resplan.errors import ConfigError, ParseError
-from resplan.harness import CSV_COLUMNS, SWEEP_KINDS
+from resplan.harness import CSV_COLUMNS, SWEEP_KINDS, format_value, summarize
 from resplan.objective import default_latency_ref
 from resplan.profile import SAFE_LOADER, load_profile
 
@@ -727,6 +727,15 @@ class TestCliSolve:
         rc = cli.main(["solve", "--requests", "-1"] + FAST)
         assert rc == 2
 
+    def test_model_and_solve_leave_stdout_open(self, capsys):
+        # "--output -" writes to stdout without closing it, so a second
+        # command in the same process writes there again.
+        for argv in (["model"], ["solve", "--requests", "1"] + FAST):
+            assert cli.main(argv) == 0
+            first = capsys.readouterr().out
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == first != ""
+
 
 class TestCliSimulate:
     def test_writes_rounds_summary_and_config(self, tmp_path, capsys):
@@ -744,6 +753,28 @@ class TestCliSimulate:
             encoding="utf-8"))
         assert eff["solver"]["population_size"] == 8
         assert "files in" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("overrides,rounds", [
+        (["scenario.rounds=0"], 0),
+        # Every round errors: two devices cannot compute one request.
+        (["fleet.devices=2", "fleet.compute_gmults=[0.1, 0.1]", "scenario.rounds=2"], 2),
+    ])
+    def test_summary_json_is_strict_without_a_solved_round(self, tmp_path, capsys,
+                                                           overrides, rounds):
+        def reject(token):
+            raise ValueError(f"summary.json holds {token}")
+
+        out = tmp_path / "sim"
+        sets = [a for o in overrides for a in ("--set", o)]
+        assert cli.main(["simulate", "--output-dir", str(out)] + sets) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"),
+                             parse_constant=reject)
+        assert summary["rounds"] == rounds and summary["solved_rounds"] == 0
+        means = [k for k in summary if k.startswith("mean_")]
+        assert len(means) == 6 and all(summary[k] is None for k in means)
+        # rounds.csv keeps its nan cells.
+        rows = (out / "rounds.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == rounds and all(",nan," in row for row in rows)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -790,6 +821,26 @@ class TestCliSweep:
         summary = (out / "summary.csv").read_text(encoding="utf-8").splitlines()
         assert summary[0].startswith("variant,rounds,solved_rounds")
         assert len(summary) == 3
+
+    def test_summary_columns_are_summarize_keys(self, tmp_path, capsys, monkeypatch):
+        results = []
+
+        def recording_sweep(*args, **kwargs):
+            results.extend(harness.sweep(*args, **kwargs))
+            return tuple(results)
+
+        monkeypatch.setattr(cli, "sweep", recording_sweep)
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--output-dir", str(out), "--set", "sweep.axis=energy",
+                         "--set", "sweep.values=[0.5, 1.0]"] + FAST) == 0
+        rows = [line.split(",") for line in
+                (out / "summary.csv").read_text(encoding="utf-8").splitlines()]
+        assert len(results) == 2 and len(rows) == 3
+        keys = list(summarize(results[0].records))
+        assert rows[0] == ["variant", *keys]
+        for row, res in zip(rows[1:], results):
+            summary = summarize(res.records)
+            assert row == [res.label] + [format_value(summary[k]) for k in keys]
 
     def test_sweep_without_a_sweep_section_is_a_config_error(self, tmp_path,
                                                              capsys):
@@ -1004,12 +1055,13 @@ class TestExitCodes:
         assert not (tmp_path / "x.json").exists()
 
     def test_internal_errors_exit_four(self, capsys, monkeypatch):
-        def boom(args):
+        def boom(args, cfg, scenario):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setitem(cli.COMMANDS, "model", boom)
         rc = cli.main(["model"])
         assert rc == 4
+        assert "RuntimeError: synthetic failure" in capsys.readouterr().err
 
     def test_preset_and_config_are_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit):
