@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import functools
 import json
 import os
@@ -30,7 +29,7 @@ from .errors import (
 from .fleet import sample_rates, sample_requests
 from .graph import compute_load, memory_load, output_bits
 from .harness import CSV_COLUMNS, format_value, round_seeds, run_scenario, sweep
-from .solvers import solve_exact, solve_ga
+from .solvers import _keep_freed_heap, solve_exact, solve_ga
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -235,28 +234,6 @@ COMMANDS = {
     "simulate": cmd_simulate,
     "sweep": cmd_sweep,
 }
-
-
-@functools.cache
-def _keep_freed_heap() -> None:
-    """Have glibc keep up to 4 MB of freed heap instead of returning it.
-
-    The solvers allocate and free a few hundred KB of array temporaries per
-    GA generation.  By default glibc hands a free heap top over 128 KB back
-    to the kernel, and when the temporaries happen to sit at the top, every
-    generation faults them in again: about 80,000 page faults and 6% of the
-    time of a default ``simulate`` (2-core Xeon), in some processes and not
-    in others, as the heap layout falls.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return  # not glibc
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(-2, 4 << 20)  # M_TOP_PAD: free top kept after a trim
-    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: smaller blocks use the heap
 
 
 def main(argv=None) -> int:

@@ -23,8 +23,9 @@ lookup per block (an add and a gather on fleets of up to 10 devices).  Only
 the repair's table columns (each row's offered bitmask per block, read from the
 row's N x M placement bits) grow with the fleet, so only they are built in
 bounded chunks; the 17-step block pass then runs once over the whole
-generation, on a large fleet too.  Each distinct placement (hosts plus
-drop sets) of a generation is scored once and its scores are shared.
+generation, on a large fleet too.  Every child is then scored, in chunks
+of the same bound, repeats of a placement too: at the default budget about
+one child in seven repeats one, and finding them cost more than scoring them.
 After the last generation a best-improvement descent (``_polish``) runs
 from two plans: the best plan of the search, then the best plan of the
 last generation that differs from it, when there is one.  A move puts one kept
@@ -46,7 +47,7 @@ accuracy) lay their terms out block-major, (terms, candidates), and reduce
 over the outer axis, so each candidate's terms are added left to right as a
 per-candidate loop adds them; a lone candidate is accumulated, since numpy
 would sum its one column pairwise.  A candidate thus scores the same alone
-or in any batch, and sharing changes no result.  A generation on the default
+or in any batch, and chunking changes no result.  A generation on the default
 fleet has only a few hundred rows, so its cost is mostly a fixed price per
 numpy call: the hot paths keep their call count low (``take`` over fancy
 indexing, preallocated outputs, no joins of a single chunk).
@@ -80,6 +81,9 @@ arrays, and the GA its repair table as well.
 from __future__ import annotations
 
 import copy
+import ctypes
+import functools
+import sys
 import time
 from dataclasses import dataclass
 
@@ -225,6 +229,29 @@ CROSSOVER_RATE = 0.9   # chance a child crosses over rather than copies a parent
 PENALTY_WEIGHT = 10.0  # score per unit of summed relative budget overrun
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Have glibc keep up to 4 MB of freed heap instead of returning it.
+
+    The solvers allocate and free a few hundred KB of array temporaries per
+    GA generation.  By default glibc hands a free heap top over 128 KB back
+    to the kernel, and when the temporaries happen to sit at the top, every
+    generation faults them in again: about 80,000 page faults and 6% of the
+    time of a default ``simulate`` (2-core Xeon), in some processes and not
+    in others, as the heap layout falls.  ``solve_ga`` calls it first, so
+    library callers keep the freed heap too; it acts once per process.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return  # not glibc
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-2, 4 << 20)  # M_TOP_PAD: free top kept after a trim
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: smaller blocks use the heap
+
+
 def round_bytes(n_devices: int) -> int:
     """At most the bytes of a round's largest arrays on N devices, eight an
     entry: the N x N link rates and the repair table, which holds 2**10 + 1
@@ -347,22 +374,6 @@ def _stacked(parts: list) -> tuple:
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(col) for col in zip(*parts))
-
-
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_index=True, return_inverse=True)[1:]``: the
-    first index of each distinct key, in key order, and each key's rank
-    among them, without ``np.unique``'s per-call overhead.  It also keeps
-    ``numpy.ma`` out of the process: ``np.unique`` imports it on first use,
-    over a megabyte of resident memory that no solve otherwise needs."""
-    order = keys.argsort(kind="stable")
-    ordered = keys[order]
-    new = np.empty(keys.size, dtype=bool)
-    new[:1] = True
-    new[1:] = ordered[1:] != ordered[:-1]
-    inverse = np.empty(keys.size, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
 
 
 def _placement(hosts: np.ndarray, kept: np.ndarray, n_devices: int) -> np.ndarray:
@@ -550,11 +561,10 @@ class _Evaluator:
 
     def evaluate(self, packed: np.ndarray):
         """Canonicalize and score a population of bit-packed chromosomes
-        (``np.packbits`` rows), unpacking one bounded chunk at a time.
-
-        Individuals that canonicalize to the same placement (hosts and drop
-        sets) are scored once and share the result; scores do not depend on
-        the batch, so this changes no output.
+        (``np.packbits`` rows), unpacking one bounded chunk at a time, then
+        score them in chunks of the same size.  Every individual is scored,
+        repeats of a placement too: scores do not depend on the batch, so an
+        individual scores the same in any chunk and alone.
 
         Returns (penalized, objective, latency, feasible, hosts, ent).
         """
@@ -576,18 +586,9 @@ class _Evaluator:
                           ent[rows], offers[:, :, rows])
         hosts = self.repair.walk(offers)
         del offers  # not held while scoring
-        # One key row per individual, compared as a single opaque value.
-        key = np.empty((b, r * (m + 1)),
-                       dtype=np.min_scalar_type(max(n - 1, len(self.drops) - 1)))
-        key[:, :r * m] = hosts.reshape(b, r * m)
-        key[:, r * m:] = ent.reshape(b, r)
-        first, inverse = _distinct(key.view(np.dtype((np.void, key.strides[0]))).ravel())
-        per_hosts, per_ent = hosts.reshape(b, r * m), ent.reshape(b, r)
-        scores = _stacked([
-            self.score(per_hosts.take(some, axis=0).reshape(-1, m),
-                       per_ent.take(some, axis=0).reshape(-1))
-            for some in (first[i:i + step] for i in range(0, first.size, step))])
-        return tuple(col.take(inverse) for col in scores) + (hosts, ent)
+        scores = _stacked([self.score(hosts[i * r:(i + step) * r], ent[i * r:(i + step) * r])
+                           for i in range(0, b, step)])
+        return scores + (hosts, ent)
 
     def on_devices(self, devices: np.ndarray) -> _Evaluator:
         """This evaluator with its fleet cut to ``devices`` (ascending ids),
@@ -743,8 +744,10 @@ def _other_rows(x: np.ndarray) -> np.ndarray:
 
 def _best(pen: np.ndarray, lat: np.ndarray, feas: np.ndarray) -> tuple:
     """The GA's ranking key (penalized score, then infeasible, then latency)
-    of the best candidate, and its index; the earliest wins a tie."""
-    i = np.lexsort((lat, ~feas, pen))[0]
+    of the best candidate, and its index; the earliest wins a tie.  Only the
+    candidates that tie the least penalized score are sorted."""
+    ties = np.flatnonzero(pen == pen.min())
+    i = ties[np.lexsort((lat.take(ties), ~feas.take(ties)))[0]]
     return (pen[i], not feas[i], lat[i]), i
 
 
@@ -814,7 +817,8 @@ def _polish(ev: _Evaluator, hosts: np.ndarray, ent: np.ndarray):
     best = ranked(plan)
     while True:
         # Every device the plan names, dropped blocks' hosts too; the step
-        # numbers them by place.  Not np.unique: see _distinct.
+        # numbers them by place.  Not np.unique: it imports numpy.ma on first
+        # use, over a megabyte of resident memory that no solve otherwise needs.
         devices = np.flatnonzero(np.bincount(plan[:, :m].ravel()))
         sub = ev.on_devices(devices)
         local = plan.copy()
@@ -907,6 +911,7 @@ def solve_ga(graph: ResNetGraph, fleet: Fleet, rates: RateMatrix,
     ``MEMORY_BOUND``; otherwise always returns its best candidate, flagged
     feasible or not.
     """
+    _keep_freed_heap()
     t0 = time.perf_counter()
     ev = _Evaluator(graph, fleet, rates, profile, weights, energy, n_requests,
                     memory_mode=memory_mode, repair=True)

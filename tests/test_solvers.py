@@ -372,19 +372,11 @@ class TestEvaluator:
             for k, (got, want) in enumerate(zip(chunked, whole)):
                 np.testing.assert_array_equal(got, want[perm] if k < 4 else want[rows])
 
-    @pytest.mark.parametrize("width", [1, 3, 18])
-    def test_distinct_keys_match_numpy_unique(self, width):
-        rng = np.random.default_rng(width)
-        for size in (1, 2, 7, 99):
-            rows = rng.integers(0, 3, size=(size, width), dtype=np.uint8)
-            keys = rows.view(np.dtype((np.void, width))).ravel()
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            got_first, got_inverse = solvers._distinct(keys)
-            np.testing.assert_array_equal(got_first, first)
-            np.testing.assert_array_equal(got_inverse, inverse.ravel())
-
     @pytest.mark.parametrize("chunk", [None, 2])
-    def test_each_distinct_placement_is_scored_once(self, monkeypatch, chunk):
+    def test_repeated_placements_score_as_each_individual_alone(self, monkeypatch, chunk):
+        # Originals, copies of them and variants that differ only in dropped
+        # blocks' x bits (so repeat an original's placement): every row of
+        # the population is scored as that individual is alone.
         rng = np.random.default_rng(34)
         r = 2
         ev = self.evaluator(rng, n_requests=r, n_blocks=7, cap_scale=1.0)
@@ -395,33 +387,19 @@ class TestEvaluator:
         dropped = ~ev.keep[ent].reshape(12, r, m)
         some = np.flatnonzero(dropped.any(axis=(1, 2)))
         assert some.size >= 3
-        # Variants differ from their original only in dropped blocks' x bits.
         variants = base[some].copy()
         x = variants[:, :r * n * m].reshape(-1, r, n, m)
         x ^= dropped[some][:, :, None, :]
         assert (variants != base[some]).any(axis=1).all()
         pop = np.concatenate([base, base[[0, 0, 5]], variants])
-        alone = [ev.evaluate(np.packbits(pop[i:i + 1], axis=1))[4:]
-                 for i in range(pop.shape[0])]
-
-        score, seen = ev.score, []
-
-        def counted(hosts, ent):
-            seen.extend(zip(map(bytes, hosts.reshape(-1, r * m)),
-                            map(bytes, ent.reshape(-1, r))))
-            return score(hosts, ent)
-
-        monkeypatch.setattr(ev, "score", counted)
+        alone = [ev.evaluate(np.packbits(pop[i:i + 1], axis=1)) for i in range(pop.shape[0])]
         if chunk:  # originals and their copies fall in different chunks
             monkeypatch.setattr(solvers, "_CHUNK_CELLS", chunk * r * n * m)
         got = ev.evaluate(np.packbits(pop, axis=1))
-        distinct = {(bytes(h), bytes(e)) for h, e in alone}
-        assert len(distinct) <= 12
-        assert len(seen) == len(set(seen)) == len(distinct)
-        assert set(seen) == distinct
-        want = [score(h, e) + (h, e) for h, e in alone]
-        for g, w in zip(got, zip(*want)):
+        for g, w in zip(got, zip(*alone)):
             np.testing.assert_array_equal(g, np.concatenate(w))
+        for g in got[:4]:  # each variant scores as its original
+            np.testing.assert_array_equal(g[-some.size:], g[some])
 
     @pytest.mark.parametrize("devices,requests", [(10, 7), (70, 3)])
     def test_a_generation_is_one_repair_block_pass(self, monkeypatch, devices, requests):
@@ -1089,6 +1067,37 @@ class TestGaSolver:
                 wins += 1
         assert wins >= 2
 
+    @pytest.mark.parametrize("devices,requests", [(10, 3), (10, 5), (70, 3)])
+    def test_a_default_solve_does_not_depend_on_the_chunk_size(self, monkeypatch, devices,
+                                                                requests):
+        # Chunks of seven individuals: each generation is scored in many
+        # batches, which must leave every score, and so the plan, as it was.
+        sc = build_scenario(load_config(overrides=(f"fleet.devices={devices}",)))
+        _, rate_rng, solver_seed = round_seeds(sc.seed, 0)
+        rates = sample_rates(devices, sc.rate_lo, sc.rate_hi, rate_rng, round_index=0)
+        args = (sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy, requests)
+        config = replace(sc.ga, seed=solver_seed)
+        want = solve_ga(*args, config=config, memory_mode=sc.memory_mode).as_dict()
+        monkeypatch.setattr(solvers, "_CHUNK_CELLS", 7 * requests * devices * sc.graph.n_blocks)
+        assert solve_ga(*args, config=config, memory_mode=sc.memory_mode).as_dict() == want
+
+    def test_a_library_solve_keeps_the_freed_heap(self):
+        # Without the CLI: solve_ga itself sets glibc's heap thresholds.
+        code = "\n".join((
+            "import sys",
+            "from resplan import solvers",
+            "from resplan.config import build_scenario, load_config",
+            "from resplan.harness import run_round",
+            "assert solvers._keep_freed_heap.cache_info().misses == 0",
+            "assert run_round(build_scenario(load_config()), 0)[1].evaluations",
+            "assert 'resplan.cli' not in sys.modules",
+            "sys.exit(solvers._keep_freed_heap.cache_info().misses != 1)",
+        ))
+        src = os.path.dirname(os.path.dirname(solvers.__file__))
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_default_budget_never_beats_the_full_network_optimum(self):
         # The problem at its real size: ResNet-50 on two devices, one
         # request, 1,179,648 candidates a round, over four rounds' links.
@@ -1255,6 +1264,23 @@ class TestGaSolver:
         assert res.assignment.is_resolved()
         if elite >= 1:
             assert all(b <= a for a, b in zip(res.history, res.history[1:]))
+
+
+class TestBest:
+    @pytest.mark.parametrize("size", [1, 2, 7, 200, 1500])
+    def test_matches_a_full_lexsort_on_ties(self, size):
+        # Scores and latencies drawn from two or three values each, so most
+        # candidates tie on the score and many on all three keys; the
+        # earliest of the best wins, as a stable full sort ranks them.
+        rng = np.random.default_rng(size)
+        for k in (2, 3, 2, 3) * 10:
+            pen = rng.choice(rng.random(k), size)
+            lat = rng.choice(rng.random(k), size)
+            feas = rng.random(size) < 0.5
+            i = np.lexsort((lat, ~feas, pen))[0]
+            key, got = solvers._best(pen, lat, feas)
+            assert got == i
+            assert key == (pen[i], not feas[i], lat[i])
 
 
 class TestPolish:
