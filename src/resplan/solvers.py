@@ -23,9 +23,11 @@ lookup per block (an add and a gather on fleets of up to 10 devices).  Only
 the repair's table columns (each row's offered bitmask per block, read from the
 row's N x M placement bits) grow with the fleet, so only they are built in
 bounded chunks; the 17-step block pass then runs once over the whole
-generation, on a large fleet too.  Every child is then scored, in chunks
-of the same bound, repeats of a placement too: at the default budget about
-one child in seven repeats one, and finding them cost more than scoring them.
+generation, on a large fleet too.  Every child is then scored, repeats of
+a placement too (at the default budget about one child in seven repeats one,
+and finding them cost more than scoring them), in chunks bounded by the
+score's own temporaries, which do not grow with N x M: a default generation
+is one score call up to 26 requests on 70 devices and 36 on 10.
 After the last generation a best-improvement descent (``_polish``) runs
 from two plans: the best plan of the search, then the best plan of the
 last generation that differs from it, when there is one.  A move puts one kept
@@ -202,15 +204,19 @@ def chromosome_length(n_requests: int, n_devices: int, n_blocks: int) -> int:
 
 
 # Cells per array pass, bounding its temporaries whatever the fleet size.
-# Unpacking chromosomes, building the repair's table columns and scoring
-# (about 16 arrays of N floats per individual) count individuals x requests
-# x devices x blocks cells; the exact solver's tree keeps up to R x M
-# frontiers of a batch of nodes (1 + 3N floats each); the polish counts
-# 3N + M cells a move, N the devices its plan names.  A 200-individual
+# Unpacking chromosomes and building the repair's table columns count
+# individuals x requests x devices x blocks cells: a 200-individual
 # generation on a 10-device fleet fits one such chunk up to 3 requests and
-# two up to 7.  The repair's block pass counts rows x blocks x device
-# chunks, far fewer: one pass covers a 200-individual generation up to 38
-# requests on 10 devices and up to 4 on 70.
+# two up to 7.  Scoring counts R x M + 3N cells an individual, which covers
+# its largest temporaries: the (request, block) rows ``chain_sums`` gathers,
+# ``terms``' R x M + N rows and ``_finish``'s 3N overruns.  None grows with
+# N x M, so a 200-individual generation is one score call up to 36 requests
+# on 10 devices and 26 on 70.  The exact solver's tree keeps up to R x M
+# frontiers of a batch of nodes (1 + 3N floats each); the polish counts
+# 3N + M cells a move, N the devices its plan names.  The repair's block
+# pass counts rows x blocks x device chunks: one pass covers a
+# 200-individual generation up to 38 requests on 10 devices and up to 4
+# on 70.
 _CHUNK_CELLS = 1 << 17
 
 # The exact solver numbers its candidates in int64.
@@ -562,9 +568,11 @@ class _Evaluator:
     def evaluate(self, packed: np.ndarray):
         """Canonicalize and score a population of bit-packed chromosomes
         (``np.packbits`` rows), unpacking one bounded chunk at a time, then
-        score them in chunks of the same size.  Every individual is scored,
-        repeats of a placement too: scores do not depend on the batch, so an
-        individual scores the same in any chunk and alone.
+        score them in chunks of ``_CHUNK_CELLS`` at R x M + 3N cells an
+        individual, the score's own temporaries, not the unpacking's.
+        Every individual is scored, repeats of a placement too: scores do not
+        depend on the batch, so an individual scores the same in any chunk
+        and alone.
 
         Returns (penalized, objective, latency, feasible, hosts, ent).
         """
@@ -586,6 +594,7 @@ class _Evaluator:
                           ent[rows], offers[:, :, rows])
         hosts = self.repair.walk(offers)
         del offers  # not held while scoring
+        step = max(1, _CHUNK_CELLS // (r * m + 3 * n))
         scores = _stacked([self.score(hosts[i * r:(i + step) * r], ent[i * r:(i + step) * r])
                            for i in range(0, b, step)])
         return scores + (hosts, ent)

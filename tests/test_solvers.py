@@ -86,6 +86,26 @@ def small_problem(rng, n_blocks=5, n_devices=3, n_requests=2, cap_scale=1e3):
     return graph, fleet, rates, profile, weights
 
 
+def chunks_of(monkeypatch, k, r, n, m):
+    """Set ``_CHUNK_CELLS`` so that ``evaluate`` both unpacks and scores r
+    requests on n devices and m blocks in chunks of at most k individuals:
+    exactly k for the smaller of the unpacking's r*n*m cells an individual
+    and the score's r*m + 3n, fewer for the other."""
+    monkeypatch.setattr(solvers, "_CHUNK_CELLS", k * min(r * n * m, r * m + 3 * n))
+
+
+def record_chunks(monkeypatch):
+    """Two lists that collect, from now on, the individuals of each chunk
+    the evaluator unpacks and of each ``score`` call."""
+    unpacked, scored = [], []
+    columns, score = _Evaluator._columns, _Evaluator.score
+    monkeypatch.setattr(_Evaluator, "_columns", lambda ev, pop, ent, out=None: unpacked.append(
+        pop.shape[0]) or columns(ev, pop, ent, out))
+    monkeypatch.setattr(_Evaluator, "score", lambda ev, hosts, ent: scored.append(
+        hosts.shape[0] // ev.n_requests) or score(ev, hosts, ent))
+    return unpacked, scored
+
+
 class TestRepairAllocation:
     def base(self):
         graph = chain3()
@@ -362,13 +382,16 @@ class TestEvaluator:
             alone = [ev.evaluate(pop[i:i + 1]) for i in range(40)]
             for got, want in zip(zip(*alone), whole):
                 np.testing.assert_array_equal(np.concatenate(got), want)
-            # Shuffled, in chunks of three individuals.
+            # Shuffled, unpacked and scored in chunks of at most three
+            # individuals.
             perm = rng.permutation(40)
             rows = (perm[:, None] * r + np.arange(r)).ravel()
-            monkeypatch.setattr(solvers, "_CHUNK_CELLS",
-                                3 * r * ev.n_devices * ev.n_blocks)
+            chunks_of(monkeypatch, 3, r, ev.n_devices, ev.n_blocks)
+            unpacked, scored = record_chunks(monkeypatch)
             chunked = ev.evaluate(pop[perm])
             monkeypatch.undo()
+            for sizes in (unpacked, scored):
+                assert sum(sizes) == 40 and max(sizes) <= 3
             for k, (got, want) in enumerate(zip(chunked, whole)):
                 np.testing.assert_array_equal(got, want[perm] if k < 4 else want[rows])
 
@@ -394,19 +417,25 @@ class TestEvaluator:
         pop = np.concatenate([base, base[[0, 0, 5]], variants])
         alone = [ev.evaluate(np.packbits(pop[i:i + 1], axis=1)) for i in range(pop.shape[0])]
         if chunk:  # originals and their copies fall in different chunks
-            monkeypatch.setattr(solvers, "_CHUNK_CELLS", chunk * r * n * m)
+            chunks_of(monkeypatch, chunk, r, n, m)
+        unpacked, scored = record_chunks(monkeypatch)
         got = ev.evaluate(np.packbits(pop, axis=1))
+        for sizes in (unpacked, scored):
+            assert sum(sizes) == pop.shape[0]
+            assert max(sizes) <= chunk if chunk else sizes == [pop.shape[0]]
         for g, w in zip(got, zip(*alone)):
             np.testing.assert_array_equal(g, np.concatenate(w))
         for g in got[:4]:  # each variant scores as its original
             np.testing.assert_array_equal(g[-some.size:], g[some])
 
-    @pytest.mark.parametrize("devices,requests", [(10, 7), (70, 3)])
-    def test_a_generation_is_one_repair_block_pass(self, monkeypatch, devices, requests):
+    @pytest.mark.parametrize("devices,requests", [(10, 5), (10, 7), (70, 3)])
+    def test_a_generation_is_one_repair_block_pass_and_one_score_call(self, monkeypatch,
+                                                                      devices, requests):
         # Otherwise a round's cost jumps where a generation starts to split,
-        # and a pass costs more for seeds that draw more such rounds.  On 70
-        # devices the table columns are built in several chunks, but the
-        # block pass still runs once over every row.
+        # and a pass costs more for seeds that draw more such rounds.  The
+        # table columns are built in several chunks in each case, but the
+        # block pass still runs once over every row, and the score once
+        # over every individual.
         sc = build_scenario(load_config({"fleet": {"devices": devices}}))
         rates = sample_rates(devices, rng=np.random.default_rng(0))
         ev = _Evaluator(sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy,
@@ -415,10 +444,13 @@ class TestEvaluator:
         block_pass = ev.repair._block_pass
         monkeypatch.setattr(ev.repair, "_block_pass", lambda offers, out: passes.append(
             offers.shape[2]) or block_pass(offers, out))
+        unpacked, scored = record_chunks(monkeypatch)
         length = chromosome_length(requests, devices, ev.n_blocks)
         size = sc.ga.population_size
         ev.evaluate(np.zeros((size, -(-length // 8)), dtype=np.uint8))
         assert passes == [size * requests]
+        assert scored == [size]
+        assert len(unpacked) > 1
 
     def test_several_offer_chunks_score_as_each_individual_alone(self, monkeypatch):
         rng = np.random.default_rng(35)
@@ -1070,16 +1102,21 @@ class TestGaSolver:
     @pytest.mark.parametrize("devices,requests", [(10, 3), (10, 5), (70, 3)])
     def test_a_default_solve_does_not_depend_on_the_chunk_size(self, monkeypatch, devices,
                                                                 requests):
-        # Chunks of seven individuals: each generation is scored in many
-        # batches, which must leave every score, and so the plan, as it was.
+        # Chunks of at most seven individuals: each generation is unpacked
+        # and scored in many batches, which must leave every score, and so
+        # the plan, as it was.
         sc = build_scenario(load_config(overrides=(f"fleet.devices={devices}",)))
         _, rate_rng, solver_seed = round_seeds(sc.seed, 0)
         rates = sample_rates(devices, sc.rate_lo, sc.rate_hi, rate_rng, round_index=0)
         args = (sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy, requests)
         config = replace(sc.ga, seed=solver_seed)
         want = solve_ga(*args, config=config, memory_mode=sc.memory_mode).as_dict()
-        monkeypatch.setattr(solvers, "_CHUNK_CELLS", 7 * requests * devices * sc.graph.n_blocks)
+        chunks_of(monkeypatch, 7, requests, devices, sc.graph.n_blocks)
+        unpacked, scored = record_chunks(monkeypatch)
         assert solve_ga(*args, config=config, memory_mode=sc.memory_mode).as_dict() == want
+        assert max(unpacked) <= 7 and max(scored) <= 7
+        size, elite = config.population_size, config.elite
+        assert sum(unpacked) == size + config.generations * (size - elite)
 
     def test_a_library_solve_keeps_the_freed_heap(self):
         # Without the CLI: solve_ga itself sets glibc's heap thresholds.

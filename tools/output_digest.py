@@ -5,9 +5,9 @@
 Runs a fixed set of ``resplan`` commands in this process, through
 ``resplan.cli.main`` from this checkout's ``src/``, each writing into a fresh
 temporary directory: the model table, GA solves of 1 to 5 requests on the
-default fleet and of 3 requests on 70 devices, the two-device exact solves,
-the default and 70-device simulations of seeds 0 to 2, and the four sweep
-presets.  For each command it prints the sha256 of its exit code and of
+default fleet and of 3 and 10 requests on 70 devices, the two-device exact
+solves, the default and 70-device simulations of seeds 0 to 2, and the four
+sweep presets.  For each command it prints the sha256 of its exit code and of
 every file it wrote (names and bytes, in name order), then the sha256 of
 all of them.  Run it on two commits and compare: equal digests mean
 byte-identical outputs.  It exits 1 when a command does not exit 0.
@@ -37,6 +37,8 @@ def commands() -> list[tuple[str, ...]]:
             for r in range(1, 6) for k in range(4)]
     out += [("solve", "--explain", *LARGE_FLEET, "--requests", "3", "--round", str(k))
             for k in range(2)]
+    # The widest split of a generation into chunks: 10 requests on 70 devices.
+    out.append(("solve", "--explain", *LARGE_FLEET, "--requests", "10", "--round", "0"))
     out += [("solve", "--explain", *EXACT_2DEV, "--requests", "1", "--round", str(k))
             for k in range(2)]
     for seed in range(3):
