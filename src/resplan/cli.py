@@ -15,7 +15,6 @@ import os
 import pathlib
 import sys
 import traceback
-from dataclasses import replace
 
 from . import config as config_mod
 from .errors import (
@@ -26,10 +25,13 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .fleet import sample_rates, sample_requests
+# Unused here; benchmark/layers.py wraps these names until ROADMAP item 2.
+from .fleet import sample_rates, sample_requests  # noqa: F401
 from .graph import compute_load, memory_load, output_bits
-from .harness import CSV_COLUMNS, format_value, round_seeds, run_scenario, sweep
-from .solvers import _keep_freed_heap, solve_exact, solve_ga
+from .harness import CSV_COLUMNS, format_value, run_scenario, solve_round, sweep
+from .solvers import _keep_freed_heap
+# Unused here; benchmark/layers.py wraps these names until ROADMAP item 2.
+from .solvers import solve_exact, solve_ga  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -163,24 +165,9 @@ def cmd_solve(args, cfg, scenario) -> int:
     for flag, value in (("--requests", args.requests), ("--round", args.round_index)):
         if value is not None and value < 0:
             raise ConfigError(f"{flag} must be >= 0")
-    req_rng, rate_rng, solver_seed = round_seeds(scenario.seed, args.round_index)
-    if args.requests is not None:
-        n_requests = args.requests
-    else:
-        n_requests = sample_requests(scenario.lam, req_rng, args.round_index).count
-    rates = sample_rates(scenario.fleet.n_devices, scenario.rate_lo, scenario.rate_hi,
-                         rate_rng, round_index=args.round_index)
-
-    if scenario.solver == "exact":
-        result = solve_exact(scenario.graph, scenario.fleet, rates, scenario.profile,
-                             scenario.weights, scenario.energy, n_requests,
-                             limits=scenario.exact_limits,
-                             memory_mode=scenario.memory_mode)
-    else:
-        result = solve_ga(scenario.graph, scenario.fleet, rates, scenario.profile,
-                          scenario.weights, scenario.energy, n_requests,
-                          config=replace(scenario.ga, seed=solver_seed),
-                          memory_mode=scenario.memory_mode)
+    _n_requests, result, error = solve_round(scenario, args.round_index, args.requests)
+    if error is not None:
+        raise error
 
     doc = result.as_dict()
     if not args.explain:

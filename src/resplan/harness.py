@@ -178,6 +178,36 @@ def round_seeds(seed: int, round_index: int):
     return np.random.default_rng(req_ss), np.random.default_rng(rate_ss), solver_seed
 
 
+def solve_round(config: ScenarioConfig, round_index: int, n_requests: Optional[int] = None
+                ) -> tuple[int, Optional[SolveResult], Optional[Exception]]:
+    """Draw one round's request count and link rates from ``round_seeds``
+    and solve it with the configured solver; ``n_requests``, when given,
+    replaces only the drawn count.
+
+    Returns the count, and the result or the exception with which the solver
+    proved the instance unsatisfiable or too large for it.
+    """
+    req_rng, rate_rng, solver_seed = round_seeds(config.seed, round_index)
+    if n_requests is None:
+        n_requests = sample_requests(config.lam, req_rng, round_index).count
+    rates = sample_rates(config.fleet.n_devices, config.rate_lo, config.rate_hi,
+                         rate_rng, round_index=round_index)
+    try:
+        if config.solver == "exact":
+            result = solve_exact(config.graph, config.fleet, rates, config.profile,
+                                 config.weights, config.energy, n_requests,
+                                 limits=config.exact_limits,
+                                 memory_mode=config.memory_mode)
+        else:
+            result = solve_ga(config.graph, config.fleet, rates, config.profile,
+                              config.weights, config.energy, n_requests,
+                              config=replace(config.ga, seed=solver_seed),
+                              memory_mode=config.memory_mode)
+    except (InfeasibleInstance, InstanceTooLarge) as exc:
+        return n_requests, None, exc
+    return n_requests, result, None
+
+
 def run_round(config: ScenarioConfig, round_index: int
               ) -> tuple[MetricsRecord, Optional[SolveResult]]:
     """Sample one round's environment, solve it, and summarize.
@@ -185,39 +215,15 @@ def run_round(config: ScenarioConfig, round_index: int
     Instances the solver proves unsatisfiable become error records instead of
     exceptions, so one bad round cannot sink a long simulation.
     """
-    req_rng, rate_rng, solver_seed = round_seeds(config.seed, round_index)
-    batch = sample_requests(config.lam, req_rng, round_index)
-    rates = sample_rates(config.fleet.n_devices, config.rate_lo, config.rate_hi,
-                         rate_rng, round_index=round_index)
-    try:
-        if config.solver == "exact":
-            result = solve_exact(config.graph, config.fleet, rates, config.profile,
-                                 config.weights, config.energy, batch.count,
-                                 limits=config.exact_limits,
-                                 memory_mode=config.memory_mode)
-        else:
-            result = solve_ga(config.graph, config.fleet, rates, config.profile,
-                              config.weights, config.energy, batch.count,
-                              config=replace(config.ga, seed=solver_seed),
-                              memory_mode=config.memory_mode)
-    except (InfeasibleInstance, InstanceTooLarge) as exc:
-        nan = float("nan")
-        return MetricsRecord(
-            round_index=round_index,
-            n_requests=batch.count,
-            avg_accuracy=nan,
-            total_latency_s=nan,
-            shared_data_bits=nan,
-            total_computation_mults=nan,
-            total_energy_j=nan,
-            objective=nan,
-            feasible=False,
-            error=f"{type(exc).__name__}: {exc}",
-        ), None
+    n_requests, result, error = solve_round(config, round_index)
+    if error is not None:
+        nan = float("nan")  # for each of the six metrics of an unsolved round
+        return MetricsRecord(round_index, n_requests, *(nan,) * 6, feasible=False,
+                             error=f"{type(error).__name__}: {error}"), None
 
     record = MetricsRecord(
         round_index=round_index,
-        n_requests=batch.count,
+        n_requests=n_requests,
         avg_accuracy=result.accuracy,
         total_latency_s=result.breakdown.total_latency,
         shared_data_bits=result.breakdown.shared_bits,

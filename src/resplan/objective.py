@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import Assignment, evaluate_assignment
+from .costs import Assignment, CostBreakdown, evaluate_assignment
 from .errors import UnprofiledDropSet
 from .fleet import DEFAULT_RATE_LO, EnergyParams, Fleet, RateMatrix
 from .graph import ResNetGraph, compute_load, output_bits
@@ -143,6 +143,12 @@ def check_constraints(assign: Assignment, graph: ResNetGraph, fleet: Fleet,
     the skip topology beforehand.
     """
     bd = evaluate_assignment(assign, graph, fleet, rates, energy, memory_mode)
+    return _report(assign, bd, fleet, weights, profile)
+
+
+def _report(assign: Assignment, bd: CostBreakdown, fleet: Fleet,
+            weights: ObjectiveWeights, profile: AccuracyProfile) -> FeasibilityReport:
+    """``check_constraints``'s verdict on a plan already priced as ``bd``."""
     violations: list[str] = []
     caps = np.stack([fleet.memory_caps, fleet.compute_caps, fleet.energy_caps])
     uses = np.stack([bd.memory_use, bd.compute_use, bd.energy])

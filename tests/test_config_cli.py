@@ -723,6 +723,40 @@ class TestCliSolve:
         ])
         assert rc == 3
 
+    def test_a_round_is_the_round_simulate_plans(self, tmp_path, capsys, monkeypatch):
+        # Seed 39's rounds 0-2 draw 0, 3 and 8 requests; the default fleet's
+        # compute provably cannot serve 8, so round 2 is an error round.
+        sets = ["--seed", "39", "--set", "scenario.rounds=3",
+                "--set", "solver.population_size=8", "--set", "solver.generations=2"]
+        results = []
+
+        def recording_run_scenario(*args, **kwargs):
+            results.append(harness.run_scenario(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_scenario", recording_run_scenario)
+        assert cli.main(["simulate", "--output-dir", str(tmp_path / "sim")] + sets) == 0
+        rows = (tmp_path / "sim" / "rounds.csv").read_text(encoding="utf-8").splitlines()
+        records = results[0].records
+        assert [r.n_requests for r in records] == [0, 3, 8]
+        assert [r.error is None for r in records] == [True, True, False]
+        capsys.readouterr()
+        for k, (row, record) in enumerate(zip(rows[1:], records)):
+            out = tmp_path / f"round{k}.json"
+            rc = cli.main(["solve", "--round", str(k), "--output", str(out)] + sets)
+            if record.error is not None:
+                assert rc == 3
+                reason = record.error.split(": ", 1)[1]
+                assert capsys.readouterr().err == f"infeasible: {reason}\n"
+                continue
+            assert rc == 0
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            assert doc["n_requests"] == record.n_requests
+            cells = dict(zip(CSV_COLUMNS, row.split(",")))
+            for column, key in (("objective", "objective"), ("total_latency_s", "total_latency_s"),
+                                ("avg_accuracy", "accuracy"), ("feasible", "feasible")):
+                assert format_value(doc[key]) == cells[column], column
+
     def test_negative_requests_rejected(self, capsys):
         rc = cli.main(["solve", "--requests", "-1"] + FAST)
         assert rc == 2

@@ -19,14 +19,14 @@ import pytest
 
 import helpers
 import oracles
-from resplan import solvers
+from resplan import objective, solvers
 from resplan.config import build_scenario, load_config
 from resplan.costs import Assignment, chain_sums
 from resplan.errors import InfeasibleInstance, InstanceTooLarge, UncoveredBlock
 from resplan.fleet import DeviceSpec, EnergyParams, Fleet, RateMatrix, sample_rates
 from resplan.graph import BlockSpec, LayerSpec, ResNetGraph, SkipTopology, block_arrays
 from resplan.harness import round_seeds, run_round, run_scenario
-from resplan.objective import ObjectiveWeights
+from resplan.objective import ObjectiveWeights, check_constraints
 from resplan.profile import AccuracyProfile, ProfileEntry
 from resplan.solvers import (
     ExactLimits,
@@ -1791,3 +1791,27 @@ class TestSharedTables:
         gc.collect()
         assert gone() is None
         assert solvers._LAST_TABLES[1] is second and tables(0.9) is second
+
+
+class TestResultPricing:
+    @pytest.mark.parametrize("n_requests", [0, 1])
+    def test_a_solve_prices_its_plan_once(self, monkeypatch, n_requests):
+        # The report is built from the breakdown the result reports, so the
+        # plan is priced once, through either module's binding.
+        sc = build_scenario(load_config(overrides=("fleet.devices=2",)))
+        rates = sample_rates(2, sc.rate_lo, sc.rate_hi, round_seeds(sc.seed, 0)[1], 0)
+        args = (sc.graph, sc.fleet, rates, sc.profile, sc.weights, sc.energy, n_requests)
+        calls = []
+        for module in (solvers, objective):
+            price = module.evaluate_assignment
+            monkeypatch.setattr(module, "evaluate_assignment",
+                                lambda *a, price=price, **kw: calls.append(a) or price(*a, **kw))
+        for solve in (lambda: solve_exact(*args, limits=ExactLimits(max_candidates=1_179_648),
+                                          memory_mode=sc.memory_mode),
+                      lambda: solve_ga(*args, config=GaConfig(8, 2), memory_mode=sc.memory_mode)):
+            calls.clear()
+            res = solve()
+            assert len(calls) == 1
+            report = check_constraints(res.assignment, sc.graph, sc.fleet, rates, sc.energy,
+                                       sc.weights, sc.profile, memory_mode=sc.memory_mode)
+            assert res.report.as_dict() == report.as_dict()
